@@ -1,11 +1,10 @@
 """Command-line entry point.
 
-Seven subcommands::
+Six subcommands::
 
     python -m repro figures [...]      # regenerate the paper's tables/figures
     python -m repro apps [...]         # N-rank application patterns
     python -m repro campaign ...       # batched million-point grid campaigns
-    python -m repro campaign-bench     # batched vs per-point throughput
     python -m repro runner-bench [...] # time the runner serial vs parallel
     python -m repro backend-bench [...]# time sim vs analytic per grid size
     python -m repro store DIR [...]    # result-store stats / maintenance
@@ -41,13 +40,12 @@ Application patterns (Halo3D / Sweep3D / FFT transpose)::
     python -m repro apps --pattern halo3d --jobs 0 --store runs/ --resume
     python -m repro apps --pattern halo3d --backend both
 
-Campaigns (streaming schema-v2 store; see README "Campaigns")::
+Campaigns (streaming store: analytic chunks as binary columns,
+simulation chunks as JSON result rows; see README "Campaigns")::
 
     python -m repro campaign run grid.json --root camp/      # plan + execute
     python -m repro campaign run grid.json --root camp/ --limit 10000
     python -m repro campaign run sim.json --root camp/ --jobs 8 --submit-ahead 16
-    python -m repro campaign run grid.json --root camp/ --compress  # .jsonl.gz
-    python -m repro campaign run grid.json --root camp/ --binary    # .bin columns
     python -m repro campaign run grid.json --root camp/ --metrics   # telemetry
     python -m repro campaign profile camp/                   # stage attribution
     python -m repro campaign status camp/                    # coverage
@@ -56,17 +54,12 @@ Campaigns (streaming schema-v2 store; see README "Campaigns")::
     python -m repro campaign export camp/ --out cols.npz --format npz
     python -m repro campaign report camp/ --slice approach=pt2pt_part
     python -m repro campaign compact camp/                   # merge segments
-    python -m repro campaign compact camp/ --compress        # + gzip migration
-    python -m repro campaign compact camp/ --binary          # + binary migration
-    python -m repro campaign-bench                           # BENCH_campaign.json
-    python -m repro campaign-bench --kind pattern            # pattern fast path
 
 Store maintenance::
 
     python -m repro store runs/            # records per kind/backend, size
     python -m repro store runs/ --prune    # drop records that no longer parse
     python -m repro store runs/ --export jsonl --out records.jsonl
-    python -m repro store runs/ --migrate camp/   # v1 records -> campaign loose rows
 """
 
 from __future__ import annotations
@@ -103,7 +96,6 @@ def _figures_parser(top_level: bool = False) -> argparse.ArgumentParser:
         epilog=(
             "subcommands: 'figures' (this, the default), 'apps' — N-rank "
             "application patterns, 'campaign' — batched grid campaigns, "
-            "'campaign-bench' — batched vs per-point throughput, "
             "'runner-bench' — runner timings, 'backend-bench' — sim vs "
             "analytic timings, and 'store' — result-store maintenance; "
             "see 'python -m repro <subcommand> --help'."
@@ -415,9 +407,8 @@ def _store_parser() -> argparse.ArgumentParser:
         prog="python -m repro store",
         description="Result-store maintenance: record counts per "
                     "kind/backend, total size, --prune for records "
-                    "whose spec no longer round-trips, --export jsonl "
-                    "for a JSON-lines dump, and --migrate to copy v1 "
-                    "records into a schema-v2 campaign store.",
+                    "whose spec no longer round-trips, and --export "
+                    "jsonl for a JSON-lines dump.",
     )
     parser.add_argument("dir", metavar="DIR",
                         help="result store directory")
@@ -429,14 +420,11 @@ def _store_parser() -> argparse.ArgumentParser:
                              "(one {hash, scenario, result} per line)")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="export target (default: stdout)")
-    parser.add_argument("--migrate", default=None, metavar="CAMPAIGN_ROOT",
-                        help="copy v1 records into the campaign store at "
-                             "CAMPAIGN_ROOT as hash-addressed loose rows")
     return parser
 
 
 def _run_store(args) -> int:
-    from .runner import CampaignStore, ResultStore
+    from .runner import ResultStore
 
     store = ResultStore(args.dir)
     if args.export == "jsonl":
@@ -448,7 +436,7 @@ def _run_store(args) -> int:
         print(f"[exported {count} record(s)"
               + (f" to {args.out}]" if args.out else "]"),
               file=sys.stderr)
-        if not (args.migrate or args.prune):
+        if not args.prune:
             return 0
     else:
         stats = store.stats()
@@ -460,14 +448,6 @@ def _run_store(args) -> int:
             print(f"  {'broken':>20}: {len(stats['broken'])}")
             for rel in stats["broken"]:
                 print(f"    {rel}")
-    if args.migrate:
-        try:
-            campaign = CampaignStore.open(args.migrate)
-        except (FileNotFoundError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        moved = campaign.migrate_from_v1(store)
-        print(f"migrated {moved} record(s) into {args.migrate}")
     if args.prune:
         # Reuse the stats scan when it ran; prune rescans otherwise.
         broken = stats["broken"] if args.export != "jsonl" else None
@@ -479,7 +459,7 @@ def _run_store(args) -> int:
 def _campaign_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro campaign",
-        description="Campaign-scale grids on the streaming schema-v2 "
+        description="Campaign-scale grids on the streaming campaign "
                     "store: plan, execute (resumable), query, export.",
     )
     sub = parser.add_subparsers(dest="action", required=True)
@@ -501,22 +481,10 @@ def _campaign_parser() -> argparse.ArgumentParser:
     run.add_argument("--submit-ahead", type=int, default=None, metavar="N",
                      help="simulation chunks kept in flight on the "
                           "persistent pool (default: ~2x workers)")
-    run.add_argument("--compress", action="store_true",
-                     help="write gzip segments (.jsonl.gz; new "
-                          "campaigns only — resumed campaigns keep "
-                          "their header's compression)")
-    run.add_argument("--binary", action="store_true",
-                     help="write analytic columnar chunks as binary "
-                          ".bin segments (raw little-endian column "
-                          "blocks; new campaigns only — mutually "
-                          "exclusive with --compress)")
     run.add_argument("--sync-write", action="store_true",
-                     help="disable the async segment writer (inline "
+                     help="disable the async segment writer (analytic "
                           "campaigns append on the compute thread; "
                           "segments are byte-identical either way)")
-    run.add_argument("--fallback-store", default=None, metavar="DIR",
-                     help="v1 result store consulted before simulating "
-                          "(read-through)")
     run.add_argument("--metrics", nargs="?", const="auto", default=None,
                      metavar="PATH",
                      help="record pipeline telemetry to a metrics JSONL "
@@ -577,10 +545,6 @@ def _campaign_parser() -> argparse.ArgumentParser:
                       help="points per chunk (default: backend-sized)")
     srun.add_argument("--limit", type=int, default=None, metavar="N",
                       help="max points to execute this invocation")
-    srun.add_argument("--compress", action="store_true",
-                      help="write gzip segments")
-    srun.add_argument("--binary", action="store_true",
-                      help="write binary .bin segments")
     srun.add_argument("--sync-write", action="store_true",
                       help="disable the async segment writer")
     srun.add_argument("--metrics", nargs="?", const="auto", default=None,
@@ -652,15 +616,6 @@ def _campaign_parser() -> argparse.ArgumentParser:
         "compact", help="merge segments into few sorted files"
     )
     compact.add_argument("root", metavar="DIR")
-    compact.add_argument("--compress", action="store_true",
-                         help="write the merged segments gzipped and "
-                              "make gzip the campaign default "
-                              "(in-place migration)")
-    compact.add_argument("--binary", action="store_true",
-                         help="rewrite analytic rows as binary .bin "
-                              "segments and make binary the campaign "
-                              "default (in-place migration; mutually "
-                              "exclusive with --compress)")
     return parser
 
 
@@ -742,7 +697,7 @@ def _run_campaign_metered(store, run_campaign_fn, run_kwargs, args) -> dict:
 def _run_campaign_cli(args) -> int:
     import json as _json
 
-    from .runner import CampaignStore, ResultStore, parse_grid_spec
+    from .runner import CampaignStore, parse_grid_spec
     from .runner import run_campaign as run_campaign_fn
 
     if args.action == "profile":
@@ -773,23 +728,8 @@ def _run_campaign_cli(args) -> int:
         except (KeyError, TypeError, ValueError) as exc:
             print(f"error: bad grid spec: {exc}", file=sys.stderr)
             return 2
-        fallback = (
-            ResultStore(args.fallback_store) if args.fallback_store else None
-        )
-        if args.compress and args.binary:
-            print("error: --compress and --binary are mutually exclusive",
-                  file=sys.stderr)
-            return 2
-        compression = "none"
-        if args.compress:
-            compression = "gzip"
-        elif args.binary:
-            compression = "binary"
         try:
-            store = CampaignStore.create(
-                args.root, grid, fallback=fallback,
-                compression=compression,
-            )
+            store = CampaignStore.create(args.root, grid)
         except (KeyError, TypeError, ValueError) as exc:
             message = exc.args[0] if exc.args else exc
             print(f"error: {message}", file=sys.stderr)
@@ -866,8 +806,6 @@ def _run_campaign_cli(args) -> int:
             f"executed {summary['executed']} point(s) in "
             f"{summary['chunks']} chunk(s), {summary['wall_s']:.2f}s"
             + (f" ({pps:,.0f} points/s)" if pps else "")
-            + (f", {summary['cached']} served read-through"
-               if summary["cached"] else "")
         )
         print(
             f"campaign {store.header['grid_hash'][:12]}: "
@@ -959,15 +897,6 @@ def _run_campaign_cli(args) -> int:
             return 0
 
         if args.shard_action == "run":
-            if args.compress and args.binary:
-                print("error: --compress and --binary are mutually "
-                      "exclusive", file=sys.stderr)
-                return 2
-            compression = "none"
-            if args.compress:
-                compression = "gzip"
-            elif args.binary:
-                compression = "binary"
             try:
                 index, count = parse_shard(args.shard)
                 ranges = (
@@ -991,14 +920,13 @@ def _run_campaign_cli(args) -> int:
             def run_shard_fn(store, **kw):
                 return run_shard(
                     args.root, grid, index, count,
-                    ranges=ranges, compression=compression, **kw
+                    ranges=ranges, **kw
                 )
 
             try:
                 if args.metrics:
                     store = CampaignStore.create(
                         args.root, grid,
-                        compression=compression,
                         writer_token=shard_token(index, count),
                         shard={
                             "index": index,
@@ -1050,8 +978,9 @@ def _run_campaign_cli(args) -> int:
               f"complete ({stats['missing']} missing)")
         print(f"  segments: {stats['segments']} "
               f"({stats['total_bytes']} bytes)")
-        if stats["loose_rows"]:
-            print(f"  loose:    {stats['loose_rows']} migrated v1 row(s)")
+        if stats["ignored"]:
+            print(f"  ignored:  {len(stats['ignored'])} file(s) that are "
+                  f"not readable segments of this campaign")
         if "shard" in stats:
             print(f"  shard:    {stats['shard']['index']}/"
                   f"{stats['shard']['count']} of a sharded campaign")
@@ -1129,137 +1058,11 @@ def _run_campaign_cli(args) -> int:
                       f"max {g['max_us']:.3f}us")
         return 0
     if args.action == "compact":
-        if args.compress and args.binary:
-            print("error: --compress and --binary are mutually exclusive",
-                  file=sys.stderr)
-            return 2
-        summary = store.compact(
-            compress=True if args.compress else None,
-            binary=True if args.binary else None,
-        )
+        summary = store.compact()
         print(f"compacted {summary['segments_before']} segment(s) into "
-              f"{summary['segments_after']} ({summary['points']} points)"
-              + (" [gzip]" if args.compress else "")
-              + (" [binary]" if args.binary else ""))
+              f"{summary['segments_after']} ({summary['points']} points)")
         return 0
     return 2
-
-
-def _campaign_bench_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro campaign-bench",
-        description="Time a fixed >=10^5-point analytic grid through "
-                    "the batched campaign pipeline vs per-point "
-                    "execution and persist BENCH_campaign.json.",
-    )
-    parser.add_argument("--kind", default="bench",
-                        choices=["bench", "pattern", "sharded"],
-                        help="grid family: two-rank bench points "
-                             "(default), N-rank application patterns "
-                             "(pattern_campaign payload section), or "
-                             "sharded execution (large bench grid as "
-                             "N shard subprocesses vs one process; "
-                             "sharded_campaign payload section)")
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="persistence path (default BENCH_campaign.json)")
-    parser.add_argument("--sizes", type=int, default=None, metavar="N",
-                        help="size-axis length (default 320 -> 102400 "
-                             "bench points / 50 -> 115200 pattern "
-                             "points / 20000 -> 6.4M sharded points; "
-                             "lower for a quick run)")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="shard subprocesses for --kind sharded "
-                             "(default 4)")
-    parser.add_argument("--root", default=None, metavar="DIR",
-                        help="keep the campaign store here (default: "
-                             "temp dir, removed after the run)")
-    return parser
-
-
-def _run_campaign_bench(args) -> int:
-    from .runner.campaign_bench import (
-        DEFAULT_JSON_PATH,
-        DEFAULT_N_SHARDS,
-        benchmark_campaign,
-    )
-
-    path = args.json if args.json else DEFAULT_JSON_PATH
-    try:
-        payload = benchmark_campaign(
-            path=path,
-            n_sizes=args.sizes,
-            root=args.root,
-            kind=args.kind,
-            n_shards=args.shards if args.shards else DEFAULT_N_SHARDS,
-        )
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.kind == "sharded":
-        section = payload["sharded_campaign"]
-        print(
-            f"{section['n_points']} analytic bench points: "
-            f"single process {section['single']['wall_s']:.2f}s "
-            f"({section['single']['points_per_s']:,.0f} points/s)"
-        )
-        print(
-            f"{section['n_shards']} shards: "
-            f"{section['sharded']['wall_s']:.2f}s "
-            f"({section['sharded']['points_per_s']:,.0f} points/s, "
-            f"merge {section['sharded']['merge_wall_s']:.2f}s, "
-            f"{section['sharded']['segments_adopted']} segments adopted)"
-        )
-        print(
-            f"sharded speedup: x{section['speedup_vs_single']:.2f} "
-            f"vs single process (merged store verified column-equal)"
-        )
-        print(f"[timings persisted to {path}]")
-        return 0
-    section = payload if args.kind == "bench" else payload["pattern_campaign"]
-    print(
-        f"{section['n_points']} analytic {args.kind} points: "
-        f"batched {section['batched']['wall_s']:.2f}s "
-        f"({section['batched']['points_per_s']:,.0f} points/s, "
-        f"{section['batched']['segments']} segments)"
-    )
-    print(
-        f"per-point pipeline (run() + file per point): "
-        f"{section['per_point_pipeline']['points_per_s']:,.0f} points/s "
-        f"(~{section['per_point_pipeline']['projected_wall_s']:,.0f}s "
-        f"projected for the full grid)"
-    )
-    if args.kind == "bench":
-        print(
-            f"bare execute: "
-            f"{section['per_point_execute_only']['points_per_s']:,.0f} "
-            f"points/s"
-        )
-        reads = section["read_path"]
-        print(
-            f"read drain: rows jsonl "
-            f"{reads['jsonl']['points_per_s']:,.0f} / binary "
-            f"{reads['binary']['points_per_s']:,.0f} points/s; "
-            f"columnar jsonl "
-            f"{reads['columnar']['jsonl']['points_per_s']:,.0f} / binary "
-            f"{reads['columnar']['binary']['points_per_s']:,.0f} points/s "
-            f"(x{reads['columnar']['binary']['speedup_vs_row_drain']:.1f} "
-            f"vs binary rows)"
-        )
-        print(
-            f"batched speedup: x{section['speedup']:.1f} vs pipeline, "
-            f"x{section['speedup_vs_execute_only']:.1f} vs bare execute"
-        )
-    else:
-        print(
-            f"PR-4 config path (scenario_at per point): "
-            f"{section['config_path']['points_per_s']:,.0f} points/s"
-        )
-        print(
-            f"batched speedup: x{section['speedup']:.1f} vs pipeline, "
-            f"x{section['speedup_vs_config_path']:.1f} vs config path"
-        )
-    print(f"[timings persisted to {path}]")
-    return 0
 
 
 def main(argv=None) -> int:
@@ -1272,10 +1075,6 @@ def main(argv=None) -> int:
         return _run_figures(parser.parse_args(argv[1:]), parser)
     if argv and argv[0] == "campaign":
         return _run_campaign_cli(_campaign_parser().parse_args(argv[1:]))
-    if argv and argv[0] == "campaign-bench":
-        return _run_campaign_bench(
-            _campaign_bench_parser().parse_args(argv[1:])
-        )
     if argv and argv[0] == "runner-bench":
         return _run_runner_bench(_runner_bench_parser().parse_args(argv[1:]))
     if argv and argv[0] == "backend-bench":

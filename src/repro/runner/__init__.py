@@ -20,10 +20,11 @@ The figure drivers, ``bench.sweep``, ``apps.sweep``, and the CLI
 
 Campaign-scale grids (10⁵–10⁶ points and beyond) go through
 :mod:`repro.runner.campaign` instead: the same declarative grid, but
-index-addressed chunks streamed into a sharded JSON-lines
+index-addressed chunks streamed into a
 :class:`~repro.runner.campaign.CampaignStore` — a few hundred segment
-files instead of one file per point — with the analytic fast path
-decoding grid indices straight into vectorized-kernel columns.
+files instead of one file per point: binary column blocks for analytic
+chunks (the fast path decodes grid indices straight into
+vectorized-kernel columns), JSON result rows for simulated ones.
 
 Quick start
 -----------

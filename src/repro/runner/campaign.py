@@ -1,4 +1,4 @@
-"""Streaming campaign store + batched campaign execution (schema v2).
+"""Streaming campaign store + batched campaign execution.
 
 A *campaign* is one declarative :class:`~repro.runner.scenario.ScenarioGrid`
 executed to completion, however many sessions that takes.  The v1
@@ -12,63 +12,48 @@ campaign store exploits that a grid point is fully identified by
   grid (so the campaign is self-describing and re-openable anywhere),
   its content hash, and provenance (producing backend + schema
   versions, so model output can never masquerade as measurements);
-* ``segments/seg-NNNNNN.jsonl`` — append-only JSON-lines segments, one
-  per completed chunk; line 1 is a tagged header, each following row is
-  ``[index, ...]`` in a per-segment *encoding* (compact ``bench-mean``
-  / ``pattern-mean`` rows for the deterministic analytic backend, full
-  ``result`` rows otherwise);
-* ``segments/seg-NNNNNN.bin`` — the binary-columnar form of an
-  analytic chunk (campaign ``compression: "binary"``): the same tagged
-  JSON header line followed by raw little-endian column blocks
-  (``float64``/``int64``, ``numpy.ndarray.tobytes()`` straight from
-  the kernel's output arrays — zero per-point formatting), mmap-read
-  and size-validated; binary, plain, and gzip segments mix freely in
-  one store;
+* ``segments/seg-NNNNNN.bin`` — one analytic chunk as binary columns:
+  a tagged JSON header line, then one raw little-endian block per
+  column (``numpy.ndarray.tobytes()`` of the kernel output — zero
+  per-point formatting), mmap-read and size-validated;
+* ``segments/seg-NNNNNN.jsonl`` — one simulation chunk: the same
+  tagged header line, then one ``[index, result_dict]`` JSON row per
+  point (the ``result`` encoding);
 * ``index.json`` — covered index ranges per segment.  It is a pure
   accelerator: if it is missing or stale it is rebuilt by scanning the
-  segment headers, so resume works from the segments alone;
-* ``loose/loose-NNNNNN.jsonl`` — hash-addressed rows migrated from a
-  v1 store (:meth:`CampaignStore.migrate_from_v1`); they also serve as
-  a read-through cache for simulation-backed campaign chunks.
+  segment headers, so resume works from the segments alone.  A file
+  that fails validation — another campaign's, a truncated one, or one
+  in a format this version does not read (``.jsonl.gz``, ``loose/``
+  rows, row encodings other than ``result``) — is listed under
+  ``ignored`` and never counts as coverage, so resume recomputes it.
 
-:func:`run_campaign` executes the missing ranges chunk-by-chunk: the
-analytic fast paths (bench *and* pattern) decode grid indices straight
-into parameter columns for the vectorized model kernel (no spec
-objects, no content hashes — microseconds per point end-to-end), and
-hand the kernel's output arrays to a bounded-queue **async segment
-writer** (:class:`~repro.runner.executor.AsyncSegmentWriter`) so
-encode+write overlap the next chunk's compute; simulation chunks flow
-through a bounded submit-ahead pipeline
+:func:`run_campaign` executes the missing ranges chunk by chunk.
+Analytic chunks decode grid indices straight into parameter columns
+for the vectorized model kernel (no spec objects, no content hashes)
+and hand the output arrays to a bounded-queue **async segment writer**
+(:class:`~repro.runner.executor.AsyncSegmentWriter`), so the write
+overlaps the next chunk's compute.  Simulation chunks flow through a
+bounded submit-ahead pipeline
 (:func:`~repro.runner.executor.iter_chunk_results`): the next chunks
 are already executing on a persistent worker pool while earlier
-results stream to the store in submission order.  Each completed chunk
-is appended before the next result is consumed, so an interrupted
-campaign resumes from its segments; segments may be gzip-compressed
-(``compression`` header field; ``compact(compress=True)`` migrates in
-place) or binary-columnar (``compact(binary=True)``), and all three
-on-disk forms read interchangeably.
+results stream to the store in submission order.  Each completed
+chunk is appended before the next result is consumed, so an
+interrupted campaign resumes from its segments.
 
-Reads are a **streaming k-way merge**: every segment yields its rows
-in ascending index order, a heap merges them with a latest-append-wins
-tiebreak (higher segment sequence pops first per index), and segments
-are opened lazily when the merge cursor reaches their first covered
-index — so :meth:`CampaignStore.iter_rows` and
-:meth:`CampaignStore.compact` hold O(one segment) in memory instead of
-materializing a per-point dict for the whole campaign.
-
-All-analytic stores additionally get a **columnar bulk-read** path
-(:meth:`CampaignStore.iter_columns` / :meth:`CampaignStore.read_columns`):
-the same latest-wins merge decided at the *index-range* level from the
-index metadata alone, surviving pieces sliced straight off memmapped
-column blocks, ndarrays end-to-end.  It is the substrate for
-:meth:`CampaignStore.query`'s vectorized path, ``export --format npz``,
-binary→binary :meth:`CampaignStore.compact`, and
-``campaign report --slice`` (:func:`slice_report`).
+Every read goes through one **latest-append-wins merge decided at the
+index-range level** (:meth:`CampaignStore._survivor_plan`), computed
+from ``index.json`` alone: disjoint ``(start, stop, segment)`` pieces.
+:meth:`~CampaignStore.iter_columns` slices binary pieces straight off
+memmapped column blocks; :meth:`~CampaignStore.iter_rows`,
+:meth:`~CampaignStore.query`, :meth:`~CampaignStore.export_jsonl` and
+:meth:`~CampaignStore.compact` walk the same pieces, loading each
+segment once and dropping it after its last piece.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import time
 from pathlib import Path
@@ -88,9 +73,7 @@ from ..telemetry import span
 from .io import (
     atomic_write_bytes,
     atomic_write_text,
-    open_segment_text,
     read_binary_segment,
-    read_columnar_text_segment,
     read_segment_header,
     write_jsonl,
     write_npz,
@@ -115,24 +98,18 @@ __all__ = [
 
 CAMPAIGN_SCHEMA = "repro.campaign/v2"
 SEGMENT_SCHEMA = "repro.campaign.segment/v2"
-INDEX_SCHEMA = "repro.campaign.index/v2"
+INDEX_SCHEMA = "repro.campaign.index/v3"
 
-#: Row encodings.  The ``*-mean`` encodings exploit that the analytic
-#: model is deterministic (every iteration sample identical): a row is
-#: ``[index, time]`` (+ ``bytes_per_iteration, n_links`` for patterns)
-#: and the full result dict is reconstructed on read.  The ``*-cols``
-#: encodings are the hot write path: one contiguous chunk stored as
-#: whole-column JSON arrays (indices implicit from the header range),
-#: serialized by one C-level ``json.dumps`` per column instead of one
-#: Python format call per point.
+#: Segment encodings: full ``result`` rows (a simulated point's result
+#: dict) and the analytic binary-column forms, one per scenario kind.
 ENC_RESULT = "result"
-ENC_BENCH_MEAN = "bench-mean"
-ENC_PATTERN_MEAN = "pattern-mean"
-ENC_BENCH_COLS = "bench-cols"
-ENC_PATTERN_COLS = "pattern-cols"
 ENC_BENCH_BIN = "bench-bin"
 ENC_PATTERN_BIN = "pattern-bin"
-ENC_HASHED = "hashed-result"
+
+#: Encoding names :meth:`CampaignStore.append_columns` also accepts;
+#: they write the binary encoding of the same kind.
+ENC_BENCH_COLS = "bench-cols"
+ENC_PATTERN_COLS = "pattern-cols"
 
 #: Column layout of the binary encodings: ``(name, dtype)`` blocks in
 #: on-disk order, dtypes explicitly little-endian.  The header also
@@ -147,43 +124,41 @@ _BIN_COLUMNS: Dict[str, Tuple[Tuple[str, str], ...]] = {
     ),
 }
 
-#: Columnar-JSONL encoding -> its binary twin (the append fast path
-#: under a ``compression: "binary"`` campaign).
-_BIN_FOR_COLS = {
+#: ``append_columns`` encoding argument -> the binary encoding written.
+_BIN_FOR_APPEND = {
     ENC_BENCH_COLS: ENC_BENCH_BIN,
     ENC_PATTERN_COLS: ENC_PATTERN_BIN,
-}
-
-#: Mean-row encoding -> binary twin (the ``compact --binary`` path).
-_BIN_FOR_MEAN = {
-    ENC_BENCH_MEAN: ENC_BENCH_BIN,
-    ENC_PATTERN_MEAN: ENC_PATTERN_BIN,
-}
-
-#: Binary encoding -> the row dialect its unfolded rows speak (shared
-#: with the ``*-cols`` unfold, so every downstream consumer sees one
-#: row form per kind).
-_ROW_ENC_FOR_BIN = {
-    ENC_BENCH_BIN: ENC_BENCH_MEAN,
-    ENC_PATTERN_BIN: ENC_PATTERN_MEAN,
+    ENC_BENCH_BIN: ENC_BENCH_BIN,
+    ENC_PATTERN_BIN: ENC_PATTERN_BIN,
 }
 
 #: Scenario kind -> its binary encoding (and therefore its column
-#: layout, via :data:`_BIN_COLUMNS`) — the one columnar schema every
-#: analytic segment of that kind maps onto.
+#: layout, via :data:`_BIN_COLUMNS`).
 _KIND_BIN = {
     KIND_BENCH: ENC_BENCH_BIN,
     KIND_PATTERN: ENC_PATTERN_BIN,
 }
 
-#: Encodings with a columnar form: everything the analytic pipeline
-#: writes (``*-bin``, ``*-cols``, ``*-mean``).  A store whose segments
-#: all speak one of these supports the zero-materialization columnar
-#: read path (:meth:`CampaignStore.iter_columns`); full-``result`` and
-#: hashed rows do not (their payload is an arbitrary dict per point).
-_COLUMNAR_ENCODINGS = (
-    set(_BIN_COLUMNS) | set(_BIN_FOR_COLS) | set(_BIN_FOR_MEAN)
-)
+#: Segment file suffix per encoding.  A header whose encoding does not
+#: match its file's suffix is not a segment.
+_SUFFIX = {
+    ENC_RESULT: ".jsonl",
+    ENC_BENCH_BIN: ".bin",
+    ENC_PATTERN_BIN: ".bin",
+}
+
+#: Every file the index accounts for, as directory -> name suffixes.
+#: ``.jsonl.gz`` segments and ``loose/`` rows are forms older versions
+#: wrote: they are listed only so they land under ``ignored``.
+_STORE_FILES = {
+    "segments": (".jsonl", ".jsonl.gz", ".bin"),
+    "loose": (".jsonl", ".jsonl.gz"),
+}
+
+#: Values :meth:`CampaignStore.create` accepts for ``compression``.
+#: Both build the same store: analytic chunks are always binary
+#: columns, simulation chunks always ``result`` rows.
+COMPRESSIONS = ("none", "binary")
 
 #: Points per :meth:`CampaignStore.iter_columns` chunk when the caller
 #: does not pin one.  Large enough that per-chunk overhead (concat,
@@ -191,27 +166,14 @@ _COLUMNAR_ENCODINGS = (
 #: columns stays a few MB.
 DEFAULT_READ_CHUNK = 65536
 
-#: Points per inline (analytic) campaign chunk when the caller does
-#: not pin one; simulation chunks are sized by the planner's
+#: Points per analytic campaign chunk when the caller does not pin
+#: one; simulation chunks are sized by the planner's
 #: :func:`~repro.runner.planner.auto_chunk_size` instead (a few chunks
 #: per worker, capped at 32).
 DEFAULT_INLINE_CHUNK = 16384
 
-#: Target points per segment after compaction.
+#: Points per segment after compaction.
 COMPACT_SEGMENT_POINTS = 8192
-
-#: Segment storage modes (the campaign-header ``compression`` field
-#: selects the default for *new* segments; readers dispatch per file,
-#: so mixed stores are fine).  ``"binary"`` stores analytic columnar
-#: chunks as raw little-endian column blocks (``.bin``); row-encoded
-#: segments (simulation results, v1 rows) stay plain JSONL under it.
-COMPRESSION_NONE = "none"
-COMPRESSION_GZIP = "gzip"
-COMPRESSION_BINARY = "binary"
-COMPRESSIONS = (COMPRESSION_NONE, COMPRESSION_GZIP, COMPRESSION_BINARY)
-
-#: Every on-disk segment suffix one seq number may occupy.
-_SEGMENT_SUFFIXES = (".jsonl", ".jsonl.gz", ".bin")
 
 #: Writer tokens become path components of segment names, so the
 #: charset is deliberately tight (no separators, no dots).
@@ -361,15 +323,49 @@ def _index_array_to_ranges(indices) -> List[Tuple[int, int]]:
     ]
 
 
-def _row_index(line: str) -> int:
-    """The grid index of one JSONL row line without parsing the row:
-    rows are ``[index, ...]`` with at least two elements, so the index
-    is the text between ``[`` and the first comma.  Falls back to a
-    full parse on anything unexpected."""
-    try:
-        return int(line[line.index("[") + 1 : line.index(",")])
-    except ValueError:
-        return int(json.loads(line)[0])
+# ---------------------------------------------------------------------------
+# segment bodies
+# ---------------------------------------------------------------------------
+
+def _encode_rows(rows: Sequence[list]) -> bytes:
+    """``result`` segment body: one compact JSON row per line."""
+    return "".join(
+        json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
+        for row in rows
+    ).encode("utf-8")
+
+
+def _encode_columns(encoding: str, columns: Sequence, count: int) -> bytes:
+    """Binary segment body: one raw little-endian block per column of
+    the encoding's layout, ``count`` values each."""
+    import numpy as np
+
+    layout = _BIN_COLUMNS[encoding]
+    if len(columns) != len(layout):
+        raise ValueError(
+            f"{encoding!r} takes {len(layout)} column(s), "
+            f"got {len(columns)}"
+        )
+    blocks = []
+    for (name, dtype), column in zip(layout, columns):
+        block = np.ascontiguousarray(np.asarray(column, dtype=dtype))
+        if block.shape != (count,):
+            raise ValueError(
+                f"column {name!r}: shape {block.shape} for a "
+                f"{count}-point segment"
+            )
+        blocks.append(block.tobytes())
+    return b"".join(blocks)
+
+
+def _take(payload, keep):
+    """Positions ``keep`` (a slice or an index array) of a loaded
+    segment's payload: a ``{name: column}`` dict or a row list."""
+    if isinstance(payload, dict):
+        return {name: column[keep] for name, column in payload.items()}
+    if isinstance(keep, slice):
+        return payload[keep]
+    return [payload[k] for k in keep.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +373,7 @@ def _row_index(line: str) -> int:
 # ---------------------------------------------------------------------------
 
 class CampaignStore:
-    """A campaign root directory: header, segments, index, loose rows.
+    """A campaign root directory: header, segments, index.
 
     Use :meth:`create` for a new campaign and :meth:`open` for an
     existing one; the constructor itself does no I/O.
@@ -386,19 +382,14 @@ class CampaignStore:
     def __init__(
         self,
         root: str | Path,
-        fallback: Optional[Any] = None,
         writer_token: Optional[str] = None,
     ):
         self.root = Path(root)
-        #: Optional v1 :class:`~repro.runner.store.ResultStore` consulted
-        #: (after the loose rows) by :meth:`load_dict` — read-through
-        #: from the per-file store without migrating it.
-        self.fallback = fallback
         #: Collision-free segment namespace for this writer: when set,
         #: new segments are named ``seg-<token>-NNNNNN`` so concurrent
         #: writers (shards, parallel processes) sharing one directory
         #: can never race each other to the same name.  ``None`` keeps
-        #: the legacy single-writer ``seg-NNNNNN`` names byte-for-byte.
+        #: the single-writer ``seg-NNNNNN`` names.
         if writer_token is not None and not _WRITER_TOKEN_RE.fullmatch(
             writer_token
         ):
@@ -409,7 +400,6 @@ class CampaignStore:
         self.writer_token = writer_token
         self._header: Optional[dict] = None
         self._grid: Optional[ScenarioGrid] = None
-        self._loose_map: Optional[Dict[str, dict]] = None
 
     # -- lifecycle -----------------------------------------------------------
     @classmethod
@@ -417,20 +407,18 @@ class CampaignStore:
         cls,
         root: str | Path,
         grid: ScenarioGrid,
-        fallback: Optional[Any] = None,
-        compression: str = COMPRESSION_NONE,
+        compression: str = "none",
         writer_token: Optional[str] = None,
         shard: Optional[dict] = None,
     ) -> "CampaignStore":
         """Initialize a campaign root for ``grid``.
 
         Re-creating over an existing root is allowed only when the grid
-        hash matches (the resume case; the existing header's
-        ``compression`` then stays authoritative); anything else raises
-        rather than silently mixing two campaigns in one directory.
-        ``compression`` selects the on-disk form of *new* segments
-        (``"none"`` or ``"gzip"``); reads handle both transparently.
-        ``writer_token`` namespaces this writer's segment names (see
+        hash matches (the resume case); anything else raises rather
+        than silently mixing two campaigns in one directory.
+        ``compression`` must be one of :data:`COMPRESSIONS`; every
+        accepted value builds the same store.  ``writer_token``
+        namespaces this writer's segment names (see
         :meth:`_segment_name`); ``shard`` records shard provenance
         (``{"index", "count", "ranges"}``) in the header of a
         shard-owned root so status and merge tooling can tell shard
@@ -445,7 +433,7 @@ class CampaignStore:
                 f"unknown compression {compression!r}; "
                 f"choose from {COMPRESSIONS}"
             )
-        store = cls(root, fallback=fallback, writer_token=writer_token)
+        store = cls(root, writer_token=writer_token)
         header_path = store.root / "campaign.json"
         grid_hash = grid.content_hash()
         if header_path.is_file():
@@ -472,9 +460,7 @@ class CampaignStore:
                         f"whose axis order cannot be recovered must be "
                         f"re-run)"
                     )
-            return cls.open(
-                root, fallback=fallback, writer_token=writer_token
-            )
+            return cls.open(root, writer_token=writer_token)
         header = {
             "schema": CAMPAIGN_SCHEMA,
             "kind": grid.kind,
@@ -482,7 +468,6 @@ class CampaignStore:
             "grid": grid.to_dict(),
             "grid_hash": grid_hash,
             "n_points": len(grid),
-            "compression": compression,
             "producer": {
                 "backend": grid.backend,
                 "store_schema": CAMPAIGN_SCHEMA,
@@ -501,18 +486,17 @@ class CampaignStore:
             header_path, json.dumps(header, sort_keys=True, indent=1) + "\n"
         )
         store._header = header
-        store._write_index([], [])
+        store._write_index([])
         return store
 
     @classmethod
     def open(
         cls,
         root: str | Path,
-        fallback: Optional[Any] = None,
         writer_token: Optional[str] = None,
     ) -> "CampaignStore":
         """Open an existing campaign root (rebuilding a lost index)."""
-        store = cls(root, fallback=fallback, writer_token=writer_token)
+        store = cls(root, writer_token=writer_token)
         store.header  # validates
         if store._read_index() is None:
             store.rebuild_index()
@@ -544,71 +528,64 @@ class CampaignStore:
         return int(self.header["n_points"])
 
     @property
-    def compression(self) -> str:
-        """Storage mode of *newly written* segments (header field;
-        pre-compression campaigns read as ``"none"``)."""
-        return self.header.get("compression", COMPRESSION_NONE)
-
-    @property
-    def binary(self) -> bool:
-        """True when new columnar appends land as binary segments."""
-        return self.compression == COMPRESSION_BINARY
-
-    @property
     def shard(self) -> Optional[dict]:
         """Shard provenance (``{"index", "count", "ranges"}``) when this
         root was created as one shard of a larger campaign, else None."""
         return self.header.get("shard")
 
     # -- index ---------------------------------------------------------------
-    def _read_index(self) -> Optional[dict]:
-        path = self.root / "index.json"
-        if not path.is_file():
-            return None
-        try:
-            index = json.loads(path.read_text())
-        except ValueError:
-            return None
-        if index.get("schema") != INDEX_SCHEMA:
-            return None
-        # Stale whenever a segment landed without an index update (the
-        # crash window between segment write and index write).  Files
-        # recorded as ignored (foreign/unreadable) are accounted for so
-        # their presence does not force a rescan on every operation.
-        listed = {entry["file"] for entry in index.get("segments", [])}
-        listed |= {entry["file"] for entry in index.get("loose", [])}
-        listed |= set(index.get("ignored", []))
-        on_disk = {
-            str(p.relative_to(self.root))
-            for pattern in (
-                "segments/*.jsonl",
-                "segments/*.jsonl.gz",
-                "segments/*.bin",
-                "loose/*.jsonl",
-                "loose/*.jsonl.gz",
+    def _files_on_disk(self) -> set:
+        """Root-relative names of every file the index accounts for
+        (plain ``listdir`` names: this runs on every index read)."""
+        files = set()
+        for folder, suffixes in _STORE_FILES.items():
+            try:
+                names = os.listdir(self.root / folder)
+            except FileNotFoundError:
+                continue
+            files.update(
+                f"{folder}/{name}" for name in names
+                if name.endswith(suffixes) and not name.startswith(".")
             )
-            for p in self.root.glob(pattern)
-        }
-        if listed != on_disk:
-            return None
-        return index
+        return files
+
+    def _read_index(self) -> Optional[dict]:
+        """The on-disk index, or None when it is missing or stale."""
+        with span("store.index"):
+            path = self.root / "index.json"
+            if not path.is_file():
+                return None
+            try:
+                index = json.loads(path.read_text())
+            except ValueError:
+                return None
+            if index.get("schema") != INDEX_SCHEMA:
+                return None
+            # Stale whenever a segment landed without an index update (the
+            # crash window between segment write and index write).  Files
+            # recorded as ignored are accounted for so their presence does
+            # not force a rescan on every operation.
+            listed = {entry["file"] for entry in index["segments"]}
+            listed |= set(index["ignored"])
+            if listed != self._files_on_disk():
+                return None
+            return index
 
     def _write_index(
-        self,
-        segments: List[dict],
-        loose: List[dict],
-        ignored: Sequence[str] = (),
-    ) -> None:
+        self, segments: List[dict], ignored: Sequence[str] = ()
+    ) -> dict:
+        index = {
+            "schema": INDEX_SCHEMA,
+            "campaign": self.header["grid_hash"],
+            "segments": segments,
+            "ignored": list(ignored),
+        }
         with span("store.index"):
             atomic_write_text(
                 self.root / "index.json",
-                json.dumps(
-                    self._index_payload(segments, loose, ignored),
-                    sort_keys=True,
-                    indent=1,
-                )
-                + "\n",
+                json.dumps(index, sort_keys=True, indent=1) + "\n",
             )
+        return index
 
     def _index(self) -> dict:
         index = self._read_index()
@@ -620,25 +597,19 @@ class CampaignStore:
         """Reconstruct ``index.json`` from the segment headers — the
         resume-from-segments path after a crash or a deleted index.
 
-        Files whose header does not parse or belongs to a different
-        campaign are recorded under ``ignored`` (never as coverage), so
-        one rebuild converges even with foreign files in the tree.
+        Files that are not a valid segment of this campaign are
+        recorded under ``ignored`` (never as coverage), so one rebuild
+        converges even with foreign files in the tree.
         """
         segments: List[dict] = []
-        loose: List[dict] = []
         ignored: List[str] = []
-        seg_paths = (
-            sorted(self.root.glob("segments/*.jsonl"))
-            + sorted(self.root.glob("segments/*.jsonl.gz"))
-            + sorted(self.root.glob("segments/*.bin"))
-        )
-        for path in sorted(seg_paths):
-            header = self._segment_header(path)
+        for rel in sorted(self._files_on_disk()):
+            header = self._segment_header(self.root / rel)
             if header is None:
-                ignored.append(str(path.relative_to(self.root)))
+                ignored.append(rel)
                 continue
             entry = {
-                "file": str(path.relative_to(self.root)),
+                "file": rel,
                 "ranges": header["ranges"],
                 "count": header["count"],
                 "encoding": header["encoding"],
@@ -647,50 +618,30 @@ class CampaignStore:
             if "writer" in header:
                 entry["writer"] = header["writer"]
             segments.append(entry)
-        loose_paths = sorted(self.root.glob("loose/*.jsonl")) + sorted(
-            self.root.glob("loose/*.jsonl.gz")
-        )
-        for path in sorted(loose_paths):
-            header = self._segment_header(path)
-            if header is None:
-                ignored.append(str(path.relative_to(self.root)))
-                continue
-            loose.append(
-                {
-                    "file": str(path.relative_to(self.root)),
-                    "count": header["count"],
-                    "encoding": header["encoding"],
-                    "backend": header["backend"],
-                }
-            )
-        self._write_index(segments, loose, ignored)
-        return self._index_payload(segments, loose, ignored)
-
-    def _index_payload(self, segments, loose, ignored=()) -> dict:
-        return {
-            "schema": INDEX_SCHEMA,
-            "campaign": self.header["grid_hash"],
-            "segments": segments,
-            "loose": loose,
-            "ignored": list(ignored),
-        }
+        return self._write_index(segments, ignored)
 
     def _segment_header(self, path: Path) -> Optional[dict]:
-        # EOFError: gzip's "compressed file ended before the
-        # end-of-stream marker" (a truncated .jsonl.gz) is not an
-        # OSError — it must count as unreadable, not crash the rebuild.
-        # Binary segments are size-validated against their declared
-        # column layout, so truncation (or trailing garbage) lands in
-        # the same ValueError path (see
-        # :func:`~repro.runner.io.read_segment_header`); KeyError
-        # covers a parseable-but-incomplete binary header.
+        """The header of a valid segment of this campaign, else None.
+
+        Valid means: a ``segments/`` file whose suffix matches a
+        current encoding, whose header parses (binary segments are also
+        size-validated against their declared column layout, see
+        :func:`~repro.runner.io.read_segment_header`), and whose schema
+        and campaign hash match.
+        """
+        if path.parent.name != "segments" or path.suffix not in (
+            ".jsonl", ".bin"
+        ):
+            return None
         try:
             header = read_segment_header(path)
-        except (OSError, ValueError, EOFError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError):
             return None
-        if header.get("schema") != SEGMENT_SCHEMA:
-            return None
-        if header.get("campaign") != self.header["grid_hash"]:
+        if (
+            header.get("schema") != SEGMENT_SCHEMA
+            or header.get("campaign") != self.header["grid_hash"]
+            or _SUFFIX.get(header.get("encoding")) != path.suffix
+        ):
             return None
         return header
 
@@ -724,7 +675,7 @@ class CampaignStore:
 
         Without a writer token: ``segments/seg-NNNNNN`` — the seq
         counter starts at the index's segment count and skips numbers
-        any on-disk form already occupies (compaction may renumber).
+        any segment file already occupies (compaction may renumber).
         That scheme is inherently single-writer: two processes counting
         the same directory race to the same name.  With a token the
         name is ``segments/seg-<token>-NNNNNN``, so writers with
@@ -740,162 +691,76 @@ class CampaignStore:
         seq = n_existing
         while any(
             (self.root / f"{stem}{seq:06d}{s}").exists()
-            for s in _SEGMENT_SUFFIXES
+            for s in (".jsonl", ".bin")
         ):
             seq += 1
         return f"{stem}{seq:06d}{suffix}"
 
-    def _segment_entry(
+    def _write_segment(
         self,
-        name: str,
         encoding: str,
         ranges: Sequence[Tuple[int, int]],
         count: int,
-        backend: str,
-        extra: Optional[dict] = None,
-    ) -> Tuple[dict, dict]:
-        """``(segment_header, index_entry)`` for one new segment."""
+        backend: Optional[str],
+        n_existing: int,
+        body: bytes,
+    ) -> dict:
+        """Write one segment file (atomic): the tagged JSON header line
+        (binary encodings add their ``"columns"`` layout), then
+        ``body``.  Returns the index entry; does *not* touch
+        ``index.json`` (callers batch their index updates)."""
         header = {
             "schema": SEGMENT_SCHEMA,
             "campaign": self.header["grid_hash"],
             "kind": self.header["kind"],
-            "backend": backend,
+            "backend": backend if backend is not None
+            else self.header["backend"],
             "encoding": encoding,
             "ranges": [[int(s), int(e)] for s, e in ranges],
             "count": int(count),
         }
+        if encoding in _BIN_COLUMNS:
+            header["columns"] = [[n, d] for n, d in _BIN_COLUMNS[encoding]]
         if self.writer_token is not None:
             header["writer"] = self.writer_token
-        if extra:
-            header.update(extra)
+        name = self._segment_name(n_existing, _SUFFIX[encoding])
+        with span("store.encode"):
+            data = (
+                json.dumps(header, sort_keys=True) + "\n"
+            ).encode("utf-8") + body
+        with span("store.write"):
+            atomic_write_bytes(self.root / name, data)
+        if telemetry.active_registry() is not None:
+            telemetry.count("store.segments_written")
+            telemetry.count("store.bytes_written", len(data))
         entry = {
             "file": name,
             "ranges": header["ranges"],
             "count": header["count"],
             "encoding": encoding,
-            "backend": backend,
+            "backend": header["backend"],
         }
         if self.writer_token is not None:
             entry["writer"] = self.writer_token
-        return header, entry
+        return entry
 
-    def _write_segment(
+    def _append(
         self,
-        body_lines: List[str],
         encoding: str,
         ranges: Sequence[Tuple[int, int]],
         count: int,
         backend: Optional[str],
-        existing_segments: List[dict],
-        compression: Optional[str] = None,
-    ) -> Tuple[Path, dict]:
-        """Write one JSONL segment file (atomic); return its index entry.
-
-        The single owner of the text-segment protocol — naming, tagged
-        header, file body — shared by the row and the columnar append
-        paths.  ``compression`` overrides the campaign-header default
-        for this segment (the ``compact --compress`` migration path);
-        gzip segments carry a ``.jsonl.gz`` name, so every reader
-        dispatches by suffix (a ``"binary"`` campaign writes its *row*
-        segments plain — only columnar data has a binary form).  Does
-        *not* touch ``index.json``; callers batch their index updates.
-        """
-        backend = backend if backend is not None else self.header["backend"]
-        compression = (
-            compression if compression is not None else self.compression
+        body: bytes,
+    ) -> Path:
+        """Write one segment and record it in the index."""
+        index = self._index()
+        segments = list(index["segments"])
+        entry = self._write_segment(
+            encoding, ranges, count, backend, len(segments), body
         )
-        suffix = (
-            ".jsonl.gz" if compression == COMPRESSION_GZIP else ".jsonl"
-        )
-        name = self._segment_name(len(existing_segments), suffix)
-        header, entry = self._segment_entry(
-            name, encoding, ranges, count, backend
-        )
-        with span("store.encode"):
-            lines = [json.dumps(header, sort_keys=True)]
-            lines.extend(body_lines)
-            text = "\n".join(lines) + "\n"
-        target = self.root / name
-        with span("store.write"):
-            atomic_write_text(
-                target,
-                text,
-                compress=compression == COMPRESSION_GZIP,
-            )
-        if telemetry.active_registry() is not None:
-            telemetry.count("store.segments_written")
-            telemetry.count("store.bytes_encoded", len(text))
-            telemetry.count("store.bytes_written", target.stat().st_size)
-        return target, entry
-
-    def _write_segment_binary(
-        self,
-        columns: Sequence,
-        encoding: str,
-        ranges: Sequence[Tuple[int, int]],
-        count: int,
-        backend: Optional[str],
-        existing_segments: List[dict],
-    ) -> Tuple[Path, dict]:
-        """Write one binary-columnar segment (atomic).
-
-        Layout: the usual tagged JSON header line (plus a ``"columns"``
-        ``[name, dtype]`` list) and then one raw little-endian block
-        per column — ``numpy.ndarray.tobytes()`` of the kernel output,
-        no per-point formatting.  Indices are implicit: position ``p``
-        is the ``p``-th index of the sorted ``ranges``.
-        """
-        import numpy as np
-
-        backend = backend if backend is not None else self.header["backend"]
-        layout = _BIN_COLUMNS[encoding]
-        if len(columns) != len(layout):
-            raise ValueError(
-                f"{encoding!r} takes {len(layout)} column(s), "
-                f"got {len(columns)}"
-            )
-        name = self._segment_name(len(existing_segments), ".bin")
-        header, entry = self._segment_entry(
-            name, encoding, ranges, count, backend,
-            extra={"columns": [[n, d] for n, d in layout]},
-        )
-        with span("store.encode"):
-            blocks = []
-            for (col_name, dtype), column in zip(layout, columns):
-                block = np.ascontiguousarray(
-                    np.asarray(column, dtype=dtype)
-                )
-                if block.shape != (int(count),):
-                    raise ValueError(
-                        f"column {col_name!r}: {block.shape[0] if block.ndim == 1 else block.shape} "
-                        f"value(s) for a {count}-point segment"
-                    )
-                blocks.append(block.tobytes())
-            data = (
-                json.dumps(header, sort_keys=True) + "\n"
-            ).encode("utf-8") + b"".join(blocks)
-        target = self.root / name
-        with span("store.write"):
-            atomic_write_bytes(target, data)
-        if telemetry.active_registry() is not None:
-            telemetry.count("store.segments_written")
-            telemetry.count("store.bytes_encoded", len(data))
-            telemetry.count("store.bytes_written", target.stat().st_size)
-        return target, entry
-
-    @staticmethod
-    def _encode_rows(rows: List[list], encoding: str) -> List[str]:
-        """Body lines for row-encoded segments."""
-        if encoding in (ENC_BENCH_MEAN, ENC_PATTERN_MEAN):
-            # Row-per-point compact form ([int, float, ...] is valid
-            # JSON, repr is cheaper than json.dumps per row).
-            return [
-                "[" + ",".join(repr(v) for v in row) + "]" for row in rows
-            ]
-        return [
-            json.dumps(row, sort_keys=True, separators=(",", ":"))
-            for row in rows
-        ]
+        segments.append(entry)
+        self._write_index(segments, index["ignored"])
+        return self.root / entry["file"]
 
     def append_chunk(
         self,
@@ -904,28 +769,34 @@ class CampaignStore:
         ranges: Sequence[Tuple[int, int]],
         backend: Optional[str] = None,
     ) -> Path:
-        """Append one completed chunk as a new segment (atomic).
+        """Append one completed chunk of ``result`` rows as a new
+        segment (atomic).
 
-        ``rows`` are pre-encoded row lists (first element the grid
-        index); ``ranges`` the [start, stop) coverage they represent.
-        Rows are written index-sorted (stable, so same-index duplicates
-        keep their submission order) — the invariant the k-way merge
-        reads rely on.
+        ``rows`` are ``[index, result_dict]`` lists; ``ranges`` the
+        [start, stop) coverage they represent.  The rows' distinct
+        indices must be exactly the points of ``ranges`` — coverage no
+        row backs would mark points complete that no read can return,
+        so a mismatch raises ``ValueError``.  Rows are written
+        index-sorted (stable: a same-index duplicate keeps submission
+        order, and the later one wins on read).
         """
-        index = self._index()
-        segments = list(index["segments"])
+        if encoding != ENC_RESULT:
+            raise ValueError(
+                f"append_chunk writes {ENC_RESULT!r} rows, not "
+                f"{encoding!r}; analytic chunks go through append_columns"
+            )
         rows = sorted(rows, key=lambda row: int(row[0]))
+        covered = _indices_to_ranges(sorted({int(row[0]) for row in rows}))
+        claimed = _merge_ranges(ranges)
+        if covered != claimed:
+            raise ValueError(
+                f"rows cover {covered[:3]}{'...' if len(covered) > 3 else ''}"
+                f" but the chunk claims {claimed[:3]}"
+                f"{'...' if len(claimed) > 3 else ''}"
+            )
         with span("store.encode"):
-            body_lines = self._encode_rows(rows, encoding)
-        target, entry = self._write_segment(
-            body_lines, encoding, ranges,
-            len(rows), backend, segments,
-        )
-        segments.append(entry)
-        self._write_index(
-            segments, index["loose"], index.get("ignored", [])
-        )
-        return target
+            body = _encode_rows(rows)
+        return self._append(ENC_RESULT, ranges, len(rows), backend, body)
 
     def append_columns(
         self,
@@ -935,48 +806,25 @@ class CampaignStore:
         encoding: str,
         backend: Optional[str] = None,
     ) -> Path:
-        """Append one *contiguous* chunk in columnar form (hot path).
+        """Append one *contiguous* chunk as a binary segment (hot path).
 
         ``columns`` are whole-chunk value arrays (times, and for
         patterns bytes/links) — numpy arrays straight off the kernel,
         or plain lists; point ``i`` of every column belongs to grid
-        index ``start + i``.  A ``"binary"`` campaign writes them as
-        raw little-endian blocks (``ndarray.tobytes()``, zero per-point
-        formatting); otherwise one C-level ``json.dumps`` per column —
-        either way no Python format call per point.
+        index ``start + i``.  Each column lands as one raw
+        little-endian block (``ndarray.tobytes()``), with no per-point
+        formatting.  ``encoding`` names the kind's binary encoding or
+        its ``*-cols`` alias.
         """
-        import numpy as np
-
-        if encoding not in (ENC_BENCH_COLS, ENC_PATTERN_COLS):
+        bin_encoding = _BIN_FOR_APPEND.get(encoding)
+        if bin_encoding is None:
             raise ValueError(f"not a columnar encoding: {encoding!r}")
-        index = self._index()
-        segments = list(index["segments"])
-        if self.binary:
-            target, entry = self._write_segment_binary(
-                columns, _BIN_FOR_COLS[encoding],
-                [(start, stop)], int(stop) - int(start),
-                backend, segments,
-            )
-        else:
-            with span("store.encode"):
-                body_lines = [
-                    json.dumps(
-                        column.tolist()
-                        if isinstance(column, np.ndarray)
-                        else list(column)
-                    )
-                    for column in columns
-                ]
-            target, entry = self._write_segment(
-                body_lines,
-                encoding, [(start, stop)], int(stop) - int(start),
-                backend, segments,
-            )
-        segments.append(entry)
-        self._write_index(
-            segments, index["loose"], index.get("ignored", [])
+        count = int(stop) - int(start)
+        with span("store.encode"):
+            body = _encode_columns(bin_encoding, columns, count)
+        return self._append(
+            bin_encoding, [(start, stop)], count, backend, body
         )
-        return target
 
     # -- reading -------------------------------------------------------------
     def _iterations_at(self, index: int) -> int:
@@ -988,195 +836,51 @@ class CampaignStore:
         return 30 if grid.kind == KIND_BENCH else 10
 
     def _decode_row(self, row: list, encoding: str) -> Tuple[int, dict]:
+        """``(index, result_dict)`` for one stored row: a ``result``
+        row carries its dict; a binary row ``[index, *column values]``
+        expands to the deterministic analytic result (every iteration
+        sample identical)."""
         index = int(row[0])
         if encoding == ENC_RESULT:
             return index, row[1]
-        iterations = self._iterations_at(index)
-        if encoding == ENC_BENCH_MEAN:
-            return index, {
-                "times": [float(row[1])] * iterations,
-                "retries": 0,
-                "verified": True,
-            }
-        if encoding == ENC_PATTERN_MEAN:
-            return index, {
-                "times": [float(row[1])] * iterations,
-                "bytes_per_iteration": int(row[2]),
-                "n_links": int(row[3]),
-            }
-        raise ValueError(f"unknown segment encoding {encoding!r}")
+        times = [float(row[1])] * self._iterations_at(index)
+        if encoding == ENC_BENCH_BIN:
+            return index, {"times": times, "retries": 0, "verified": True}
+        return index, {
+            "times": times,
+            "bytes_per_iteration": int(row[2]),
+            "n_links": int(row[3]),
+        }
 
-    def _segment_rows(self, entry: dict) -> Iterator[Tuple[int, list, str]]:
-        """One segment's rows as ``(index, row, row_encoding)``,
-        ascending, at most one row per index (a same-index duplicate
-        *within* a segment resolves to the later file position).
+    def _segment_rows(self, path: Path) -> Tuple[Any, List[list]]:
+        """A ``result`` segment as ``(index_array, rows)``: every row
+        parsed, index-sorted (stable) and de-duplicated, a later file
+        position winning a same-index tie."""
+        import numpy as np
 
-        Columnar and binary segments unfold into the equivalent
-        ``*-mean`` row dialect, so every consumer above the merge sees
-        one row form per kind.  Binary columns stream from read-only
-        memmaps — nothing beyond the touched pages is resident.
-        """
-        path = self.root / entry["file"]
-        encoding = entry["encoding"]
-        if encoding in _BIN_COLUMNS:
-            header, columns = read_binary_segment(path)
-            row_encoding = _ROW_ENC_FOR_BIN[encoding]
-            pos = 0
-            for start, stop in header["ranges"]:
-                for j in range(int(start), int(stop)):
-                    yield j, [
-                        j, *(col[pos].item() for col in columns)
-                    ], row_encoding
-                    pos += 1
-            return
-        if encoding in (ENC_BENCH_COLS, ENC_PATTERN_COLS):
-            header, columns = read_columnar_text_segment(path)
-            start = header["ranges"][0][0]
-            row_encoding = (
-                ENC_BENCH_MEAN
-                if encoding == ENC_BENCH_COLS
-                else ENC_PATTERN_MEAN
-            )
-            for j, values in enumerate(zip(*columns)):
-                yield start + j, [start + j, *values], row_encoding
-            return
-        # Append paths write rows index-sorted; a v2 store written by
-        # an older session may not be.  Sortedness is checked first on
-        # the index prefixes alone (no row parse, O(rows) ints): the
-        # sorted common case then *streams* — one row parsed and
-        # yielded at a time, duplicate earlier occurrences skipped
-        # without ever parsing them — instead of materializing the
-        # whole segment before the first yield.  Only a genuinely
-        # unsorted segment pays the load-everything-and-sort fallback.
-        indices: List[int] = []
-        sorted_ok = True
-        with open_segment_text(path) as handle:
-            handle.readline()
-            for line in handle:
-                if not line.strip():
-                    continue
-                idx = _row_index(line)
-                if indices and idx < indices[-1]:
-                    sorted_ok = False
-                    break
-                indices.append(idx)
-        if sorted_ok:
-            with open_segment_text(path) as handle:
-                handle.readline()
-                k = 0
-                for line in handle:
-                    if not line.strip():
-                        continue
-                    idx = indices[k]
-                    k += 1
-                    if k < len(indices) and indices[k] == idx:
-                        continue  # a later same-index row wins
-                    yield idx, json.loads(line), encoding
-            return
-        with open_segment_text(path) as handle:
+        with path.open() as handle:
             handle.readline()
             rows = [json.loads(line) for line in handle if line.strip()]
-        # Stable sort: same-index duplicates keep file order, so the
-        # later occurrence wins below — the pre-streaming semantics.
         rows.sort(key=lambda row: int(row[0]))
-        for k, row in enumerate(rows):
-            if k + 1 < len(rows) and int(rows[k + 1][0]) == int(row[0]):
-                continue
-            yield int(row[0]), row, encoding
-
-    def _merged_rows(self) -> Iterator[Tuple[int, list, str]]:
-        """Streaming k-way merge over all segments: ``(index, row,
-        row_encoding)`` strictly ascending, exactly one row per covered
-        index, latest-append-wins on overlap.
-
-        Segments are *lazily activated*: each stays unopened until the
-        merge cursor reaches its first covered index, so a compacted or
-        append-only store (disjoint ranges) holds O(one segment) in
-        memory however many segments it has.  The heap orders by
-        ``(index, -seq)`` — on duplicate coverage the highest segment
-        sequence (the latest append) pops first and later pops of the
-        same index are dropped.
-        """
-        import heapq
-
-        entries = self._index()["segments"]
-        # Activation schedule: (first covered index, seq), reverse-
-        # sorted so the next segment due is popped from the end.
-        schedule = sorted(
-            (
-                (min(int(s) for s, _ in entry["ranges"]), seq)
-                for seq, entry in enumerate(entries)
-                if entry["ranges"]
-            ),
-            reverse=True,
+        rows = [
+            row
+            for k, row in enumerate(rows)
+            if k + 1 == len(rows) or int(rows[k + 1][0]) != int(row[0])
+        ]
+        indices = np.fromiter(
+            (int(row[0]) for row in rows), dtype=np.int64, count=len(rows)
         )
-        # Heap entries: (index, -seq, row, encoding, iterator).
-        # (index, -seq) is unique — seq appears once — so the row and
-        # iterator never get compared.
-        heap: List[Tuple[int, int, list, str, Iterator]] = []
+        return indices, rows
 
-        def activate_due(cursor: int) -> None:
-            while schedule and schedule[-1][0] <= cursor:
-                _, seq = schedule.pop()
-                it = self._segment_rows(entries[seq])
-                first = next(it, None)
-                if first is not None:
-                    index, row, enc = first
-                    heapq.heappush(heap, (index, -seq, row, enc, it))
+    def _segment_columns(self, path: Path, encoding: str):
+        """A binary segment as ``(index_array, {name: column})``:
+        read-only memmaps, zero parse, zero copy."""
+        header, raw = read_binary_segment(path)
+        names = [name for name, _ in _BIN_COLUMNS[encoding]]
+        return _ranges_to_index_array(header["ranges"]), dict(zip(names, raw))
 
-        last_index = -1
-        while heap or schedule:
-            if not heap:
-                activate_due(schedule[-1][0])
-                continue
-            index, negseq, row, enc, it = heapq.heappop(heap)
-            if schedule and schedule[-1][0] <= index:
-                # A not-yet-opened segment covers an index <= this one;
-                # it may hold a later append of the same index.  Put
-                # the row back, open everything due, re-pop.
-                heapq.heappush(heap, (index, negseq, row, enc, it))
-                activate_due(index)
-                continue
-            nxt = next(it, None)
-            if nxt is not None:
-                heapq.heappush(heap, (nxt[0], negseq, nxt[1], nxt[2], it))
-            if index == last_index:
-                continue  # an earlier append of an index already yielded
-            last_index = index
-            yield index, row, enc
-
-    def iter_rows(self) -> Iterator[Tuple[int, dict]]:
-        """Yield ``(grid_index, result_dict)`` sorted by index, one per
-        point (on duplicate coverage the latest append wins).  Streams:
-        peak memory is bounded by the largest segment, not the
-        campaign (see :meth:`_merged_rows`)."""
-        for index, row, encoding in self._merged_rows():
-            yield self._decode_row(row, encoding)
-
-    def scenario_at(self, index: int) -> Scenario:
-        return self.grid.scenario_at(index)
-
-    def assignment_at(self, index: int) -> Dict[str, Any]:
-        return self.grid.assignment_at(index)
-
-    # -- columnar reads ------------------------------------------------------
-    def column_names(self) -> Tuple[str, ...]:
-        """The store's columnar schema for its kind: ``("times",)`` for
-        bench grids, ``("times", "bytes_per_iteration", "n_links")``
-        for pattern grids — the same layout binary segments persist."""
-        layout = _BIN_COLUMNS[_KIND_BIN[self.header["kind"]]]
-        return tuple(name for name, _ in layout)
-
-    def _all_columnar(self) -> bool:
-        """True when every indexed segment has a columnar form (the
-        analytic encodings) — the gate for the zero-materialization
-        read path."""
-        entries = self._index()["segments"]
-        return all(
-            entry["encoding"] in _COLUMNAR_ENCODINGS for entry in entries
-        )
-
-    def _survivor_plan(self) -> Tuple[List[Tuple[int, int, int]], List[dict]]:
+    @staticmethod
+    def _survivor_plan(entries: Sequence[dict]) -> List[Tuple[int, int, int]]:
         """The latest-wins merge, decided at the *index-range* level.
 
         Walks the segments newest-first, claiming each one's covered
@@ -1184,11 +888,9 @@ class CampaignStore:
         result is a list of disjoint ``(start, stop, seq)`` pieces,
         sorted by start, where ``seq`` is the segment that owns those
         points — computed entirely from ``index.json`` metadata, before
-        a single segment file is opened.  Row-level reads resolve the
-        same duplicates one heap pop at a time; here a million-point
-        overlap costs one range subtraction.
+        a single segment file is opened.  A million-point overlap costs
+        one range subtraction.
         """
-        entries = self._index()["segments"]
         covered: List[Tuple[int, int]] = []
         pieces: List[Tuple[int, int, int]] = []
         for seq in range(len(entries) - 1, -1, -1):
@@ -1204,56 +906,96 @@ class CampaignStore:
                 )
             covered = _merge_ranges(covered + ranges)
         pieces.sort()
-        return pieces, entries
+        return pieces
 
-    def _segment_columns(self, entry: dict):
-        """One segment as ``(index_array, {name: column array})``,
-        ascending, deduplicated.
+    def _pieces(
+        self, where: Optional[Mapping[str, Any]] = None
+    ) -> Iterator[Tuple[str, Any, Any]]:
+        """The survivor plan, read: ``(encoding, index_array, payload)``
+        per surviving piece, ascending and disjoint.  The payload is
+        ``{name: column}`` for binary segments and the row list for
+        ``result`` segments.
 
-        Binary segments slice straight off read-only memmaps (zero
-        parse, zero copy); columnar JSONL decodes one whole-column
-        ``json.loads`` per column; ``*-mean`` rows fall back to the row
-        reader and columnize its output.  Every form lands on the
-        kind's one column layout (:meth:`column_names`).
+        Each segment is loaded once and dropped after the plan's last
+        piece from it, so peak memory is the segments the current piece
+        overlaps.  ``where`` applies the :meth:`query` filter semantics
+        as one vectorized mask per piece, so filtered-out points are
+        never copied out of their segment.
         """
         import numpy as np
 
-        path = self.root / entry["file"]
-        encoding = entry["encoding"]
-        layout = _BIN_COLUMNS[
-            _BIN_FOR_COLS.get(encoding)
-            or _BIN_FOR_MEAN.get(encoding)
-            or encoding
-        ]
-        with span("store.read.segment"):
-            if encoding in _BIN_COLUMNS:
-                header, raw = read_binary_segment(path)
-                indices = _ranges_to_index_array(header["ranges"])
-                columns = {
-                    name: column
-                    for (name, _), column in zip(layout, raw)
-                }
-            elif encoding in _BIN_FOR_COLS:
-                header, raw = read_columnar_text_segment(path)
-                indices = _ranges_to_index_array(header["ranges"])
-                columns = {
-                    name: np.asarray(column, dtype=dtype)
-                    for (name, dtype), column in zip(layout, raw)
-                }
-            else:
-                rows = [
-                    row for _, row, _ in self._segment_rows(entry)
-                ]
-                indices = np.array(
-                    [int(row[0]) for row in rows], dtype=np.int64
-                )
-                columns = {
-                    name: np.array(
-                        [row[1 + k] for row in rows], dtype=dtype
+        checks = self._filter_checks(where)
+        if checks is None:
+            return
+        entries = self._index()["segments"]
+        with span("store.read.plan"):
+            pieces = self._survivor_plan(entries)
+            # Keep only what the walk needs, not the parsed index.
+            segments = [(e["file"], e["encoding"]) for e in entries]
+            del entries
+            last_use = {seq: i for i, (_, _, seq) in enumerate(pieces)}
+        cache: Dict[int, Tuple[Any, Any]] = {}
+        for i, (start, stop, seq) in enumerate(pieces):
+            name, encoding = segments[seq]
+            if seq not in cache:
+                path = self.root / name
+                with span("store.read.segment"):
+                    cache[seq] = (
+                        self._segment_rows(path)
+                        if encoding == ENC_RESULT
+                        else self._segment_columns(path, encoding)
                     )
-                    for k, (name, dtype) in enumerate(layout)
-                }
-        return indices, columns
+            seg_idx, payload = cache[seq]
+            if last_use[seq] == i:
+                del cache[seq]
+            lo, hi = (int(p) for p in np.searchsorted(seg_idx, (start, stop)))
+            if hi == lo:
+                continue
+            keep = slice(lo, hi)
+            if checks:
+                mask = self._checks_mask(seg_idx[keep], checks)
+                if not mask.any():
+                    continue
+                if not mask.all():
+                    keep = np.flatnonzero(mask) + lo
+            yield encoding, seg_idx[keep], _take(payload, keep)
+
+    def _rows(
+        self, where: Optional[Mapping[str, Any]] = None
+    ) -> Iterator[Tuple[int, list, str]]:
+        """``(index, row, encoding)`` per surviving point, ascending —
+        the row view of :meth:`_pieces`; binary pieces unfold to
+        ``[index, *column values]`` rows."""
+        for encoding, indices, payload in self._pieces(where):
+            if encoding == ENC_RESULT:
+                for index, row in zip(indices.tolist(), payload):
+                    yield index, row, encoding
+                continue
+            values = zip(*(column.tolist() for column in payload.values()))
+            for index, value in zip(indices.tolist(), values):
+                yield index, [index, *value], encoding
+
+    def iter_rows(self) -> Iterator[Tuple[int, dict]]:
+        """Yield ``(grid_index, result_dict)`` sorted by index, one per
+        point (on duplicate coverage the latest append wins).  Streams:
+        peak memory is bounded by the segments being read, not the
+        campaign (see :meth:`_pieces`)."""
+        for _, row, encoding in self._rows():
+            yield self._decode_row(row, encoding)
+
+    def scenario_at(self, index: int) -> Scenario:
+        return self.grid.scenario_at(index)
+
+    def assignment_at(self, index: int) -> Dict[str, Any]:
+        return self.grid.assignment_at(index)
+
+    # -- columnar reads ------------------------------------------------------
+    def column_names(self) -> Tuple[str, ...]:
+        """The store's columnar schema for its kind: ``("times",)`` for
+        bench grids, ``("times", "bytes_per_iteration", "n_links")``
+        for pattern grids — the same layout binary segments persist."""
+        layout = _BIN_COLUMNS[_KIND_BIN[self.header["kind"]]]
+        return tuple(name for name, _ in layout)
 
     def _filter_checks(
         self, filters: Optional[Mapping[str, Any]]
@@ -1305,51 +1047,32 @@ class CampaignStore:
         the columnar twin of :meth:`iter_rows`, with ndarrays
         end-to-end and no per-point Python objects anywhere.
 
-        The merge happens at the index-range level
-        (:meth:`_survivor_plan`), then each surviving piece is one
-        array slice off its segment's columns — memmap views for
-        binary segments, so a full drain never materializes more than
-        one chunk (plus one decoded text segment when the store mixes
-        JSONL in).  Chunks hold at most ``chunk_size`` points; the
-        final chunk holds the remainder.  ``where`` applies the
-        :meth:`query` filter semantics vectorized, so filtered-out
-        points are never copied out of their segment.
+        Each surviving piece of the plan is one array slice off its
+        segment's memmapped columns, so a full drain never materializes
+        more than one chunk.  Chunks hold at most ``chunk_size``
+        points; the final chunk holds the remainder.  ``where`` applies
+        the :meth:`query` filter semantics vectorized.
 
-        Requires every segment to carry a columnar encoding (the
-        analytic ``*-bin``/``*-cols``/``*-mean`` forms): a store
-        holding full-``result`` rows raises ``ValueError`` — those
+        Requires every segment to be binary (an analytic campaign): a
+        store holding ``result`` rows raises ``ValueError`` — those
         points have no fixed column schema; use :meth:`iter_rows`.
         """
         import numpy as np
 
         chunk_size = max(1, int(chunk_size))
-        checks = self._filter_checks(where)
-        if checks is None:
-            return
-        with span("store.read.plan"):
-            pieces, entries = self._survivor_plan()
-            foreign = {
-                entry["encoding"]
-                for entry in entries
-                if entry["encoding"] not in _COLUMNAR_ENCODINGS
-            }
-            if foreign:
-                raise ValueError(
-                    f"store holds non-columnar segment encoding(s) "
-                    f"{sorted(foreign)}; only analytic campaigns "
-                    f"support columnar reads — use iter_rows()"
-                )
-            # One decoded-segment cache, evicted as soon as the plan
-            # has no further piece for a segment: peak memory is the
-            # chunk buffer plus the segments the current piece overlaps.
-            last_use = {
-                seq: i for i, (_, _, seq) in enumerate(pieces)
-            }
+        foreign = {
+            entry["encoding"] for entry in self._index()["segments"]
+        } - set(_BIN_COLUMNS)
+        if foreign:
+            raise ValueError(
+                f"store holds non-columnar segment encoding(s) "
+                f"{sorted(foreign)}; only analytic campaigns "
+                f"support columnar reads — use iter_rows()"
+            )
         names = self.column_names()
         buf_idx: List[Any] = []
         buf_cols: Dict[str, List[Any]] = {name: [] for name in names}
         buffered = 0
-        cache: Dict[int, Tuple[Any, Dict[str, Any]]] = {}
 
         def assembled() -> Tuple[Any, Dict[str, Any]]:
             indices = (
@@ -1372,30 +1095,7 @@ class CampaignStore:
             telemetry.count("store.read.points", len(indices))
             return indices, columns
 
-        for i, (start, stop, seq) in enumerate(pieces):
-            if seq not in cache:
-                cache[seq] = self._segment_columns(entries[seq])
-            seg_idx, seg_cols = cache[seq]
-            if last_use[seq] == i:
-                del cache[seq]
-            lo = int(np.searchsorted(seg_idx, start))
-            hi = int(np.searchsorted(seg_idx, stop))
-            if hi == lo:
-                continue
-            piece_idx = seg_idx[lo:hi]
-            piece_cols = {
-                name: seg_cols[name][lo:hi] for name in names
-            }
-            if checks:
-                mask = self._checks_mask(piece_idx, checks)
-                if not mask.any():
-                    continue
-                if not mask.all():
-                    piece_idx = piece_idx[mask]
-                    piece_cols = {
-                        name: column[mask]
-                        for name, column in piece_cols.items()
-                    }
+        for _, piece_idx, piece_cols in self._pieces(where):
             buf_idx.append(piece_idx)
             for name in names:
                 buf_cols[name].append(piece_cols[name])
@@ -1456,7 +1156,7 @@ class CampaignStore:
         array, one array per store column, and one decoded value array
         per grid axis (``axis_<name>``) — zero row dicts anywhere, the
         whole export is array slices and one vectorized axis decode.
-        Returns the point count.  Requires an all-analytic store
+        Returns the point count.  Requires an analytic store
         (:meth:`iter_columns`)."""
         import numpy as np
 
@@ -1478,41 +1178,15 @@ class CampaignStore:
         ``store.query(approach="pt2pt_part", n_threads=4)``.
 
         Axis filters are decoded once into matching *value codes* and
-        tested digit-wise against the row-major index — integer
-        arithmetic per point instead of materializing the assignment
-        dict; the filter runs on the merged ``(index, row)`` stream
-        *before* any decode, so filtered-out points are never
-        materialized.  Base-field filters (and unknown names) resolve
-        before any row is read: a mismatch yields nothing.
-
-        All-analytic stores take the vectorized path instead: the
-        filter is one boolean mask over each :meth:`iter_columns`
-        chunk's index array, and rows exist only for the survivors.
+        tested digit-wise against the row-major index as one boolean
+        mask per piece of the merge (:meth:`_pieces`), so rows are
+        decoded only for the matches.  Base-field filters (and unknown
+        names) resolve before any segment is read: a mismatch yields
+        nothing.
         """
-        checks = self._filter_checks(filters)
-        if checks is None:
-            return
-        if self._all_columnar():
-            row_enc = _ROW_ENC_FOR_BIN[_KIND_BIN[self.header["kind"]]]
-            names = self.column_names()
-            for indices, columns in self.iter_columns(
-                where=filters or None
-            ):
-                cols = [columns[name] for name in names]
-                for k in range(len(indices)):
-                    index = int(indices[k])
-                    _, result = self._decode_row(
-                        [index, *(c[k].item() for c in cols)], row_enc
-                    )
-                    yield index, self.assignment_at(index), result
-            return
-        for index, row, encoding in self._merged_rows():
-            if all(
-                (index // stride) % size in codes
-                for stride, size, codes in checks
-            ):
-                _, result = self._decode_row(row, encoding)
-                yield index, self.assignment_at(index), result
+        for index, row, encoding in self._rows(filters or None):
+            _, result = self._decode_row(row, encoding)
+            yield index, self.assignment_at(index), result
 
     def export_jsonl(self, target, where: Optional[dict] = None) -> int:
         """Dump completed points as JSON-lines ``{"index", "assignment",
@@ -1520,165 +1194,85 @@ class CampaignStore:
         (:func:`~repro.runner.io.write_jsonl`); returns the row count.
         ``where`` filters points by spec field values (the
         :meth:`query` semantics)."""
-        def _records():
-            if where:
-                for index, assignment, result in self.query(**where):
-                    yield index, assignment, result
-            else:
-                for index, result in self.iter_rows():
-                    yield index, self.assignment_at(index), result
-
         return write_jsonl(
             target,
             (
                 {"index": index, "assignment": assignment, "result": result}
-                for index, assignment, result in _records()
+                for index, assignment, result in self.query(**(where or {}))
             ),
         )
 
     # -- maintenance ---------------------------------------------------------
-    def compact(
-        self,
-        compress: Optional[bool] = None,
-        binary: Optional[bool] = None,
-    ) -> dict:
+    def compact(self) -> dict:
         """Merge the indexed segments into few large, sorted,
-        duplicate-free segments; returns a summary dict.
+        duplicate-free segments of :data:`COMPACT_SEGMENT_POINTS`
+        points each; returns a summary dict.
 
-        ``compress=True`` writes the replacement segments gzipped (and
-        records gzip as the campaign's compression for future appends)
-        — the in-place migration behind ``campaign compact
-        --compress``; ``binary=True`` rewrites analytic ``*-mean``
-        rows as binary-columnar ``.bin`` segments instead (``campaign
-        compact --binary`` — full-result and hashed rows stay JSONL,
-        having no columnar form); ``binary=False`` converts a binary
-        campaign back to plain JSONL.  ``None`` for both keeps the
-        campaign's current setting.  The two migrations are mutually
-        exclusive.
-
-        Streaming: rows come off the k-way merge already sorted and
-        deduplicated and are flushed per ``COMPACT_SEGMENT_POINTS``
-        buffer, so peak memory is one output segment plus one input
-        segment — never the campaign.
-
-        A binary target over an all-analytic source (the
-        ``--binary``-again / binary→binary case) skips rows entirely:
-        surviving column blocks move as :meth:`iter_columns` array
-        slices straight into :meth:`_write_segment_binary` — zero
-        per-row decode or encode anywhere.
+        The surviving pieces of the merge (:meth:`_pieces`) are
+        buffered per encoding and flushed as new segments: binary
+        columns move as array slices (no per-row decode or encode),
+        ``result`` rows as their parsed lists.  Peak memory is one
+        output segment plus the input segments being read.
 
         Crash-safe ordering: the replacement segments are fully written
         *before* the index switches over and the old files are removed.
         A crash mid-compact leaves old and new segments coexisting with
         a stale index — :meth:`rebuild_index` then sees both, coverage
-        is unchanged, and duplicate rows resolve via latest-append-wins
-        (the replacements sort after the originals).
+        is unchanged, and duplicate points resolve via
+        latest-append-wins (the replacements sort after the originals).
         """
-        if binary and compress:
-            raise ValueError(
-                "compact: binary and gzip are mutually exclusive "
-                "segment forms"
-            )
-        if binary:
-            compression = COMPRESSION_BINARY
-        elif compress is not None:
-            compression = (
-                COMPRESSION_GZIP if compress else COMPRESSION_NONE
-            )
-        elif binary is False and self.compression == COMPRESSION_BINARY:
-            compression = COMPRESSION_NONE
-        else:
-            compression = self.compression
+        import numpy as np
+
         index = self._index()
         old_files = [entry["file"] for entry in index["segments"]]
-        before = len(old_files)
         new_segments: List[dict] = []
-        buffers: Dict[str, List[list]] = {}
-        points = 0
-
-        if compression == COMPRESSION_BINARY and self._all_columnar():
-            bin_encoding = _KIND_BIN[self.header["kind"]]
-            names = self.column_names()
-            for indices, columns in self.iter_columns(
-                chunk_size=COMPACT_SEGMENT_POINTS
-            ):
-                _, entry = self._write_segment_binary(
-                    [columns[name] for name in names], bin_encoding,
-                    _index_array_to_ranges(indices), len(indices), None,
-                    index["segments"] + new_segments,
-                )
-                new_segments.append(entry)
-                points += len(indices)
-            return self._finish_compact(
-                index, old_files, before, new_segments, points,
-                compression,
-            )
+        buffers: Dict[str, List[Tuple[Any, Any]]] = {}
+        sizes: Dict[str, int] = {}
 
         def flush(encoding: str) -> None:
-            rows = buffers.pop(encoding, [])
-            if not rows:
-                return
-            ranges = _indices_to_ranges([int(r[0]) for r in rows])
-            if encoding in _BIN_COLUMNS:
-                columns = list(zip(*(row[1:] for row in rows)))
-                _, entry = self._write_segment_binary(
-                    columns, encoding, ranges, len(rows), None,
-                    index["segments"] + new_segments,
-                )
+            parts = buffers.pop(encoding)
+            sizes.pop(encoding)
+            indices = np.concatenate([idx for idx, _ in parts])
+            if encoding == ENC_RESULT:
+                body = _encode_rows([row for _, rows in parts for row in rows])
             else:
-                _, entry = self._write_segment(
-                    self._encode_rows(rows, encoding), encoding, ranges,
-                    len(rows), None, index["segments"] + new_segments,
-                    compression=compression,
+                body = _encode_columns(
+                    encoding,
+                    [
+                        np.concatenate([cols[name] for _, cols in parts])
+                        for name, _ in _BIN_COLUMNS[encoding]
+                    ],
+                    len(indices),
                 )
-            new_segments.append(entry)
+            new_segments.append(
+                self._write_segment(
+                    encoding, _index_array_to_ranges(indices), len(indices),
+                    None, len(old_files) + len(new_segments), body,
+                )
+            )
 
-        for _, row, encoding in self._merged_rows():
-            if compression == COMPRESSION_BINARY:
-                encoding = _BIN_FOR_MEAN.get(encoding, encoding)
-            buffers.setdefault(encoding, []).append(row)
-            points += 1
-            if len(buffers[encoding]) >= COMPACT_SEGMENT_POINTS:
-                flush(encoding)
+        for encoding, indices, payload in self._pieces():
+            pos = 0
+            while pos < len(indices):
+                room = COMPACT_SEGMENT_POINTS - sizes.get(encoding, 0)
+                keep = slice(pos, pos + room)
+                buffers.setdefault(encoding, []).append(
+                    (indices[keep], _take(payload, keep))
+                )
+                sizes[encoding] = sizes.get(encoding, 0) + len(indices[keep])
+                pos += room
+                if sizes[encoding] == COMPACT_SEGMENT_POINTS:
+                    flush(encoding)
         for encoding in sorted(buffers):
             flush(encoding)
-        return self._finish_compact(
-            index, old_files, before, new_segments, points, compression
-        )
 
-    def _finish_compact(
-        self,
-        index: dict,
-        old_files: List[str],
-        before: int,
-        new_segments: List[dict],
-        points: int,
-        compression: str,
-    ) -> dict:
-        """Compaction's crash-safe switch-over, shared by the row and
-        columnar paths: header rewrite (if the compression changed),
-        index replacement, old-file removal, summary."""
-        if compression != self.compression:
-            # Future appends follow the migrated form: rewrite the
-            # header before the index switch (a crash between the two
-            # only changes the *default* for new segments, never the
-            # readability of existing ones).
-            header = dict(self.header)
-            header["compression"] = compression
-            atomic_write_text(
-                self.root / "campaign.json",
-                json.dumps(header, sort_keys=True, indent=1) + "\n",
-            )
-            self._header = header
-        self._write_index(
-            new_segments, index["loose"], index.get("ignored", [])
-        )
+        self._write_index(new_segments, index["ignored"])
         for rel in old_files:
             (self.root / rel).unlink(missing_ok=True)
         return {
-            "segments_before": before,
+            "segments_before": len(old_files),
             "segments_after": len(new_segments),
-            "points": points,
+            "points": sum(entry["count"] for entry in new_segments),
         }
 
     def stats(self) -> dict:
@@ -1689,13 +1283,13 @@ class CampaignStore:
         writer tokens (merged-from-shards or concurrent writers), the
         per-writer coverage appears under ``"shard_segments"``; and
         when shard stores live under ``root/shards/``, each one's
-        progress is summarized under ``"shards"``.
+        progress is summarized under ``"shards"``.  ``"ignored"`` lists
+        the files that are not readable segments of this campaign.
         """
         index = self._index()
         total_bytes = sum(
             (self.root / entry["file"]).stat().st_size
-            for group in ("segments", "loose")
-            for entry in index[group]
+            for entry in index["segments"]
             if (self.root / entry["file"]).is_file()
         )
         payload = {
@@ -1708,9 +1302,8 @@ class CampaignStore:
             "completed": self.n_completed,
             "missing": self.n_points - self.n_completed,
             "segments": len(index["segments"]),
-            "loose_rows": sum(e["count"] for e in index["loose"]),
             "total_bytes": total_bytes,
-            "compression": self.compression,
+            "ignored": index["ignored"],
         }
         if self.shard is not None:
             payload["shard"] = self.shard
@@ -1765,84 +1358,6 @@ class CampaignStore:
             if shards:
                 payload["shards"] = shards
         return payload
-
-    # -- v1 interop ----------------------------------------------------------
-    def migrate_from_v1(self, result_store) -> int:
-        """Copy a v1 per-file store's records into hash-addressed loose
-        segments; returns the count of *newly* migrated records.
-
-        Idempotent: records whose hash is already present in the loose
-        rows are skipped, so re-running a migration (e.g. after an
-        interrupted session) never duplicates data.  The v1 store is
-        left untouched.
-        """
-        present = self._loose()
-        rows = [
-            {"hash": digest, "scenario": scenario, "result": result}
-            for digest, scenario, result in result_store.iter_payloads()
-            if digest not in present
-        ]
-        if not rows:
-            return 0
-        index = self._index()
-        loose = list(index["loose"])
-        seq = len(loose)
-        name = f"loose/loose-{seq:06d}.jsonl"
-        while (self.root / name).exists():  # e.g. an ignored stray file
-            seq += 1
-            name = f"loose/loose-{seq:06d}.jsonl"
-        header = {
-            "schema": SEGMENT_SCHEMA,
-            "campaign": self.header["grid_hash"],
-            "kind": self.header["kind"],
-            "backend": "v1-migration",
-            "encoding": ENC_HASHED,
-            "ranges": [],
-            "count": len(rows),
-        }
-        lines = [json.dumps(header, sort_keys=True)]
-        lines.extend(
-            json.dumps(row, sort_keys=True, separators=(",", ":"))
-            for row in rows
-        )
-        atomic_write_text(self.root / name, "\n".join(lines) + "\n")
-        loose.append(
-            {
-                "file": name,
-                "count": len(rows),
-                "encoding": ENC_HASHED,
-                "backend": "v1-migration",
-            }
-        )
-        self._write_index(
-            index["segments"], loose, index.get("ignored", [])
-        )
-        self._loose_map = None
-        return len(rows)
-
-    def _loose(self) -> Dict[str, dict]:
-        if self._loose_map is None:
-            self._loose_map = {}
-            for entry in self._index()["loose"]:
-                path = self.root / entry["file"]
-                with open_segment_text(path) as handle:
-                    handle.readline()
-                    for line in handle:
-                        if not line.strip():
-                            continue
-                        row = json.loads(line)
-                        self._loose_map[row["hash"]] = row["result"]
-        return self._loose_map
-
-    def load_dict(self, scenario: Scenario) -> Optional[dict]:
-        """Read-through lookup by scenario identity: migrated loose
-        rows first, then the attached v1 fallback store (if any)."""
-        result = self._loose().get(scenario.content_hash())
-        if result is not None:
-            return result
-        if self.fallback is not None:
-            return self.fallback.load_dict(scenario)
-        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debug repr
         return f"<CampaignStore {str(self.root)!r}>"
@@ -1938,7 +1453,7 @@ def _fast_axes_ok(grid: ScenarioGrid) -> bool:
 
 def _bench_fast_columns(
     grid: ScenarioGrid, start: int, stop: int
-) -> List[list]:
+) -> List[Any]:
     """The analytic-bench fast path: grid indices -> parameter columns
     -> vectorized kernel -> one times column, no spec objects anywhere."""
     import numpy as np
@@ -1964,15 +1479,22 @@ def _bench_fast_columns(
         columns,
         len(indices),
     )
-    # Hand the kernel's array straight to the store: the segment
-    # writer serializes it whole (JSON dump or raw tobytes), so no
-    # per-point Python object ever materializes on this path.
     return [times]
+
+
+def _bench_columns(grid: ScenarioGrid, start: int, stop: int) -> List[Any]:
+    """Analytic bench chunk, per-point spec fallback (axes outside the
+    column kernel): specs -> vectorized kernel -> times column."""
+    from ..model.vector import bench_batch_times
+
+    with span("campaign.materialize"):
+        specs = [grid.scenario_at(i).spec for i in range(start, stop)]
+    return [bench_batch_times(specs)]
 
 
 def _pattern_fast_columns(
     grid: ScenarioGrid, start: int, stop: int
-) -> List[list]:
+) -> List[Any]:
     """The analytic-pattern fast path: grid indices -> decoded axis
     columns (pattern/approach/noise factorized from the grid digits)
     -> topology-cached vectorized kernel -> three columns, with no
@@ -2005,7 +1527,7 @@ def _pattern_fast_columns(
     return batch.store_columns()
 
 
-def _pattern_columns(grid: ScenarioGrid, start: int, stop: int) -> List[list]:
+def _pattern_columns(grid: ScenarioGrid, start: int, stop: int) -> List[Any]:
     """Analytic pattern chunk, per-point config fallback (axes outside
     the column kernel): configs -> vectorized kernel -> columns."""
     from ..model.vector import pattern_batch
@@ -2016,20 +1538,13 @@ def _pattern_columns(grid: ScenarioGrid, start: int, stop: int) -> List[list]:
 
 
 def _chunk_ranges(
-    store: CampaignStore,
+    todo: Sequence[Tuple[int, int]],
     chunk_points: int,
     limit: Optional[int],
-    within: Optional[Sequence[Tuple[int, int]]] = None,
 ) -> Iterator[Tuple[int, int]]:
-    """Yield [start, stop) chunk ranges over the missing points, capped
-    at ``limit`` points total.  ``within`` restricts the walk to the
-    intersection of the missing ranges and the given ranges — a shard
-    executes only its assigned slabs, resume still skips whatever any
-    writer already covered."""
-    budget = limit if limit is not None else store.n_points
-    todo = store.missing_ranges()
-    if within is not None:
-        todo = _intersect_ranges(todo, _merge_ranges(within))
+    """Yield [start, stop) chunks of at most ``chunk_points`` over the
+    ``todo`` ranges, capped at ``limit`` points total."""
+    budget = limit if limit is not None else sum(e - s for s, e in todo)
     for range_start, range_stop in todo:
         for start in range(range_start, range_stop, chunk_points):
             if budget <= 0:
@@ -2054,30 +1569,29 @@ def run_campaign(
 
     Each completed chunk is appended to the store before the next one
     starts (streaming: an interrupted run resumes from its segments).
-    Inline (analytic) campaigns hand each chunk's columns to a
+    Analytic campaigns hand each chunk's kernel columns to a
     bounded-queue **async segment writer**
-    (:class:`~repro.runner.executor.AsyncSegmentWriter`) so
-    encode+write overlap the next chunk's kernel evaluation; the
+    (:class:`~repro.runner.executor.AsyncSegmentWriter`) so the
+    segment write overlaps the next chunk's kernel evaluation; the
     writer appends FIFO on one thread, so the segments are
     byte-identical to synchronous execution (``async_write=False``
-    forces the sync path; the default enables it for inline backends).
-    Simulation-backed campaigns run their chunks through a bounded
-    **submit-ahead pipeline**: up to ``submit_ahead`` chunks (default
-    ~2x the workers, :func:`~repro.runner.planner.auto_submit_window`)
-    are in flight on one persistent pool while earlier results stream
-    to the store in submission order — the pool stays saturated across
-    chunk boundaries, and the store bytes are identical to sequential
+    forces the sync path).  Simulation-backed campaigns run their
+    chunks through a bounded **submit-ahead pipeline**: up to
+    ``submit_ahead`` chunks (default ~2x the workers,
+    :func:`~repro.runner.planner.auto_submit_window`) are in flight on
+    one persistent pool while earlier results stream to the store in
+    submission order — the pool stays saturated across chunk
+    boundaries, and the store bytes are identical to sequential
     execution.  ``limit`` caps the points executed by this invocation
     (useful for time-boxed sessions and the CI resume assertion).
-    Returns a summary dict (points executed, chunks, wall seconds,
-    points/s).  ``ranges`` restricts execution to the given [start,
-    stop) grid-index slabs (the shard shape: each shard runs
-    ``ranges=its slab list`` against its own store).
+    ``ranges`` restricts execution to the given [start, stop)
+    grid-index slabs (the shard shape: each shard runs ``ranges=its
+    slab list`` against its own store).  Returns a summary dict
+    (points executed, chunks, wall seconds, points/s).
     """
     from collections import deque
     from contextlib import nullcontext
 
-    from ..backends import get_backend
     from .executor import AsyncSegmentWriter, iter_chunk_results
     from .planner import (
         auto_chunk_size,
@@ -2085,141 +1599,103 @@ def run_campaign(
         auto_writer_depth,
         pool_workers,
     )
-    from .scenario import result_to_dict
 
     grid = store.grid
-    backend = get_backend(grid.backend)
-    if ranges is not None:
-        ranges = _merge_ranges(ranges)
-        for start, stop in ranges:
-            if not (0 <= start < stop <= store.n_points):
-                raise ValueError(
-                    f"range [{start}, {stop}) outside the grid "
-                    f"[0, {store.n_points})"
-                )
-        full_missing = store.missing_ranges()
-        missing = _intersect_ranges(full_missing, ranges)
-    else:
-        full_missing = missing = store.missing_ranges()
-    n_missing_total = sum(stop - start for start, stop in missing)
-    n_missing = n_missing_total
-    if limit is not None:
-        n_missing = min(n_missing, limit)
-    # One pool decision for the whole campaign (the pipeline spans
-    # every chunk, so the per-batch auto policy cannot re-decide).
-    workers, use_pool = pool_workers(n_missing, jobs, pool)
-    if chunk_points is None:
-        # A chunk is one pool task now, so sizing must leave at least
-        # a few chunks per worker (auto_chunk_size's rule) or a small
-        # campaign would keep most of the pool idle; its cap bounds
-        # how long results can sit before their ordered store write.
-        chunk_points = (
-            DEFAULT_INLINE_CHUNK
-            if backend.inline
-            else auto_chunk_size(n_missing, workers)
-        )
-    chunk_points = max(1, int(chunk_points))
-    fast = (
-        backend.inline
-        and grid.backend == "analytic"
-        and _fast_axes_ok(grid)
-    )
-
-    # Planner decisions become observables: the profile report shows
-    # them beside the stage attribution they produced.
-    if telemetry.active_registry() is not None:
-        telemetry.gauge("planner.workers", workers)
-        telemetry.gauge("planner.use_pool", int(use_pool))
-        telemetry.gauge("planner.chunk_points", chunk_points)
-        telemetry.gauge("campaign.fast_path", int(fast))
-
-    t0 = time.perf_counter()
-    executed = 0
-    cached = 0
-    chunks = 0
-    # Progress coverage is tracked locally, not re-read from the store:
-    # under the async writer the index is the writer thread's to touch,
-    # and a mid-run ``n_completed`` would race its index writes.
-    covered = store.n_points - sum(
-        stop - start for start, stop in full_missing
-    )
-
-    def note_chunk(points: int) -> None:
-        nonlocal chunks
-        chunks += 1
-        telemetry.count("campaign.chunks")
-        telemetry.count("campaign.points", points)
-        if progress is not None:
-            progress(
-                f"[campaign] {covered}/{store.n_points} "
-                f"points ({chunks} chunk(s) this run)"
+    # Analytic chunks are kernel columns written as binary segments;
+    # every other backend produces result rows.  (The fast-path check
+    # imports the kernel module: outside the timed root span.)
+    columnar = grid.backend == "analytic"
+    fast = columnar and _fast_axes_ok(grid)
+    with span("campaign.run", backend=grid.backend, kind=grid.kind):
+        if ranges is not None:
+            ranges = _merge_ranges(ranges)
+            for start, stop in ranges:
+                if not (0 <= start < stop <= store.n_points):
+                    raise ValueError(
+                        f"range [{start}, {stop}) outside the grid "
+                        f"[0, {store.n_points})"
+                    )
+            full_missing = store.missing_ranges()
+            missing = _intersect_ranges(full_missing, ranges)
+        else:
+            full_missing = missing = store.missing_ranges()
+        n_missing = sum(stop - start for start, stop in missing)
+        if limit is not None:
+            n_missing = min(n_missing, limit)
+        # One pool decision for the whole campaign (the pipeline spans
+        # every chunk, so the per-batch auto policy cannot re-decide).
+        workers, use_pool = pool_workers(n_missing, jobs, pool)
+        if chunk_points is None:
+            # A simulation chunk is one pool task, so sizing must leave at
+            # least a few chunks per worker (auto_chunk_size's rule) or a
+            # small campaign would keep most of the pool idle; its cap
+            # bounds how long results can sit before their ordered write.
+            chunk_points = (
+                DEFAULT_INLINE_CHUNK
+                if columnar
+                else auto_chunk_size(n_missing, workers)
             )
+        chunk_points = max(1, int(chunk_points))
 
-    use_async = (
-        backend.inline if async_write is None else bool(async_write)
-    ) and backend.inline
-    if telemetry.active_registry() is not None:
-        telemetry.gauge("store.writer.async", int(use_async))
+        # Planner decisions become observables: the profile report shows
+        # them beside the stage attribution they produced.
+        if telemetry.active_registry() is not None:
+            telemetry.gauge("planner.workers", workers)
+            telemetry.gauge("planner.use_pool", int(use_pool))
+            telemetry.gauge("planner.chunk_points", chunk_points)
+            telemetry.gauge("campaign.fast_path", int(fast))
 
-    run_span = span("campaign.run", backend=grid.backend, kind=grid.kind)
-    with run_span:
-        if backend.inline:
+        t0 = time.perf_counter()
+        executed = 0
+        chunks = 0
+        # Progress coverage is tracked locally, not re-read from the store:
+        # under the async writer the index is the writer thread's to touch,
+        # and a mid-run ``n_completed`` would race its index writes.
+        covered = store.n_points - sum(
+            stop - start for start, stop in full_missing
+        )
+
+        def note_chunk(points: int) -> None:
+            nonlocal chunks, executed, covered
+            chunks += 1
+            executed += points
+            covered += points
+            telemetry.count("campaign.chunks")
+            telemetry.count("campaign.points", points)
+            if progress is not None:
+                progress(
+                    f"[campaign] {covered}/{store.n_points} "
+                    f"points ({chunks} chunk(s) this run)"
+                )
+
+        use_async = columnar and (async_write is None or bool(async_write))
+        if telemetry.active_registry() is not None:
+            telemetry.gauge("store.writer.async", int(use_async))
+
+        if columnar:
+            if grid.kind == KIND_BENCH:
+                columns_for = _bench_fast_columns if fast else _bench_columns
+            else:
+                columns_for = (
+                    _pattern_fast_columns if fast else _pattern_columns
+                )
+            encoding = _KIND_BIN[grid.kind]
             writer_ctx = (
                 AsyncSegmentWriter(depth=auto_writer_depth(chunk_points))
                 if use_async
                 else nullcontext()
             )
             with writer_ctx as writer:
-
-                def submit(fn, *fn_args, **fn_kwargs):
-                    if writer is not None:
-                        writer.submit(fn, *fn_args, **fn_kwargs)
-                    else:
-                        fn(*fn_args, **fn_kwargs)
-
-                for start, stop in _chunk_ranges(
-                    store, chunk_points, limit, within=ranges
-                ):
-                    if fast and grid.kind == KIND_BENCH:
-                        submit(
-                            store.append_columns,
-                            start, stop,
-                            _bench_fast_columns(grid, start, stop),
-                            ENC_BENCH_COLS, backend=grid.backend,
-                        )
-                    elif (
-                        grid.kind == KIND_PATTERN
-                        and grid.backend == "analytic"
-                    ):
-                        columns_for = (
-                            _pattern_fast_columns if fast else _pattern_columns
-                        )
-                        submit(
-                            store.append_columns,
-                            start, stop, columns_for(grid, start, stop),
-                            ENC_PATTERN_COLS, backend=grid.backend,
-                        )
-                    else:
-                        with span("campaign.materialize"):
-                            scenarios = [
-                                grid.scenario_at(i)
-                                for i in range(start, stop)
-                            ]
-                        results = backend.run_batch(scenarios)
-                        rows = [
-                            [
-                                start + j,
-                                result_to_dict(scenarios[j], results[j]),
-                            ]
-                            for j in range(len(scenarios))
-                        ]
-                        submit(
-                            store.append_chunk,
-                            rows, ENC_RESULT, [(start, stop)],
-                            backend=grid.backend,
-                        )
-                    executed += stop - start
-                    covered += stop - start
+                append = (
+                    writer.submit if writer is not None
+                    else lambda fn, *args, **kwargs: fn(*args, **kwargs)
+                )
+                for start, stop in _chunk_ranges(missing, chunk_points, limit):
+                    append(
+                        store.append_columns,
+                        start, stop, columns_for(grid, start, stop),
+                        encoding, backend=grid.backend,
+                    )
                     note_chunk(stop - start)
         else:
             window = (
@@ -2228,55 +1704,43 @@ def run_campaign(
                 else max(1, int(submit_ahead))
             )
             telemetry.gauge("planner.submit_window", window)
-            # Chunk metadata travels beside the payload stream: the
-            # generator appends each chunk's meta as it is submitted,
+            # Chunk bounds travel beside the payload stream: the
+            # generator appends each chunk's range as it is submitted,
             # the ordered consumer pops it back — the deque never holds
             # more than the in-flight window.
-            meta_q: deque = deque()
+            bounds: deque = deque()
 
             def payload_chunks():
-                for start, stop in _chunk_ranges(
-                    store, chunk_points, limit, within=ranges
-                ):
+                for start, stop in _chunk_ranges(missing, chunk_points, limit):
                     with span("campaign.materialize"):
-                        scenarios = [
-                            grid.scenario_at(i) for i in range(start, stop)
+                        payloads = [
+                            grid.scenario_at(i).to_dict()
+                            for i in range(start, stop)
                         ]
-                        rows: List[list] = []
-                        cold: List[int] = []
-                        for j, scenario in enumerate(scenarios):
-                            warm = store.load_dict(scenario)
-                            if warm is not None:
-                                rows.append([start + j, warm])
-                            else:
-                                cold.append(j)
-                        payloads = [scenarios[j].to_dict() for j in cold]
-                    meta_q.append((start, stop, rows, cold))
+                    bounds.append((start, stop))
                     yield payloads
 
             for result_dicts in iter_chunk_results(
                 payload_chunks(), workers, window, use_pool
             ):
-                start, stop, rows, cold = meta_q.popleft()
-                for j, result_dict in zip(cold, result_dicts):
-                    rows.append([start + j, result_dict])
-                rows.sort(key=lambda row: row[0])
+                start, stop = bounds.popleft()
                 store.append_chunk(
-                    rows, ENC_RESULT, [(start, stop)], backend=grid.backend
+                    [
+                        [start + j, result]
+                        for j, result in enumerate(result_dicts)
+                    ],
+                    ENC_RESULT, [(start, stop)], backend=grid.backend,
                 )
-                cached += (stop - start) - len(cold)
-                executed += len(cold)
-                covered += stop - start
-                telemetry.count("campaign.points_cached", (stop - start) - len(cold))
-                note_chunk(len(cold))
+                note_chunk(stop - start)
 
-    wall = time.perf_counter() - t0
+        wall = time.perf_counter() - t0
+        completed = store.n_completed
+
     return {
         "executed": executed,
-        "cached": cached,
         "chunks": chunks,
         "wall_s": wall,
         "points_per_s": (executed / wall) if wall > 0 else None,
-        "completed": store.n_completed,
+        "completed": completed,
         "n_points": store.n_points,
     }

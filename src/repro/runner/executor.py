@@ -246,9 +246,8 @@ def iter_chunk_results(
     ``payload_chunks`` is consumed lazily: a chunk's payloads are only
     materialized when a window slot frees up, so million-point
     campaigns never hold more than ``window`` chunks of scenario
-    dicts.  The pool itself is created lazily, on the first non-empty
-    chunk — a fully warm resume (every point served read-through, all
-    payloads empty) forks no workers at all.
+    dicts.  The pool itself is created lazily, on the first chunk —
+    a resume with nothing left to run forks no workers at all.
     """
     if not use_pool or workers <= 1:
         for payloads in payload_chunks:
@@ -265,18 +264,14 @@ def iter_chunk_results(
     # active, workers get their own registries (pool initializer) and
     # each chunk result carries its metrics delta back for merging.
     metered = telemetry.active_registry() is not None
-    #: (ready, value) entries: ready results pass through the ordered
-    #: queue untouched, async ones block on .get() at their turn.
+    #: In-flight AsyncResults, in submission order.
     pending: deque = deque()
 
-    def resolve(entry):
-        ready, value = entry
-        if ready:
-            return value
+    def resolve(result):
         # Time blocked on the ordered-consume turn: ~0 when the chunk
         # already finished, the pipeline's stall otherwise.
         with span("executor.stall"):
-            value = value.get()
+            value = result.get()
         if metered:
             results, snapshot = value
             registry = telemetry.active_registry()
@@ -289,19 +284,14 @@ def iter_chunk_results(
     pool = None
     try:
         for payloads in payload_chunks:
-            if not payloads:
-                pending.append((True, []))
-            else:
-                if pool is None:
-                    pool = multiprocessing.Pool(
-                        processes=workers,
-                        initializer=(
-                            _worker_telemetry_init if metered else None
-                        ),
-                    )
-                pending.append(
-                    (False, pool.apply_async(task, (payloads,)))
+            if pool is None:
+                pool = multiprocessing.Pool(
+                    processes=workers,
+                    initializer=(
+                        _worker_telemetry_init if metered else None
+                    ),
                 )
+            pending.append(pool.apply_async(task, (payloads,)))
             telemetry.observe("executor.window_occupancy", len(pending))
             while len(pending) >= window:
                 yield resolve(pending.popleft())

@@ -1,8 +1,8 @@
-"""Shared store I/O helpers: atomic writes and JSONL export plumbing.
+"""Shared store I/O helpers: atomic writes, segment reads, exports.
 
 Every persistent artifact in the runner layer — v1 result records,
-campaign headers, segments, indexes, JSONL exports — goes through the
-same two idioms:
+campaign headers, segments, indexes, JSONL and ``.npz`` exports — goes
+through the same two idioms:
 
 * **atomic replace** — write to a unique temp file in the target's
   directory, then ``os.replace`` it into place, so a store shared by
@@ -12,26 +12,24 @@ same two idioms:
   (written through, left open), so ``--out FILE`` and stdout piping
   share one code path.
 
-Both used to be duplicated between :mod:`repro.runner.store` and
-:mod:`repro.runner.campaign`; this module is the single owner now.
+Campaign segments are read here too: every segment starts with one
+JSON header line; a ``.bin`` segment follows it with raw little-endian
+column blocks (:func:`read_binary_segment`).
 """
 
 from __future__ import annotations
 
-import gzip
 import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Callable, IO, Iterable, List, Tuple, Union
+from typing import IO, Callable, Iterable, List, Tuple, Union
 
 __all__ = [
     "BINARY_DTYPES",
     "atomic_write_bytes",
     "atomic_write_text",
-    "open_segment_text",
     "read_binary_segment",
-    "read_columnar_text_segment",
     "read_segment_header",
     "write_jsonl",
     "write_npz",
@@ -42,9 +40,16 @@ __all__ = [
 BINARY_DTYPES = ("<f8", "<i8")
 
 
-def atomic_write_bytes(target: Path, data: bytes) -> None:
-    """Atomically replace ``target`` with raw ``data`` (creating
-    parents) — the binary-segment twin of :func:`atomic_write_text`."""
+def _atomic_write(
+    target: Union[str, Path], write: Callable[[IO[bytes]], None]
+) -> None:
+    """Atomically replace ``target`` (creating parents) with whatever
+    ``write`` puts into a binary handle.
+
+    The temp name is unique per writer, so concurrent processes writing
+    the same target cannot interleave; the last ``os.replace`` wins with
+    a whole file either way.
+    """
     target = Path(target)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(
@@ -52,53 +57,21 @@ def atomic_write_bytes(target: Path, data: bytes) -> None:
     )
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            write(handle)
         os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
-def atomic_write_text(target: Path, text: str, compress: bool = False) -> None:
-    """Atomically replace ``target`` with ``text`` (creating parents).
-
-    The temp name is unique per writer, so concurrent processes writing
-    the same target cannot interleave; the last ``os.replace`` wins with
-    a whole file either way.  With ``compress=True`` the bytes on disk
-    are gzip-compressed (``mtime=0`` so identical text always produces
-    identical bytes — the campaign byte-identity invariant).
-    """
-    target = Path(target)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        prefix=target.stem + ".", suffix=".tmp", dir=target.parent
-    )
-    try:
-        if compress:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(
-                    gzip.compress(text.encode("utf-8"), mtime=0)
-                )
-        else:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+def atomic_write_bytes(target: Path, data: bytes) -> None:
+    """Atomically replace ``target`` with raw ``data``."""
+    _atomic_write(target, lambda handle: handle.write(data))
 
 
-def open_segment_text(path: Path) -> IO[str]:
-    """Open a JSONL segment for text reading, gzip-transparent.
-
-    Dispatch is by suffix (``.gz`` — the only compressed form the
-    campaign store writes), so plain and compressed segments can
-    coexist in one store and every reader stays oblivious.
-    """
-    path = Path(path)
-    if path.suffix == ".gz":
-        return gzip.open(path, "rt", encoding="utf-8")
-    return path.open()
+def atomic_write_text(target: Path, text: str) -> None:
+    """Atomically replace ``target`` with UTF-8 ``text``."""
+    atomic_write_bytes(target, text.encode("utf-8"))
 
 
 def _binary_layout(header: dict) -> List[Tuple[str, str, int]]:
@@ -106,7 +79,7 @@ def _binary_layout(header: dict) -> List[Tuple[str, str, int]]:
 
     Raises ``ValueError`` on anything outside the binary-segment
     contract (unknown dtype, malformed column spec) — the caller treats
-    that exactly like an unparseable JSONL header.
+    that exactly like an unparseable header.
     """
     import numpy as np
 
@@ -123,22 +96,23 @@ def _binary_layout(header: dict) -> List[Tuple[str, str, int]]:
 
 
 def read_segment_header(path: Path) -> dict:
-    """Parse a segment's first-line JSON header, any on-disk format.
+    """Parse a segment's first-line JSON header.
 
     ``.bin`` segments are additionally *size-validated*: the header's
     declared column layout must account for every payload byte, so a
-    truncated (or trailing-garbage) binary file fails here — the same
-    "unreadable, never coverage" contract a truncated ``.jsonl.gz``
-    hits via its EOFError.  Raises OSError/ValueError on any problem.
+    truncated (or trailing-garbage) binary file fails here.  Raises
+    OSError/ValueError on any problem.
     """
     path = Path(path)
+    with path.open("rb") as handle:
+        line = handle.readline()
+        payload_start = handle.tell()
+    header = json.loads(line)
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: segment header is not an object")
     if path.suffix == ".bin":
-        with path.open("rb") as handle:
-            line = handle.readline()
-            if not line.endswith(b"\n"):
-                raise ValueError(f"{path}: truncated binary header")
-            header = json.loads(line)
-            payload_start = handle.tell()
+        if not line.endswith(b"\n"):
+            raise ValueError(f"{path}: truncated binary header")
         expected = payload_start + sum(
             nbytes for _, _, nbytes in _binary_layout(header)
         )
@@ -148,11 +122,6 @@ def read_segment_header(path: Path) -> dict:
                 f"{path}: payload size mismatch "
                 f"(header declares {expected} bytes, file has {actual})"
             )
-        return header
-    with open_segment_text(path) as handle:
-        header = json.loads(handle.readline())
-    if not isinstance(header, dict):
-        raise ValueError(f"{path}: segment header is not an object")
     return header
 
 
@@ -184,37 +153,11 @@ def read_binary_segment(path: Path) -> Tuple[dict, List]:
     return header, columns
 
 
-def read_columnar_text_segment(path: Path) -> Tuple[dict, List[list]]:
-    """A ``*-cols`` JSONL segment as ``(header, [column list, ...])``.
-
-    Each body line is one whole-column JSON array; one C-level
-    ``json.loads`` per column is the read twin of the one ``json.dumps``
-    per column the columnar append wrote.  Gzip-transparent.
-    """
-    with open_segment_text(path) as handle:
-        header = json.loads(handle.readline())
-        columns = [json.loads(line) for line in handle if line.strip()]
-    return header, columns
-
-
 def write_npz(target: Union[str, Path], arrays: dict) -> None:
-    """Atomically write named arrays as an uncompressed ``.npz``
-    (creating parents) — the columnar-export twin of
-    :func:`atomic_write_text`."""
+    """Atomically write named arrays as an uncompressed ``.npz``."""
     import numpy as np
 
-    target = Path(target)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        prefix=target.stem + ".", suffix=".tmp", dir=target.parent
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            np.savez(handle, **arrays)
-        os.replace(tmp, target)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    _atomic_write(target, lambda handle: np.savez(handle, **arrays))
 
 
 def write_jsonl(

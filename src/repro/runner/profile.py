@@ -59,9 +59,10 @@ _STAGE_HINTS: Dict[str, str] = {
               "columns",
     "kernel": "model kernel evaluation dominates; the numpy path is the "
               "bottleneck, not serialization",
-    "encode": "JSON encode dominates; the ROADMAP binary-segment / "
-              "async-writer items attack exactly this stage",
-    "write": "segment write/replace dominates; check disk or gzip cost",
+    "encode": "segment encode dominates; binary columns cost one "
+              "tobytes() per column, so look at result-row payload size",
+    "write": "segment write/replace dominates; check disk throughput or "
+             "widen chunks",
     "index": "index.json rewrites dominate; batch appends or widen chunks",
     "materialize": "scenario materialization + cache lookup dominates; "
                    "this is per-point python object cost",
@@ -70,9 +71,9 @@ _STAGE_HINTS: Dict[str, str] = {
     "stall": "ordered-consume stall dominates; raise --submit-ahead or "
              "rebalance chunk sizes",
     "writer-stall": "the async segment writer's queue is the bottleneck; "
-                    "the disk (or gzip) cannot keep up with the kernel",
-    "read": "columnar read (range planning + segment loads) dominates; "
-            "mixed-in text segments decode whole — compact --binary",
+                    "the disk cannot keep up with the kernel",
+    "read": "store read (range planning + segment loads) dominates; "
+            "many small or overlapping segments — run campaign compact",
     "shard": "shard subprocess wall (kernel runs there) plus merge; "
              "per-shard attribution lives in each shard's metrics file",
     "other": "uninstrumented time dominates; the span coverage needs "

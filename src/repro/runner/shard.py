@@ -47,7 +47,6 @@ from typing import List, Optional, Sequence, Tuple
 from .. import telemetry
 from ..telemetry import span
 from .campaign import (
-    COMPRESSION_NONE,
     CampaignStore,
     _intersect_ranges,
     _merge_ranges,
@@ -127,7 +126,6 @@ def run_shard(
     index: int,
     count: int,
     ranges: Optional[Sequence[Tuple[int, int]]] = None,
-    compression: str = COMPRESSION_NONE,
     jobs: int = 1,
     chunk_points: Optional[int] = None,
     limit: Optional[int] = None,
@@ -157,7 +155,6 @@ def run_shard(
     store = CampaignStore.create(
         root,
         grid,
-        compression=compression,
         writer_token=token,
         shard={"index": index, "count": count, "ranges": ranges},
     )
@@ -189,20 +186,6 @@ def run_shard(
             "remaining": sum(e - s for s, e in remaining),
         },
     )
-
-
-def _shard_segment_files(shard_store: CampaignStore) -> List[Tuple[Path, dict]]:
-    """A shard's adoptable ``(path, index_entry)`` pairs, validated."""
-    index = shard_store._index()
-    if index["loose"]:
-        raise ValueError(
-            f"shard {shard_store.root} holds loose (v1-migrated) rows; "
-            f"only range-covered segments can be adopted"
-        )
-    return [
-        (shard_store.root / entry["file"], entry)
-        for entry in index["segments"]
-    ]
 
 
 def merge_shards(
@@ -251,7 +234,11 @@ def merge_shards(
                 f"{store.header['grid_hash'][:12]} — refusing to merge "
                 f"different campaigns"
             )
-        shards.append((shard_store, _shard_segment_files(shard_store)))
+        files = [
+            (shard_store.root / entry["file"], entry)
+            for entry in shard_store._index()["segments"]
+        ]
+        shards.append((shard_store, files))
 
     with span("campaign.shard.merge", shards=len(shards)):
         # Coverage must stay single-writer-per-point: start from the
@@ -341,7 +328,6 @@ def _shard_command(
     ranges: Sequence[Tuple[int, int]],
     jobs: int,
     chunk_points: Optional[int],
-    compression: str,
     metrics: bool,
 ) -> List[str]:
     cmd = [
@@ -354,10 +340,6 @@ def _shard_command(
     ]
     if chunk_points is not None:
         cmd += ["--chunk", str(chunk_points)]
-    if compression == "gzip":
-        cmd.append("--compress")
-    elif compression == "binary":
-        cmd.append("--binary")
     if metrics:
         cmd.append("--metrics")
     return cmd
@@ -414,7 +396,6 @@ def run_sharded(
         if not work:
             return {
                 "executed": 0,
-                "cached": 0,
                 "chunks": 0,
                 "wall_s": time.perf_counter() - t0,
                 "points_per_s": None,
@@ -445,8 +426,7 @@ def run_sharded(
                 shard_root = shards_dir / token
                 cmd = _shard_command(
                     python, spec_path, shard_root, index, n_shards,
-                    ranges, jobs, chunk_points, store.compression,
-                    shard_metrics,
+                    ranges, jobs, chunk_points, shard_metrics,
                 )
                 procs.append(
                     (
@@ -515,7 +495,6 @@ def run_sharded(
         telemetry.gauge("shard.count", len(work))
     return {
         "executed": executed,
-        "cached": 0,
         "chunks": len(work),
         "wall_s": wall,
         "points_per_s": (executed / wall) if wall > 0 else None,

@@ -15,8 +15,8 @@ Design constraints, in order:
   registry is active unless something (the ``--metrics`` CLI flag, a
   test, a benchmark) activates one; every instrumentation point then
   short-circuits through a module-global ``None`` check and a shared
-  no-op span singleton.  The campaign-bench CI gate holds the
-  instrumented-but-disabled path to the PR-5 throughput floor.
+  no-op span singleton.  A CI gate pins the per-call cost of the
+  disabled path.
 * **No dependencies, no threads.**  Pure stdlib, process-local state.
   Worker processes run their *own* registry; their snapshots ride the
   existing chunk-result channel back to the parent and merge there
@@ -371,8 +371,8 @@ def span(name: str, **tags: Any):
 
     The disabled path — no active registry — is one thread-local
     getattr, one module-global read, and a shared no-op singleton,
-    cheap enough for the campaign hot loop (gated in CI against the
-    campaign-bench throughput floor).
+    cheap enough for the campaign hot loop (its per-call cost is
+    gated in CI).
     """
     reg = getattr(_THREAD_LOCAL, "registry", None)
     if reg is None:
@@ -416,7 +416,7 @@ def trace_sink() -> Optional[Any]:
 
 
 # ---------------------------------------------------------------------------
-# timing helper (the campaign-bench t0/wall idiom, consolidated)
+# timing helper (the t0/wall idiom, consolidated)
 # ---------------------------------------------------------------------------
 
 class Stopwatch:

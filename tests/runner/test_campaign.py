@@ -1,8 +1,10 @@
 """Campaign store: grid addressing, segments, resume, compaction,
-migration, provenance — the schema-v2 streaming pipeline."""
+provenance, and stores left by older versions."""
 
+import gzip
 import json
 
+import numpy as np
 import pytest
 
 from repro.runner import (
@@ -15,9 +17,26 @@ from repro.runner import (
 )
 from repro.runner.campaign import (
     CAMPAIGN_SCHEMA,
+    ENC_RESULT,
     SEGMENT_SCHEMA,
 )
 from repro.runner.scenario import execute
+
+
+def segment_header(path):
+    """The JSON header line of any segment (text or binary)."""
+    with path.open("rb") as handle:
+        return json.loads(handle.readline())
+
+
+def rewrite_segment_header(path, **changes):
+    """Rewrite a segment's header line in place, payload untouched."""
+    first, rest = path.read_bytes().split(b"\n", 1)
+    header = json.loads(first)
+    header.update(changes)
+    path.write_bytes(
+        json.dumps(header, sort_keys=True).encode() + b"\n" + rest
+    )
 
 
 def analytic_spec():
@@ -218,14 +237,8 @@ class TestCampaignLifecycle:
         v1_like["grid_hash"] = "0" * 64  # a v1 hash never matches v2
         header_path.write_text(json.dumps(v1_like, sort_keys=True))
         # Segments are tagged with the old hash; retag to match.
-        for seg in (tmp_path / "camp" / "segments").glob("*.jsonl"):
-            lines = seg.read_text().splitlines()
-            seg_header = json.loads(lines[0])
-            seg_header["campaign"] = "0" * 64
-            seg.write_text(
-                "\n".join([json.dumps(seg_header, sort_keys=True)]
-                          + lines[1:]) + "\n"
-            )
+        for seg in (tmp_path / "camp" / "segments").glob("*.bin"):
+            rewrite_segment_header(seg, campaign="0" * 64)
         (tmp_path / "camp" / "index.json").unlink()
         resumed = CampaignStore.create(tmp_path / "camp", grid)
         assert resumed.n_completed == 3
@@ -300,10 +313,10 @@ class TestProvenance:
         assert header["schema"] == CAMPAIGN_SCHEMA
         assert header["producer"]["backend"] == "analytic"
         assert header["grid_hash"] == grid.content_hash()
-        segments = sorted((tmp_path / "camp" / "segments").glob("*.jsonl"))
+        segments = sorted((tmp_path / "camp" / "segments").glob("*.bin"))
         assert segments
         for path in segments:
-            seg_header = json.loads(path.read_text().splitlines()[0])
+            seg_header = segment_header(path)
             assert seg_header["schema"] == SEGMENT_SCHEMA
             assert seg_header["backend"] == "analytic"
             assert seg_header["campaign"] == grid.content_hash()
@@ -318,12 +331,12 @@ class TestProvenance:
 
         seen = {}
 
-        def spy(segments, loose, ignored=()):
+        def spy(segments, ignored=()):
             # At index-switch time every new segment file must exist.
             seen["files_present"] = all(
                 (store.root / e["file"]).is_file() for e in segments
             )
-            return original(segments, loose, ignored)
+            return original(segments, ignored)
 
         store._write_index = spy
         store.compact()
@@ -482,89 +495,159 @@ class TestPatternCampaignFastPath:
             grid.kernel_columns([len(grid)], ("pattern",))
 
 
+def bench_cols_text(store, start, stop, times):
+    """A ``bench-cols`` JSONL segment as an older version wrote it:
+    header line, then the whole times column as one JSON array."""
+    header = {
+        "schema": SEGMENT_SCHEMA,
+        "campaign": store.header["grid_hash"],
+        "kind": "bench",
+        "backend": "analytic",
+        "encoding": "bench-cols",
+        "ranges": [[start, stop]],
+        "count": stop - start,
+    }
+    return json.dumps(header, sort_keys=True) + "\n" + json.dumps(times) + "\n"
+
+
+def gzip_one_segment(store, start, stop):
+    """Replace the .bin segment covering [start, stop) with the gzip
+    form older versions wrote; returns the new file's path."""
+    seg = next(
+        p for p in (store.root / "segments").glob("*.bin")
+        if segment_header(p)["ranges"] == [[start, stop]]
+    )
+    _, columns = store.read_columns()
+    times = columns["times"][start:stop].tolist()
+    gz = seg.with_name(seg.stem + ".jsonl.gz")
+    gz.write_bytes(
+        gzip.compress(bench_cols_text(store, start, stop, times).encode())
+    )
+    seg.unlink()
+    (store.root / "index.json").unlink()
+    return gz
+
+
 class TestGzipSegments:
-    def test_gzip_campaign_round_trips(self, tmp_path):
-        grid = parse_grid_spec(analytic_spec())
-        plain = CampaignStore.create(tmp_path / "plain", grid)
-        run_campaign(plain, chunk_points=40)
-        gz = CampaignStore.create(
-            tmp_path / "gz", grid, compression="gzip"
-        )
-        run_campaign(gz, chunk_points=40)
-        assert gz.compression == "gzip"
-        seg_files = list((tmp_path / "gz" / "segments").glob("*"))
-        assert seg_files
-        assert all(p.name.endswith(".jsonl.gz") for p in seg_files)
-        assert dict(gz.iter_rows()) == dict(plain.iter_rows())
-        plain_bytes = sum(
-            p.stat().st_size
-            for p in (tmp_path / "plain" / "segments").glob("*")
-        )
-        gz_bytes = sum(p.stat().st_size for p in seg_files)
-        assert gz_bytes < plain_bytes
+    """gzip segments are no longer read: a root holding them resumes by
+    recomputing their points."""
 
     def test_gzip_resume_from_segments(self, tmp_path):
         grid = parse_grid_spec(analytic_spec())
-        store = CampaignStore.create(
-            tmp_path / "camp", grid, compression="gzip"
-        )
-        run_campaign(store, chunk_points=64)
-        (tmp_path / "camp" / "index.json").unlink()
-        reopened = CampaignStore.open(tmp_path / "camp")
-        assert reopened.n_completed == len(grid)
-        assert run_campaign(reopened)["executed"] == 0
-
-    def test_compact_compress_migrates_in_place(self, tmp_path):
-        grid = parse_grid_spec(analytic_spec())
         store = CampaignStore.create(tmp_path / "camp", grid)
-        run_campaign(store, chunk_points=40)
+        run_campaign(store, chunk_points=16)
         before = dict(store.iter_rows())
-        summary = store.compact(compress=True)
-        assert summary["points"] == len(grid)
-        assert store.compression == "gzip"  # future appends inherit
-        assert all(
-            p.name.endswith(".jsonl.gz")
-            for p in (tmp_path / "camp" / "segments").glob("*")
-        )
-        assert dict(store.iter_rows()) == before
-        # and the header survives a fresh open
-        assert CampaignStore.open(tmp_path / "camp").compression == "gzip"
+        gz = gzip_one_segment(store, 16, 32)
+        reopened = CampaignStore.open(tmp_path / "camp")
+        assert reopened.stats()["ignored"] == [
+            str(gz.relative_to(tmp_path / "camp"))
+        ]
+        assert reopened.missing_ranges() == [(16, 32)]
+        assert run_campaign(reopened)["executed"] == 16
+        assert dict(reopened.iter_rows()) == before
 
     def test_unknown_compression_rejected(self, tmp_path):
         grid = parse_grid_spec(analytic_spec())
-        with pytest.raises(ValueError):
-            CampaignStore.create(
-                tmp_path / "camp", grid, compression="zstd"
-            )
+        for compression in ("zstd", "gzip"):
+            with pytest.raises(ValueError):
+                CampaignStore.create(
+                    tmp_path / "camp", grid, compression=compression
+                )
 
     def test_truncated_gzip_segment_is_ignored_not_fatal(self, tmp_path):
         """rebuild_index is the repair tool for damaged roots: a
-        truncated .jsonl.gz (gzip raises EOFError, not OSError) must
-        land in 'ignored' like any unreadable file, never crash."""
+        truncated .jsonl.gz must land in 'ignored' like any unreadable
+        file, never crash."""
         grid = parse_grid_spec(analytic_spec())
-        store = CampaignStore.create(
-            tmp_path / "camp", grid, compression="gzip"
-        )
-        run_campaign(store, chunk_points=40)
-        victim = sorted((tmp_path / "camp" / "segments").glob("*.gz"))[0]
+        store = CampaignStore.create(tmp_path / "camp", grid)
+        run_campaign(store, chunk_points=16)
+        victim = gzip_one_segment(store, 0, 16)
         victim.write_bytes(victim.read_bytes()[:20])  # mid-stream cut
-        (tmp_path / "camp" / "index.json").unlink()
         reopened = CampaignStore.open(tmp_path / "camp")
         index = json.loads(
             (tmp_path / "camp" / "index.json").read_text()
         )
         assert str(victim.relative_to(tmp_path / "camp")) in index["ignored"]
         # the rest of the store stays usable; the lost range reruns
-        assert reopened.n_completed == len(grid) - 40
-        assert run_campaign(reopened)["executed"] == 40
+        assert reopened.n_completed == len(grid) - 16
+        assert run_campaign(reopened)["executed"] == 16
 
-    def test_resume_keeps_existing_compression(self, tmp_path):
+
+class TestLegacyStore:
+    def test_parent_shaped_root_recomputes_retired_formats(self, tmp_path):
+        """A root as an older version left it — a bench-cols JSONL
+        segment, a .jsonl.gz, a bench-mean segment, a loose/ file and a
+        v2 index.json beside ordinary .bin segments — opens, lists the
+        retired files under 'ignored', recomputes exactly their points,
+        and then reads back what a fresh store holds."""
         grid = parse_grid_spec(analytic_spec())
-        CampaignStore.create(tmp_path / "camp", grid, compression="gzip")
-        again = CampaignStore.create(
-            tmp_path / "camp", grid, compression="none"
+        fresh = CampaignStore.create(tmp_path / "fresh", grid)
+        run_campaign(fresh)
+        _, fresh_cols = fresh.read_columns()
+        times = fresh_cols["times"].tolist()
+
+        root = tmp_path / "legacy"
+        store = CampaignStore.create(root, grid)
+        run_campaign(store, chunk_points=12)  # 4 segments of 12 points
+        segs = root / "segments"
+        assert len(list(segs.glob("*.bin"))) == 4
+        for n in (1, 2, 3):
+            (segs / f"seg-00000{n}.bin").unlink()
+        (segs / "seg-000001.jsonl").write_text(
+            bench_cols_text(store, 12, 24, times[12:24])
         )
-        assert again.compression == "gzip"
+        (segs / "seg-000002.jsonl.gz").write_bytes(
+            gzip.compress(
+                bench_cols_text(store, 24, 36, times[24:36]).encode()
+            )
+        )
+        mean_header = json.loads(
+            bench_cols_text(store, 36, 48, []).splitlines()[0]
+        )
+        mean_header["encoding"] = "bench-mean"
+        (segs / "seg-000003.jsonl").write_text(
+            json.dumps(mean_header, sort_keys=True) + "\n"
+            + "".join(f"[{i},{times[i]!r}]\n" for i in range(36, 48))
+        )
+        loose_header = dict(
+            mean_header, encoding="hashed-result", ranges=[], count=1,
+            backend="v1-migration",
+        )
+        (root / "loose").mkdir()
+        (root / "loose" / "loose-000000.jsonl").write_text(
+            json.dumps(loose_header, sort_keys=True) + "\n"
+            + json.dumps({"hash": "ab", "scenario": {}, "result": {}})
+            + "\n"
+        )
+        retired = [
+            "loose/loose-000000.jsonl",
+            "segments/seg-000001.jsonl",
+            "segments/seg-000002.jsonl.gz",
+            "segments/seg-000003.jsonl",
+        ]
+        (root / "index.json").write_text(json.dumps({
+            "schema": "repro.campaign.index/v2",
+            "campaign": store.header["grid_hash"],
+            "segments": [
+                {"file": f"segments/seg-00000{n}.jsonl", "count": 12,
+                 "ranges": [[12 * n, 12 * n + 12]], "backend": "analytic",
+                 "encoding": "bench-cols"}
+                for n in (1, 3)
+            ],
+            "loose": [{"file": retired[0], "count": 1,
+                       "encoding": "hashed-result",
+                       "backend": "v1-migration"}],
+            "ignored": [],
+        }))
+
+        legacy = CampaignStore.open(root)
+        assert legacy.stats()["ignored"] == retired
+        assert legacy.missing_ranges() == [(12, 48)]
+        assert run_campaign(legacy)["executed"] == 36
+        assert legacy.n_completed == len(grid)
+        assert dict(legacy.iter_rows()) == dict(fresh.iter_rows())
+        _, legacy_cols = legacy.read_columns()
+        assert np.array_equal(legacy_cols["times"], fresh_cols["times"])
 
 
 class TestSubmitAheadPipeline:
@@ -620,20 +703,6 @@ class TestSubmitAheadPipeline:
             tmp_path / "b"
         )
 
-    def test_pipelined_read_through_cache(self, tmp_path):
-        """Warm points are served from loose rows at submission time;
-        the pipelined consumer still writes full ordered chunks."""
-        grid = self.sim_grid()
-        v1 = ResultStore(tmp_path / "v1")
-        run_scenarios(grid.expand()[:3], jobs=1, store=v1)
-        store = CampaignStore.create(tmp_path / "camp", grid, fallback=v1)
-        summary = run_campaign(
-            store, jobs=2, chunk_points=2, pool="always", submit_ahead=2
-        )
-        assert summary["cached"] == 3
-        assert summary["executed"] == len(grid) - 3
-        assert store.n_completed == len(grid)
-
     def test_pipelined_respects_limit(self, tmp_path):
         grid = self.sim_grid()
         store = CampaignStore.create(tmp_path / "camp", grid)
@@ -656,13 +725,13 @@ class TestSubmitAheadPipeline:
         assert store.n_completed == len(grid)
 
     def test_fully_warm_campaign_forks_no_pool(self, tmp_path, monkeypatch):
-        """A resume where every point is served read-through must not
-        pay for worker processes."""
+        """A resume with every point already stored must not pay for
+        worker processes."""
         from repro.runner import executor as executor_module
 
         grid = self.sim_grid()
-        v1 = ResultStore(tmp_path / "v1")
-        run_scenarios(grid.expand(), jobs=1, store=v1)
+        store = CampaignStore.create(tmp_path / "camp", grid)
+        run_campaign(store, jobs=1, chunk_points=2)
 
         def forbidden_pool(*args, **kwargs):
             raise AssertionError("pool forked for an all-warm campaign")
@@ -670,11 +739,9 @@ class TestSubmitAheadPipeline:
         monkeypatch.setattr(
             executor_module.multiprocessing, "Pool", forbidden_pool
         )
-        store = CampaignStore.create(tmp_path / "camp", grid, fallback=v1)
         summary = run_campaign(
             store, jobs=2, chunk_points=2, pool="always", submit_ahead=4
         )
-        assert summary["cached"] == len(grid)
         assert summary["executed"] == 0
         assert store.n_completed == len(grid)
 
@@ -703,37 +770,27 @@ class TestSimCampaignAndMigration:
         for index in range(len(grid)):
             assert rows[index] == report.result_dicts[index]
 
-    def test_migration_is_idempotent(self, tmp_path):
+    def test_append_chunk_rows_must_cover_their_ranges(self, tmp_path):
+        """A chunk whose rows do not back every point of its ranges is
+        refused: it would mark points complete that no read returns,
+        and resume would never recompute them."""
         grid = self.sim_grid()
-        v1 = ResultStore(tmp_path / "v1")
-        run_scenarios(grid.expand()[:2], jobs=1, store=v1)
         store = CampaignStore.create(tmp_path / "camp", grid)
-        assert store.migrate_from_v1(v1) == 2
-        assert store.migrate_from_v1(v1) == 0  # re-run copies nothing
-        assert store.stats()["loose_rows"] == 2
-
-    def test_migration_and_read_through(self, tmp_path):
-        grid = self.sim_grid()
-        scenarios = grid.expand()
-        v1 = ResultStore(tmp_path / "v1")
-        run_scenarios(scenarios[:2], jobs=1, store=v1)
-        store = CampaignStore.create(tmp_path / "camp", grid)
-        assert store.migrate_from_v1(v1) == 2
-        summary = run_campaign(store, chunk_points=10)
-        assert summary["cached"] == 2
-        assert summary["executed"] == len(grid) - 2
-        assert store.n_completed == len(grid)
-
-    def test_fallback_store_read_through(self, tmp_path):
-        grid = self.sim_grid()
-        scenarios = grid.expand()
-        v1 = ResultStore(tmp_path / "v1")
-        run_scenarios(scenarios, jobs=1, store=v1)
-        store = CampaignStore.create(tmp_path / "camp", grid, fallback=v1)
-        summary = run_campaign(store)
-        assert summary["executed"] == 0
-        assert summary["cached"] == len(grid)
-        assert store.n_completed == len(grid)
+        result = {"times": [1.0], "retries": 0, "verified": True}
+        with pytest.raises(ValueError):
+            store.append_chunk([[0, result]], ENC_RESULT, [(0, 3)])
+        with pytest.raises(ValueError):  # a row outside the ranges
+            store.append_chunk(
+                [[0, result], [3, result]], ENC_RESULT, [(0, 1)]
+            )
+        assert store.n_completed == 0
+        assert list((tmp_path / "camp" / "segments").glob("*")) == []
+        # duplicates and any row order are fine: distinct indices count
+        store.append_chunk(
+            [[1, result], [0, result], [1, result]], ENC_RESULT, [(0, 2)]
+        )
+        assert store.n_completed == 2
+        assert len(dict(store.iter_rows())) == 2
 
     def test_v1_export_jsonl(self, tmp_path):
         grid = self.sim_grid()

@@ -1,5 +1,5 @@
 """Binary columnar segments, the async segment writer, and the
-streaming k-way-merge read path (schema v2, PR 7)."""
+streaming latest-wins read path."""
 
 import json
 import tracemalloc
@@ -70,24 +70,32 @@ def segment_bytes(root):
 
 class TestBinarySegments:
     def test_binary_campaign_round_trips_vs_jsonl(self, tmp_path):
-        """A --binary campaign must read back exactly what the JSONL
-        pipeline stores: JSON float repr round-trips bitwise, so the
-        equality is exact, not approximate."""
+        """A binary campaign's rows survive a JSONL export exactly:
+        JSON float repr round-trips bitwise, so the equality is exact,
+        not approximate."""
+        import io
+
         grid = parse_grid_spec(analytic_spec())
-        plain = CampaignStore.create(tmp_path / "plain", grid)
-        run_campaign(plain, chunk_points=40)
         binary = CampaignStore.create(
             tmp_path / "bin", grid, compression="binary"
         )
         run_campaign(binary, chunk_points=40)
-        assert binary.compression == "binary"
-        assert binary.binary
         seg_files = list((tmp_path / "bin" / "segments").glob("*"))
         assert seg_files
         assert all(p.name.endswith(".bin") for p in seg_files)
-        assert dict(binary.iter_rows()) == dict(plain.iter_rows())
+        buffer = io.StringIO()
+        assert binary.export_jsonl(buffer) == len(grid)
+        exported = {
+            record["index"]: record["result"]
+            for record in map(json.loads, buffer.getvalue().splitlines())
+        }
+        assert exported == dict(binary.iter_rows())
 
     def test_binary_pattern_campaign_round_trips(self, tmp_path):
+        """Both accepted ``compression`` values build the same store,
+        byte for byte, and it reads back the per-point model."""
+        from repro.runner.scenario import execute
+
         grid = parse_grid_spec(pattern_spec())
         plain = CampaignStore.create(tmp_path / "plain", grid)
         run_campaign(plain, chunk_points=48)
@@ -99,7 +107,14 @@ class TestBinarySegments:
             p.name.endswith(".bin")
             for p in (tmp_path / "bin" / "segments").glob("*")
         )
-        assert dict(binary.iter_rows()) == dict(plain.iter_rows())
+        assert segment_bytes(tmp_path / "bin") == segment_bytes(
+            tmp_path / "plain"
+        )
+        rows = dict(binary.iter_rows())
+        for index in range(0, len(grid), 7):
+            native = execute(grid.scenario_at(index))
+            assert rows[index]["times"] == [float(t) for t in native.times]
+            assert rows[index]["n_links"] == native.n_links
 
     def test_binary_header_is_self_describing(self, tmp_path):
         grid = parse_grid_spec(analytic_spec())
@@ -129,8 +144,7 @@ class TestBinarySegments:
 
     def test_truncated_binary_payload_is_ignored_not_fatal(self, tmp_path):
         """A .bin whose payload is short of the header's declared
-        layout must land in 'ignored' (lost coverage reruns), exactly
-        like a truncated .jsonl.gz."""
+        layout must land in 'ignored' (lost coverage reruns)."""
         grid = parse_grid_spec(analytic_spec())
         store = CampaignStore.create(
             tmp_path / "camp", grid, compression="binary"
@@ -162,45 +176,9 @@ class TestBinarySegments:
 
 
 class TestCompactBinary:
-    def test_compact_binary_migrates_in_place(self, tmp_path):
-        grid = parse_grid_spec(analytic_spec())
-        store = CampaignStore.create(tmp_path / "camp", grid)
-        run_campaign(store, chunk_points=40)
-        before = dict(store.iter_rows())
-        summary = store.compact(binary=True)
-        assert summary["points"] == len(grid)
-        assert store.compression == "binary"  # future appends inherit
-        assert all(
-            p.name.endswith(".bin")
-            for p in (tmp_path / "camp" / "segments").glob("*")
-        )
-        assert dict(store.iter_rows()) == before
-        assert CampaignStore.open(tmp_path / "camp").compression == "binary"
-
-    def test_compact_binary_false_converts_back_to_jsonl(self, tmp_path):
-        grid = parse_grid_spec(analytic_spec())
-        store = CampaignStore.create(
-            tmp_path / "camp", grid, compression="binary"
-        )
-        run_campaign(store, chunk_points=40)
-        before = dict(store.iter_rows())
-        store.compact(binary=False)
-        assert store.compression == "none"
-        assert all(
-            p.name.endswith(".jsonl")
-            for p in (tmp_path / "camp" / "segments").glob("*")
-        )
-        assert dict(store.iter_rows()) == before
-
-    def test_compact_binary_and_compress_mutually_exclusive(self, tmp_path):
-        grid = parse_grid_spec(analytic_spec())
-        store = CampaignStore.create(tmp_path / "camp", grid)
-        with pytest.raises(ValueError):
-            store.compact(compress=True, binary=True)
-
     def test_compact_binary_keeps_result_rows_jsonl(self, tmp_path):
-        """Full-result rows have no columnar form: under --binary they
-        stay JSONL while the analytic rows go binary."""
+        """Full-result rows have no columnar form: compaction keeps
+        them JSONL while the analytic columns stay binary."""
         grid = parse_grid_spec(analytic_spec())
         store = CampaignStore.create(tmp_path / "camp", grid)
         run_campaign(store, chunk_points=40, limit=80)
@@ -210,12 +188,21 @@ class TestCompactBinary:
         ]
         store.append_chunk(result_rows, ENC_RESULT, [(100, 110)])
         before = dict(store.iter_rows())
-        store.compact(binary=True)
+        store.compact()
         suffixes = {
             p.suffix for p in (tmp_path / "camp" / "segments").glob("*")
         }
         assert suffixes == {".bin", ".jsonl"}
         assert dict(store.iter_rows()) == before
+
+
+def replay(appends):
+    """Latest-wins reference: the appends' rows replayed in order
+    into a dict, a later append overwriting an earlier one."""
+    rows = {}
+    for append in appends:
+        rows.update(append)
+    return rows
 
 
 class TestMixedFormatStore:
@@ -225,49 +212,52 @@ class TestMixedFormatStore:
         times = [float(i) * scale for i in range(start, stop)]
         store.append_columns(start, stop, [times], ENC_BENCH_COLS)
 
-    def _flip_compression(self, root, compression):
-        """Re-point the campaign header's compression (simulating a
-        store whose default changed across sessions)."""
-        path = root / "campaign.json"
-        header = json.loads(path.read_text())
-        header["compression"] = compression
-        path.write_text(json.dumps(header, sort_keys=True, indent=1) + "\n")
+    @staticmethod
+    def _result_rows(start, stop, scale):
+        return [
+            [i, {"times": [float(i) * scale] * 3, "retries": 0,
+                 "verified": True}]
+            for i in range(start, stop)
+        ]
 
     def test_mixed_formats_with_overlap_match_pure_jsonl_twin(
         self, tmp_path
     ):
-        """Plain, gzip, and binary segments with overlapping ranges in
-        ONE store: iter_rows, query, resume, and compact --binary all
-        resolve latest-append-wins and agree with a pure-JSONL twin
-        fed the identical append sequence."""
+        """Binary and ``result`` segments with overlapping ranges in
+        ONE store: iter_rows, query, resume, and compact all resolve
+        latest-append-wins and agree with a pure-JSONL twin fed the
+        same appends as result rows, and with a dict replay."""
         grid = parse_grid_spec(analytic_spec())
         mixed = CampaignStore.create(tmp_path / "mixed", grid)
         twin = CampaignStore.create(tmp_path / "twin", grid)
         appends = [
-            (0, 20, 1.0),      # plain JSONL
-            (10, 35, 2.0),     # gzip, overlaps the first
-            (25, 48, 3.0),     # binary, overlaps the second
+            (0, 20, 1.0, "bin"),
+            (10, 35, 2.0, "result"),    # overlaps the first
+            (25, 48, 3.0, "bin"),       # overlaps the second
         ]
-        formats = ["none", "gzip", "binary"]
-        for (start, stop, scale), compression in zip(appends, formats):
-            self._flip_compression(tmp_path / "mixed", compression)
-            mixed = CampaignStore.open(tmp_path / "mixed")
-            self._append_synthetic(mixed, start, stop, scale)
-            self._append_synthetic(twin, start, stop, scale)
+        for start, stop, scale, form in appends:
+            rows = self._result_rows(start, stop, scale)
+            if form == "bin":
+                self._append_synthetic(mixed, start, stop, scale)
+            else:
+                mixed.append_chunk(rows, ENC_RESULT, [(start, stop)])
+            twin.append_chunk(rows, ENC_RESULT, [(start, stop)])
         suffixes = {
-            p.name.split("seg-")[1][6:]
-            for p in (tmp_path / "mixed" / "segments").glob("*")
+            p.suffix for p in (tmp_path / "mixed" / "segments").glob("*")
         }
-        assert suffixes == {".jsonl", ".jsonl.gz", ".bin"}
+        assert suffixes == {".jsonl", ".bin"}
 
-        expected = dict(twin.iter_rows())
+        expected = replay(
+            {i: row for i, row in self._result_rows(start, stop, scale)}
+            for start, stop, scale, _ in appends
+        )
         assert dict(mixed.iter_rows()) == expected
+        assert dict(twin.iter_rows()) == expected
         # latest-wins on the overlaps, spot-checked directly
         assert mixed.n_completed == 48
-        rows = dict(mixed.iter_rows())
-        assert rows[5]["times"][0] == 5.0          # only append 1
-        assert rows[15]["times"][0] == 30.0        # append 2 beats 1
-        assert rows[30]["times"][0] == 90.0        # append 3 beats 2
+        assert expected[5]["times"][0] == 5.0          # only append 1
+        assert expected[15]["times"][0] == 30.0        # append 2 beats 1
+        assert expected[30]["times"][0] == 90.0        # append 3 beats 2
 
         # query agrees across formats
         assert list(mixed.query(approach="pt2pt_part")) == list(
@@ -280,13 +270,10 @@ class TestMixedFormatStore:
         assert reopened.n_completed == 48
         assert dict(reopened.iter_rows()) == expected
 
-        # compact --binary collapses the mix without losing latest-wins
-        reopened.compact(binary=True)
+        # compact collapses the overlaps without losing latest-wins
+        reopened.compact()
         assert dict(reopened.iter_rows()) == expected
-        assert all(
-            p.name.endswith(".bin")
-            for p in (tmp_path / "mixed" / "segments").glob("*")
-        )
+        assert reopened.completed_ranges() == [(0, 48)]
 
     def test_overlapping_appends_same_format_latest_wins(self, tmp_path):
         """The merge tiebreak alone (no format mixing): the highest

@@ -1,9 +1,8 @@
-"""The columnar zero-copy read pipeline (schema v2, PR 8):
+"""The columnar zero-copy read pipeline:
 ``iter_columns``/``read_columns`` range-level latest-wins merge,
-vectorized ``query``, npz export, binary→binary ``compact``, and the
+vectorized ``query``, npz export, column-moving ``compact``, and the
 ``slice_report`` consumer."""
 
-import json
 import tracemalloc
 
 import numpy as np
@@ -65,33 +64,21 @@ def wide_spec(n_sizes=256):
     }
 
 
-def flip_compression(root, compression):
-    """Re-point the campaign header's compression (simulating a store
-    whose default changed across sessions)."""
-    path = root / "campaign.json"
-    header = json.loads(path.read_text())
-    header["compression"] = compression
-    path.write_text(json.dumps(header, sort_keys=True, indent=1) + "\n")
-
-
 def mixed_overlapping_store(tmp_path):
-    """Plain, gzip, and binary segments with overlapping ranges in one
-    store — scales 1.0/2.0/3.0 keyed by append, latest-append-wins."""
+    """Segments from the single-writer and two writer-token namespaces
+    with overlapping ranges in one store — scales 1.0/2.0/3.0 keyed by
+    append, latest-append-wins."""
     grid = parse_grid_spec(analytic_spec())
-    store = CampaignStore.create(tmp_path / "mixed", grid)
+    CampaignStore.create(tmp_path / "mixed", grid)
     appends = [(0, 20, 1.0), (10, 35, 2.0), (25, 48, 3.0)]
-    for (start, stop, scale), compression in zip(
-        appends, ["none", "gzip", "binary"]
-    ):
-        flip_compression(tmp_path / "mixed", compression)
-        store = CampaignStore.open(tmp_path / "mixed")
+    for (start, stop, scale), token in zip(appends, [None, "wa", "wb"]):
+        store = CampaignStore.open(tmp_path / "mixed", writer_token=token)
         times = [float(i) * scale for i in range(start, stop)]
         store.append_columns(start, stop, [times], ENC_BENCH_COLS)
-    suffixes = {
-        p.name.split("seg-")[1][6:]
-        for p in (tmp_path / "mixed" / "segments").glob("*")
-    }
-    assert suffixes == {".jsonl", ".jsonl.gz", ".bin"}
+    names = sorted(p.name for p in (tmp_path / "mixed" / "segments").glob("*"))
+    assert names == [
+        "seg-000000.bin", "seg-wa-000001.bin", "seg-wb-000002.bin",
+    ]
     return store
 
 
@@ -128,9 +115,9 @@ class TestRangeArithmetic:
 
 class TestIterColumnsEquivalence:
     def test_matches_iter_rows_on_mixed_overlapping_store(self, tmp_path):
-        """The range-level merge must resolve the same latest-wins
-        duplicates the per-row heap merge does — value-identical on a
-        store mixing plain/gzip/binary segments with overlaps."""
+        """The columnar and row views of the range-level merge resolve
+        the same latest-wins duplicates — value-identical on a store
+        mixing segment namespaces with overlaps."""
         store = mixed_overlapping_store(tmp_path)
         rows = dict(store.iter_rows())
         cols = columns_as_dict(store, chunk_size=7)
@@ -298,18 +285,24 @@ class TestSegmentRowStreaming:
         store.rebuild_index()
         return seg
 
-    def _mean_row_store(self, tmp_path):
+    @staticmethod
+    def _row(index, value):
+        return (
+            f'[{index},{{"retries":0,"times":[{value!r}],"verified":true}}]'
+        )
+
+    def _result_row_store(self, tmp_path):
         grid = parse_grid_spec(analytic_spec())
         store = CampaignStore.create(tmp_path / "camp", grid)
-        times = [float(i) for i in range(20)]
-        # *-mean rows (not the columnar form): chunk written via the
-        # row dialect so the segment holds one JSON row per line
-        rows = [[i, times[i]] for i in range(20)]
-        store.append_chunk(rows, "bench-mean", [(0, 20)])
+        rows = [
+            [i, {"times": [float(i)], "retries": 0, "verified": True}]
+            for i in range(20)
+        ]
+        store.append_chunk(rows, ENC_RESULT, [(0, 20)])
         return store
 
     def test_unsorted_segment_falls_back_and_sorts(self, tmp_path):
-        store = self._mean_row_store(tmp_path)
+        store = self._result_row_store(tmp_path)
         before = dict(store.iter_rows())
         self._rewrite_segment_body(
             store, lambda body: list(reversed(body))
@@ -317,21 +310,21 @@ class TestSegmentRowStreaming:
         assert dict(store.iter_rows()) == before
 
     def test_same_index_duplicates_later_wins(self, tmp_path):
-        """Within one segment the later file position wins — in both
-        the sorted streaming path and the sort fallback."""
-        store = self._mean_row_store(tmp_path)
-        # sorted order with adjacent duplicates: [5, 1.0] then [5, 99.0]
+        """Within one segment the later file position wins, whether
+        the duplicate follows its twin or lands out of order."""
+        store = self._result_row_store(tmp_path)
+        # sorted order with adjacent duplicates: 5.0 then 99.0
         self._rewrite_segment_body(
             store,
-            lambda body: body[:6] + ["[5,99.0]"] + body[6:],
+            lambda body: body[:6] + [self._row(5, 99.0)] + body[6:],
         )
         assert dict(store.iter_rows())[5]["times"][0] == 99.0
         # unsorted: the duplicate lands early in the file, the original
-        # [5, 5.0] later — later position still wins after the sort
+        # 5.0 later — later position still wins after the sort
         self._rewrite_segment_body(
             store,
-            lambda body: ["[5,123.0]"] + [
-                line for line in body if not line.startswith("[5,99")
+            lambda body: [self._row(5, 123.0)] + [
+                line for line in body if "99.0" not in line
             ],
         )
         assert dict(store.iter_rows())[5]["times"][0] == 5.0
@@ -375,9 +368,9 @@ class TestCompactBinaryZeroDecode:
     def test_binary_to_binary_moves_columns_without_rows(
         self, tmp_path, monkeypatch
     ):
-        """compact --binary over an all-columnar store must never touch
-        the row machinery: no _segment_rows, no _merged_rows, no
-        _decode_row — column blocks move as array slices."""
+        """compact over an all-columnar store must never touch the row
+        machinery: no _segment_rows, no _decode_row — column blocks
+        move as array slices."""
         grid = parse_grid_spec(analytic_spec())
         store = CampaignStore.create(
             tmp_path / "camp", grid, compression="binary"
@@ -392,9 +385,9 @@ class TestCompactBinaryZeroDecode:
                 "binary→binary compact touched the row path"
             )
 
-        for name in ("_segment_rows", "_merged_rows", "_decode_row"):
+        for name in ("_segment_rows", "_decode_row"):
             monkeypatch.setattr(CampaignStore, name, forbidden)
-        summary = store.compact(binary=True)
+        summary = store.compact()
         monkeypatch.undo()
 
         assert summary["points"] == len(grid)
@@ -408,14 +401,13 @@ class TestCompactBinaryZeroDecode:
     ):
         store = mixed_overlapping_store(tmp_path)
         before = dict(store.iter_rows())
-        summary = store.compact(binary=True)
+        summary = store.compact()
         assert summary["points"] == 48
         assert all(
             p.name.endswith(".bin")
             for p in (store.root / "segments").glob("*")
         )
         assert dict(store.iter_rows()) == before
-        assert store.compression == "binary"
 
 
 class TestNpzExport:

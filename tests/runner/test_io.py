@@ -1,13 +1,10 @@
-"""Shared store I/O helpers: atomic writes, gzip transparency, the
-path-or-handle JSONL contract."""
+"""Shared store I/O helpers: atomic writes and the path-or-handle
+JSONL contract."""
 
-import gzip
 import io
 import json
 
-import pytest
-
-from repro.runner.io import atomic_write_text, open_segment_text, write_jsonl
+from repro.runner.io import atomic_write_text, write_jsonl
 
 
 class TestAtomicWrite:
@@ -26,35 +23,6 @@ class TestAtomicWrite:
         target = tmp_path / "file.txt"
         atomic_write_text(target, "x\n")
         assert [p.name for p in tmp_path.iterdir()] == ["file.txt"]
-
-    def test_gzip_bytes_deterministic(self, tmp_path):
-        """Identical text must give identical compressed bytes (mtime
-        pinned to 0) — the campaign byte-identity invariant."""
-        a, b = tmp_path / "a.gz", tmp_path / "b.gz"
-        atomic_write_text(a, "same text\n", compress=True)
-        atomic_write_text(b, "same text\n", compress=True)
-        assert a.read_bytes() == b.read_bytes()
-        assert gzip.decompress(a.read_bytes()) == b"same text\n"
-
-
-class TestOpenSegmentText:
-    def test_plain_and_gzip_read_identically(self, tmp_path):
-        plain = tmp_path / "seg.jsonl"
-        gz = tmp_path / "seg.jsonl.gz"
-        atomic_write_text(plain, "line1\nline2\n")
-        atomic_write_text(gz, "line1\nline2\n", compress=True)
-        with open_segment_text(plain) as h:
-            plain_lines = h.readlines()
-        with open_segment_text(gz) as h:
-            gz_lines = h.readlines()
-        assert plain_lines == gz_lines == ["line1\n", "line2\n"]
-
-    def test_corrupt_gzip_raises_oserror(self, tmp_path):
-        bad = tmp_path / "seg.jsonl.gz"
-        bad.write_bytes(b"not gzip at all")
-        with pytest.raises(OSError):
-            with open_segment_text(bad) as h:
-                h.readline()
 
 
 class TestWriteJsonl:

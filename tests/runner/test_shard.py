@@ -21,6 +21,7 @@ from repro.runner import (
     shard_token,
 )
 from repro.runner.campaign import (
+    ENC_RESULT,
     _indices_to_ranges,
     _intersect_ranges,
     _merge_ranges,
@@ -194,7 +195,8 @@ class TestWriterTokenNaming:
         index = store._index()
         assert [e["writer"] for e in index["segments"]] == ["w1"]
         seg = tmp_path / index["segments"][0]["file"]
-        header = json.loads(seg.read_text().splitlines()[0])
+        with seg.open("rb") as handle:
+            header = json.loads(handle.readline())
         assert header["writer"] == "w1"
         # rebuild_index recovers the writer from the header alone.
         (tmp_path / "index.json").unlink()
@@ -216,8 +218,8 @@ class TestWriterTokenNaming:
                 for k in range(n_each):
                     start = base + k
                     store.append_chunk(
-                        [[start, 1.0 + start]],
-                        "bench-mean",
+                        [[start, {"times": [1.0 + start]}]],
+                        ENC_RESULT,
                         [(start, start + 1)],
                     )
             except Exception as exc:  # pragma: no cover - failure path
@@ -256,7 +258,6 @@ class TestRunShardAndMerge:
                 i,
                 n,
                 ranges=plan,
-                compression=compression,
             )
             assert summary["shard"]["remaining"] == 0
             roots.append(summary["shard"]["root"])
@@ -405,29 +406,14 @@ class TestMergeRejections:
             tmp_path / "s1", grid, 1, 1, ranges=[(0, 6)],
         )
         shard_root = Path(summary["shard"]["root"])
-        seg = next(shard_root.glob("segments/*.jsonl"))
-        first, rest = seg.read_text().split("\n", 1)
+        seg = next(shard_root.glob("segments/*.bin"))
+        first, rest = seg.read_bytes().split(b"\n", 1)
         header = json.loads(first)
         header["schema"] = "repro.campaign.segment/v999"
-        seg.write_text(json.dumps(header, sort_keys=True) + "\n" + rest)
-        with pytest.raises(ValueError, match="fails target validation"):
-            merge_shards(target, [shard_root])
-
-    def test_loose_rows_rejected(self, tmp_path):
-        grid = make_grid()
-        target = CampaignStore.create(tmp_path / "target", grid)
-        summary = run_shard(
-            tmp_path / "s1", grid, 1, 1, ranges=[(0, 6)],
+        seg.write_bytes(
+            json.dumps(header, sort_keys=True).encode() + b"\n" + rest
         )
-        shard_root = Path(summary["shard"]["root"])
-        shard_store = CampaignStore.open(shard_root)
-
-        class FakeV1:
-            def iter_payloads(self):
-                yield "abc123", {"kind": "bench"}, {"t": 1.0}
-
-        shard_store.migrate_from_v1(FakeV1())
-        with pytest.raises(ValueError, match="loose"):
+        with pytest.raises(ValueError, match="fails target validation"):
             merge_shards(target, [shard_root])
 
     def test_name_collision_rejected(self, tmp_path):
