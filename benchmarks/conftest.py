@@ -24,5 +24,11 @@ def report_sink():
         print("\n" + "\n\n".join(reports))
 
 
-#: Iterations per benchmark point (deterministic: mean is exact).
-BENCH_ITERS = 5
+@pytest.fixture(scope="session")
+def bench_iters():
+    """Iterations per benchmark point (deterministic: the mean is exact).
+
+    A fixture rather than a module constant: under the project's
+    ``--import-mode=importlib`` a test module cannot ``import conftest``.
+    """
+    return 5

@@ -12,31 +12,36 @@ headline factor it is responsible for:
 """
 
 import pytest
-from conftest import BENCH_ITERS
 
 from repro.bench import BenchSpec, run_benchmark
 from repro.mpi import Cvars, VCI_METHOD_TAG_RR, VCI_METHOD_THREAD
 from repro.net import MELUXINA
 
 
-def _mean_us(**kw):
-    kw.setdefault("iterations", BENCH_ITERS)
-    return run_benchmark(BenchSpec(**kw)).mean_us
+@pytest.fixture
+def mean_us(bench_iters):
+    """Mean time (us) of one benchmark point at ``bench_iters``."""
+
+    def run(**kw):
+        kw.setdefault("iterations", bench_iters)
+        return run_benchmark(BenchSpec(**kw)).mean_us
+
+    return run
 
 
 class TestContentionAblation:
     """Without the contention multiplier, Fig. 5's x30 collapses."""
 
-    def test_contention_model_drives_congestion(self, benchmark):
+    def test_contention_model_drives_congestion(self, benchmark, mean_us):
         params_off = MELUXINA.with_updates(
             vci_contention_coeff=0.0, vci_contention_quad=0.0
         )
 
         def run():
-            with_model = _mean_us(
+            with_model = mean_us(
                 approach="pt2pt_many", total_bytes=1024, n_threads=32
             )
-            without = _mean_us(
+            without = mean_us(
                 approach="pt2pt_many", total_bytes=1024, n_threads=32,
                 params=params_off,
             )
@@ -45,15 +50,15 @@ class TestContentionAblation:
         with_model, without = benchmark(run)
         assert with_model > 4 * without
 
-    def test_single_thread_unaffected_by_contention_model(self, benchmark):
+    def test_single_thread_unaffected_by_contention_model(self, benchmark, mean_us):
         params_off = MELUXINA.with_updates(
             vci_contention_coeff=0.0, vci_contention_quad=0.0
         )
 
         def run():
             return (
-                _mean_us(approach="pt2pt_single", total_bytes=1024),
-                _mean_us(approach="pt2pt_single", total_bytes=1024,
+                mean_us(approach="pt2pt_single", total_bytes=1024),
+                mean_us(approach="pt2pt_single", total_bytes=1024,
                          params=params_off),
             )
 
@@ -64,7 +69,7 @@ class TestContentionAblation:
 class TestAtomicsAblation:
     """The shared-counter atomics are the Fig. 6 partitioned residual."""
 
-    def test_free_atomics_remove_partitioned_residual(self, benchmark):
+    def test_free_atomics_remove_partitioned_residual(self, benchmark, mean_us):
         cv = Cvars(num_vcis=32, vci_method=VCI_METHOD_TAG_RR)
         params_off = MELUXINA.with_updates(
             atomic_overhead=0.0,
@@ -73,15 +78,15 @@ class TestAtomicsAblation:
         )
 
         def run():
-            with_atomics = _mean_us(
+            with_atomics = mean_us(
                 approach="pt2pt_part", total_bytes=1024, n_threads=32,
                 cvars=cv,
             )
-            without = _mean_us(
+            without = mean_us(
                 approach="pt2pt_part", total_bytes=1024, n_threads=32,
                 cvars=cv, params=params_off,
             )
-            single = _mean_us(
+            single = mean_us(
                 approach="pt2pt_single", total_bytes=1024, n_threads=32,
                 cvars=cv,
             )
@@ -96,9 +101,9 @@ class TestAggregationSweep:
     """Message count vs aggregation bound (the Fig. 7 mechanism)."""
 
     @pytest.mark.parametrize("aggr", [0, 512, 4096, 1 << 20])
-    def test_aggregation_bound(self, benchmark, aggr):
+    def test_aggregation_bound(self, benchmark, aggr, mean_us):
         time_us = benchmark.pedantic(
-            _mean_us,
+            mean_us,
             kwargs=dict(
                 approach="pt2pt_part",
                 total_bytes=2048,
@@ -109,7 +114,7 @@ class TestAggregationSweep:
             rounds=1,
             iterations=1,
         )
-        baseline = _mean_us(
+        baseline = mean_us(
             approach="pt2pt_part", total_bytes=2048, n_threads=4, theta=32
         )
         if aggr == 0:
@@ -143,7 +148,9 @@ class TestThreadVciMapping:
     """θ > 1 breaks the round-robin thread assumption (§3.2.2): the
     MPIX_Stream-style thread mapping recovers the lost locality."""
 
-    def test_thread_mapping_beats_round_robin_at_theta_gt_1(self, benchmark):
+    def test_thread_mapping_beats_round_robin_at_theta_gt_1(
+        self, benchmark, mean_us
+    ):
         kw = dict(
             approach="pt2pt_part",
             total_bytes=16384,
@@ -152,10 +159,10 @@ class TestThreadVciMapping:
         )
 
         def run():
-            rr = _mean_us(
+            rr = mean_us(
                 cvars=Cvars(num_vcis=8, vci_method=VCI_METHOD_TAG_RR), **kw
             )
-            thread = _mean_us(
+            thread = mean_us(
                 cvars=Cvars(num_vcis=8, vci_method=VCI_METHOD_THREAD), **kw
             )
             return rr, thread

@@ -7,15 +7,13 @@ Paper headline numbers:
 * RMA band above point-to-point at small sizes, converging at large.
 """
 
-from conftest import BENCH_ITERS
-
 from repro.figures import fig4_improvement
 
 
-def test_fig4_regeneration(benchmark, report_sink):
+def test_fig4_regeneration(benchmark, report_sink, bench_iters):
     data = benchmark.pedantic(
         fig4_improvement.run,
-        kwargs=dict(iterations=BENCH_ITERS, quick=True),
+        kwargs=dict(iterations=bench_iters, quick=True),
         rounds=1,
         iterations=1,
     )

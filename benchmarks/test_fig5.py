@@ -4,15 +4,13 @@ Paper headline: partitioned/many pay ~x29.76 over the single message at
 the smallest size; RMA many-passive shifted above single-passive.
 """
 
-from conftest import BENCH_ITERS
-
 from repro.figures import fig5_congestion
 
 
-def test_fig5_regeneration(benchmark, report_sink):
+def test_fig5_regeneration(benchmark, report_sink, bench_iters):
     data = benchmark.pedantic(
         fig5_congestion.run,
-        kwargs=dict(iterations=BENCH_ITERS, quick=True),
+        kwargs=dict(iterations=bench_iters, quick=True),
         rounds=1,
         iterations=1,
     )

@@ -4,15 +4,13 @@ Paper headline: many matches single; partitioned keeps a x4.04
 residual; the RMA single/many ordering flips.
 """
 
-from conftest import BENCH_ITERS
-
 from repro.figures import fig6_vcis
 
 
-def test_fig6_regeneration(benchmark, report_sink):
+def test_fig6_regeneration(benchmark, report_sink, bench_iters):
     data = benchmark.pedantic(
         fig6_vcis.run,
-        kwargs=dict(iterations=BENCH_ITERS, quick=True),
+        kwargs=dict(iterations=bench_iters, quick=True),
         rounds=1,
         iterations=1,
     )

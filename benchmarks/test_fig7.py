@@ -5,15 +5,13 @@ Paper headline: aggregation collapses the small-message overhead from
 atomic updates; the benefit ends at N_part x aggr_size.
 """
 
-from conftest import BENCH_ITERS
-
 from repro.figures import fig7_aggregation
 
 
-def test_fig7_regeneration(benchmark, report_sink):
+def test_fig7_regeneration(benchmark, report_sink, bench_iters):
     data = benchmark.pedantic(
         fig7_aggregation.run,
-        kwargs=dict(iterations=BENCH_ITERS, quick=True),
+        kwargs=dict(iterations=bench_iters, quick=True),
         rounds=1,
         iterations=1,
     )

@@ -4,15 +4,13 @@ Paper headline: gain ~x2.5417 at large sizes (theory 2.67), independent
 of the approach; pipelining loses below the ~100 kB crossover.
 """
 
-from conftest import BENCH_ITERS
-
 from repro.figures import fig8_earlybird
 
 
-def test_fig8_regeneration(benchmark, report_sink):
+def test_fig8_regeneration(benchmark, report_sink, bench_iters):
     data = benchmark.pedantic(
         fig8_earlybird.run,
-        kwargs=dict(iterations=BENCH_ITERS, quick=True),
+        kwargs=dict(iterations=bench_iters, quick=True),
         rounds=1,
         iterations=1,
     )

@@ -8,22 +8,19 @@ RMW whose cost grows with the number of contexts fighting for the cache
 line, and the updates themselves serialize (the line has one owner at a
 time).
 
-The contender count combines two views, like the VCI lock model in
-:mod:`repro.net.nic`:
-
-* the **episode peak** — the largest number of simultaneous claimants
-  since the counter was last idle (a burst of N threads costs everyone
-  the N-way fight, including the first one served);
-* the **recent-agent window** — distinct contexts that touched the
-  counter within ``vci_agent_window`` (staggered arrivals keep the line
-  bouncing while the burst lasts).
+The contender count is the VCI lock model's
+(:class:`repro.net.nic.ContentionWindow`): the larger of the **episode
+peak** (the most simultaneous claimants since the counter was last idle)
+and the **recent-agent window** (other contexts that touched the counter
+within ``vci_agent_window``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from ..net import SystemParams
+from ..net.nic import ContentionWindow
 from ..sim import Environment, Lock
 
 __all__ = ["ContendedAtomic"]
@@ -48,36 +45,20 @@ class ContendedAtomic:
             params.atomic_bounce_coeff if bounce is None else bounce
         )
         self._lock = Lock(env, name=name)
-        self._agents: Dict[int, float] = {}
-        self._episode_peak = 0
+        self._contention = ContentionWindow(
+            env, self._lock, params.vci_agent_window
+        )
         self.updates = 0
-
-    def _other_agents(self, me: int) -> int:
-        now = self.env.now
-        window = self.params.vci_agent_window
-        stale = [a for a, t in self._agents.items() if now - t > window]
-        for a in stale:
-            del self._agents[a]
-        return sum(1 for a in self._agents if a != me)
 
     def update(self, extra_cost: float = 0.0):
         """Generator: perform one contended update in the caller's
         timeline; ``extra_cost`` is added inside the critical section
         (e.g. ``pready_overhead``)."""
         me = self.env.active_process.serial
-        self._agents[me] = self.env.now
-        claimants = self._lock.queue_length + self._lock.count + 1
-        if claimants == 1:
-            self._episode_peak = 1
-        else:
-            self._episode_peak = max(self._episode_peak, claimants)
+        self._contention.arrive(me)
         req = self._lock.request()
         yield req
-        self._agents[me] = self.env.now
-        self._episode_peak = max(
-            self._episode_peak, self._lock.queue_length + 1
-        )
-        contenders = max(self._episode_peak - 1, self._other_agents(me))
+        contenders = self._contention.granted(me)
         cost = (
             self.params.atomic_overhead
             + self.bounce * contenders

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from ..sim import Environment, Resource, Tracer
+from ..sim import URGENT, Environment, Event, Resource, Timeout, Tracer
 from .nic import Nic
 from .packets import Packet
 from .params import SystemParams
@@ -70,16 +70,34 @@ class Fabric:
         self.packets_sent += 1
         self.bytes_sent += pkt.nbytes
         if pkt.src == pkt.dst:
-            self.env.process(self._deliver_later(pkt, self.SELF_LATENCY))
+            self._deliver_later(pkt, self.SELF_LATENCY)
             return
         wire = self._wire(pkt.src, pkt.dst)
         req = wire.request()
         yield req
         yield self.env.timeout(self.params.wire_time(pkt.nbytes))
         wire.release(req)
-        self.tracer.log("fabric", "wire", pkt=pkt.describe())
-        self.env.process(self._deliver_later(pkt, self.params.latency))
+        if self.tracer.enabled:
+            self.tracer.log("fabric", "wire", pkt=pkt.describe())
+        self._deliver_later(pkt, self.params.latency)
 
-    def _deliver_later(self, pkt: Packet, delay: float):
-        yield self.env.timeout(delay)
-        self._nics[pkt.dst].deliver(pkt)
+    def _deliver_later(self, pkt: Packet, delay: float) -> None:
+        """Hand ``pkt`` to its destination NIC ``delay`` from now.
+
+        A callback chain in the queue slots a delivery process would
+        take: an URGENT start event now which, when processed, arms the
+        ``delay`` timeout.  Deliveries due at the same instant therefore
+        keep the order a process per packet gave them (arming the
+        timeout right here would not).
+        """
+        env = self.env
+
+        def arm(_: Event) -> None:
+            Timeout(env, delay).callbacks.append(
+                lambda _: self._nics[pkt.dst].deliver(pkt)
+            )
+
+        start = Event(env)
+        start._value = None
+        start.callbacks.append(arm)
+        env.schedule(start, URGENT)

@@ -24,7 +24,56 @@ from ..sim import Environment, Lock, Store, Tracer
 from .packets import Packet, PacketKind
 from .params import Protocol, SystemParams
 
-__all__ = ["Vci", "Nic"]
+__all__ = ["ContentionWindow", "Vci", "Nic"]
+
+
+class ContentionWindow:
+    """Contender count for a lock-serialized critical section.
+
+    Shared by the VCI command-queue lock and the contended atomic
+    counters of :mod:`repro.mpi.contention`.  The count is the larger of
+    (a) the peak number of simultaneous claimants since the lock was
+    last idle (a burst of N agents costs every one of them the N-way
+    cache-line fight, even the first one served) and (b) the *other*
+    agents seen within ``window`` seconds (staggered arrivals keep
+    bouncing lines while the burst lasts).  Contention is driven by how
+    many distinct agents share the lock, not by the instantaneous queue
+    length.
+    """
+
+    __slots__ = ("env", "lock", "window", "_agents", "_episode_peak")
+
+    def __init__(self, env: Environment, lock: Lock, window: float):
+        self.env = env
+        self.lock = lock
+        self.window = window
+        #: Recently active agents: agent id -> last claim time.
+        self._agents: Dict[int, float] = {}
+        #: Largest number of simultaneous claimants since the lock was
+        #: last idle (the size of the current contention episode).
+        self._episode_peak = 0
+
+    def arrive(self, me: int) -> None:
+        """Record agent ``me`` claiming the lock (before it requests)."""
+        self._agents[me] = self.env.now
+        claimants = self.lock.queue_length + self.lock.count + 1
+        if claimants == 1:
+            self._episode_peak = 1  # lock idle: a new episode begins
+        else:
+            self._episode_peak = max(self._episode_peak, claimants)
+
+    def granted(self, me: int) -> int:
+        """Number of contenders ``me`` pays for, once granted the lock."""
+        now = self.env.now
+        agents = self._agents
+        agents[me] = now  # refresh: we waited in line
+        self._episode_peak = max(self._episode_peak, self.lock.queue_length + 1)
+        if len(agents) > 1:  # a lone agent has nobody to expire
+            window = self.window
+            for a in [a for a, t in agents.items() if now - t > window]:
+                del agents[a]
+        # ``me`` was just refreshed, so it is never stale.
+        return max(self._episode_peak - 1, len(agents) - 1)
 
 
 class Vci:
@@ -46,11 +95,9 @@ class Vci:
         self.lock = Lock(env, name=f"r{rank}.vci{index}.cmdq")
         self.tx_store = Store(env, name=f"r{rank}.vci{index}.tx")
         self.rx_store = Store(env, name=f"r{rank}.vci{index}.rx")
-        #: Recently active posting threads: agent id -> last post time.
-        self._agents: Dict[int, float] = {}
-        #: Largest number of simultaneous claimants since the lock was
-        #: last idle (the size of the current contention episode).
-        self._episode_peak = 0
+        self._contention = ContentionWindow(
+            env, self.lock, params.vci_agent_window
+        )
         self._transmit: Optional[Callable] = None  # set by Nic
         self._handler: Optional[Callable[[Packet], None]] = None
         self.tx_count = 0
@@ -59,60 +106,33 @@ class Vci:
         env.process(self._rx_loop())
 
     # -- sender side -----------------------------------------------------------
-    def _other_agents(self, me: int) -> int:
-        """Number of *other* threads active on this VCI within the window.
-
-        Contention is driven by how many distinct threads share the VCI
-        (each handoff moves the lock and descriptor cache lines between
-        cores), so the multiplier counts the threads seen within
-        ``vci_agent_window`` rather than the instantaneous queue length.
-        """
-        now = self.env.now
-        window = self.params.vci_agent_window
-        stale = [a for a, t in self._agents.items() if now - t > window]
-        for a in stale:
-            del self._agents[a]
-        return sum(1 for a in self._agents if a != me)
-
     def post(self, pkt: Packet, base_cost: float, copy_bytes: int = 0):
         """Post ``pkt`` from the calling process (generator; yield from it).
 
         Models the command-queue critical section: acquire the VCI lock,
-        pay ``base_cost`` inflated by the number of contending threads,
-        pay any bounce-buffer copy, enqueue for injection, release.
-
-        The contender count is the larger of (a) the peak number of
-        simultaneous claimants since the lock was last idle (a burst of
-        N threads costs every poster the N-way cache-line fight, even
-        the first one served) and (b) the distinct threads seen within
-        the recent-activity window (staggered arrivals keep bouncing
-        lines while the burst lasts).
+        pay ``base_cost`` inflated by the number of contending threads
+        (see :class:`ContentionWindow`), pay any bounce-buffer copy,
+        enqueue for injection, release.
         """
         me = self.env.active_process.serial
-        self._agents[me] = self.env.now
-        claimants = self.lock.queue_length + self.lock.count + 1
-        if claimants == 1:
-            self._episode_peak = 1  # lock idle: a new episode begins
-        else:
-            self._episode_peak = max(self._episode_peak, claimants)
+        self._contention.arrive(me)
         req = self.lock.request()
         yield req
-        self._agents[me] = self.env.now  # refresh: we waited in line
-        self._episode_peak = max(self._episode_peak, self.lock.queue_length + 1)
-        contenders = max(self._episode_peak - 1, self._other_agents(me))
+        contenders = self._contention.granted(me)
         cost = base_cost * self.params.contention_multiplier(contenders)
         if copy_bytes:
             cost += self.params.copy_time(copy_bytes)
         yield self.env.timeout(cost)
         self.tx_count += 1
-        self.tracer.log(
-            "nic",
-            "post",
-            rank=self.rank,
-            vci=self.index,
-            pkt=pkt.describe(),
-            contenders=contenders,
-        )
+        if self.tracer.enabled:
+            self.tracer.log(
+                "nic",
+                "post",
+                rank=self.rank,
+                vci=self.index,
+                pkt=pkt.describe(),
+                contenders=contenders,
+            )
         self.tx_store.put(pkt)
         self.lock.release(req)
 
@@ -131,9 +151,11 @@ class Vci:
             if cost > 0.0:
                 yield self.env.timeout(cost)
             self.rx_count += 1
-            self.tracer.log(
-                "nic", "recv", rank=self.rank, vci=self.index, pkt=pkt.describe()
-            )
+            if self.tracer.enabled:
+                self.tracer.log(
+                    "nic", "recv", rank=self.rank, vci=self.index,
+                    pkt=pkt.describe(),
+                )
             self._handler(pkt)
 
     def _rx_cost(self, pkt: Packet) -> float:

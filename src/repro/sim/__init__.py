@@ -18,7 +18,7 @@ from .core import (
 )
 from .primitives import AllOf, AnyOf, Condition
 from .process import Interrupt, Process
-from .resources import Lock, Release, Request, Resource, ResourceStats, Store
+from .resources import Lock, Request, Resource, ResourceStats, Store
 from .rng import RngRegistry
 from .sync import CountdownLatch, Semaphore, Signal, SimBarrier
 from .trace import NullTracer, StreamingTracer, TraceRecord, Tracer
@@ -41,7 +41,6 @@ __all__ = [
     "Condition",
     "Resource",
     "Request",
-    "Release",
     "ResourceStats",
     "Lock",
     "Store",

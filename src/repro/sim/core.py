@@ -28,8 +28,8 @@ Example
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 __all__ = [
@@ -176,11 +176,13 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env.schedule(self, delay=delay)
+        self._ok = True
+        self._defused = False
+        self.delay = delay
+        env.schedule(self, NORMAL, delay)
 
 
 class Environment:
@@ -214,9 +216,7 @@ class Environment:
     # -- scheduling ---------------------------------------------------------
     def schedule(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:
         """Enqueue a triggered event ``delay`` seconds from now."""
-        heapq.heappush(
-            self._queue, (self._now + delay, priority, next(self._eid), event)
-        )
+        heappush(self._queue, (self._now + delay, priority, next(self._eid), event))
 
     # -- event factories ----------------------------------------------------
     def event(self) -> Event:
@@ -251,10 +251,10 @@ class Environment:
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
-        """Process the next scheduled event."""
+        """Process the next scheduled event (:meth:`run` inlines this)."""
         if not self._queue:
             raise SimulationError("step() on an empty schedule")
-        self._now, _, _, event = heapq.heappop(self._queue)
+        self._now, _, _, event = heappop(self._queue)
         callbacks, event.callbacks = event.callbacks, None
         if callbacks is None:
             raise SimulationError(f"{event!r} processed twice")
@@ -298,10 +298,21 @@ class Environment:
                 stop_ev.callbacks.append(
                     lambda e: (_ for _ in ()).throw(StopSimulation(None))
                 )
-                heapq.heappush(self._queue, (at, URGENT, next(self._eid), stop_ev))
+                heappush(self._queue, (at, URGENT, next(self._eid), stop_ev))
+        # The body of step(), inlined: one dispatch per event is the
+        # simulator's innermost loop.
+        queue = self._queue
+        pop = heappop
         try:
-            while self._queue:
-                self.step()
+            while queue:
+                self._now, _, _, event = pop(queue)
+                callbacks, event.callbacks = event.callbacks, None
+                if callbacks is None:
+                    raise SimulationError(f"{event!r} processed twice")
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not event._defused:
+                    raise event._value
         except StopSimulation as stop:
             stop_value = stop.value
         else:

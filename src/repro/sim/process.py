@@ -89,36 +89,39 @@ class Process(Event):
     # ------------------------------------------------------------------
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
-        self.env.active_process = self
+        env = self.env
+        env.active_process = self
         # If we were interrupted, unsubscribe from the event we were
         # genuinely waiting on (it may still fire later; ignore it then).
+        target = self._target
         if (
-            self._target is not None
-            and self._target is not event
-            and self._target.callbacks is not None
+            target is not None
+            and target is not event
+            and target.callbacks is not None
         ):
             try:
-                self._target.callbacks.remove(self._resume)
+                target.callbacks.remove(self._resume)
             except ValueError:
                 pass
         self._target = None
 
+        generator = self._generator
         while True:
             try:
                 if event._ok:
-                    next_event = self._generator.send(event._value)
+                    next_event = generator.send(event._value)
                 else:
                     event._defused = True
-                    next_event = self._generator.throw(event._value)
+                    next_event = generator.throw(event._value)
             except StopIteration as stop:
                 self._ok = True
                 self._value = stop.value
-                self.env.schedule(self)
+                env.schedule(self)
                 break
             except BaseException as exc:
                 self._ok = False
                 self._value = exc
-                self.env.schedule(self)
+                env.schedule(self)
                 break
 
             if not isinstance(next_event, Event):
@@ -127,7 +130,7 @@ class Process(Event):
                 )
                 self._ok = False
                 self._value = error
-                self.env.schedule(self)
+                env.schedule(self)
                 break
 
             if next_event.callbacks is not None:
@@ -138,7 +141,7 @@ class Process(Event):
             # Already processed: consume its value synchronously.
             event = next_event
 
-        self.env.active_process = None
+        env.active_process = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug repr
         state = "alive" if self.is_alive else "finished"

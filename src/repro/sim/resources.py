@@ -13,9 +13,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, List
 
-from .core import Environment, Event, SimulationError
+from .core import PENDING, Environment, Event, SimulationError
 
-__all__ = ["Request", "Release", "Resource", "Lock", "Store", "ResourceStats"]
+__all__ = ["Request", "Resource", "Lock", "Store", "ResourceStats"]
 
 
 class ResourceStats:
@@ -55,16 +55,15 @@ class Request(Event):
     __slots__ = ("resource", "requested_at")
 
     def __init__(self, resource: "Resource"):
-        super().__init__(resource.env)
+        env = resource.env
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
         self.resource = resource
-        self.requested_at = resource.env.now
+        self.requested_at = env._now
         resource._do_request(self)
-
-
-class Release(Event):
-    """Immediate event confirming a release (mostly for symmetry)."""
-
-    __slots__ = ()
 
 
 class Resource:
@@ -115,12 +114,18 @@ class Resource:
 
     def _grant(self, req: Request) -> None:
         self._users.append(req)
-        self.stats.acquisitions += 1
-        self.stats.total_wait += self.env.now - req.requested_at
-        req.succeed(req)
+        stats = self.stats
+        stats.acquisitions += 1
+        stats.total_wait += self.env._now - req.requested_at
+        req._value = req  # the request is pending: trigger it directly
+        self.env.schedule(req)
 
-    def release(self, req: Request) -> Release:
-        """Release a previously granted slot and wake the next waiter."""
+    def release(self, req: Request) -> None:
+        """Release a previously granted slot and wake the next waiter.
+
+        Nothing observes a release, so it schedules no event of its own;
+        only the grant to the next waiter (if any) is scheduled.
+        """
         try:
             self._users.remove(req)
         except ValueError:
@@ -129,9 +134,6 @@ class Resource:
             ) from None
         if self._waiting and len(self._users) < self.capacity:
             self._grant(self._waiting.popleft())
-        ev = Release(self.env)
-        ev.succeed()
-        return ev
 
     def __repr__(self) -> str:  # pragma: no cover - debug repr
         return (
@@ -184,7 +186,8 @@ class Store:
         """Event that fires with the next available item."""
         ev = Event(self.env)
         if self._items:
-            ev.succeed(self._items.popleft())
+            ev._value = self._items.popleft()
+            self.env.schedule(ev)
         else:
             self._getters.append(ev)
         return ev
