@@ -1,13 +1,10 @@
 """Command-line entry point.
 
-Six subcommands::
+Three subcommands::
 
     python -m repro figures [...]      # regenerate the paper's tables/figures
     python -m repro apps [...]         # N-rank application patterns
     python -m repro campaign ...       # batched million-point grid campaigns
-    python -m repro runner-bench [...] # time the runner serial vs parallel
-    python -m repro backend-bench [...]# time sim vs analytic per grid size
-    python -m repro store DIR [...]    # result-store stats / maintenance
 
 Invocations without a subcommand keep the historical behavior and run
 ``figures``::
@@ -22,9 +19,9 @@ Every grid goes through the unified scenario runner
 
 * ``--jobs N`` — fan the grid out over N worker processes (0 = one per
   CPU; 1 = in-process serial, the default);
-* ``--store DIR`` — record every point in a content-addressed result
-  store;
-* ``--resume`` — skip points already present in ``--store``;
+* ``--store DIR`` — keep every grid as a campaign root
+  ``DIR/<grid hash>/`` (see "Campaigns" below); a rerun resumes it and
+  executes only the points that are missing;
 * ``--backend {sim,analytic,both}`` — execute via the discrete-event
   simulator (default), the closed-form analytic model (microseconds
   per point), or both: ``both`` regenerates the grid under each
@@ -37,7 +34,7 @@ Application patterns (Halo3D / Sweep3D / FFT transpose)::
     python -m repro apps --pattern halo3d --ranks 8 --approach pt2pt_part
     python -m repro apps --pattern sweep3d --approach all --noise gaussian
     python -m repro apps --pattern fft --size 1048576 --json results.json
-    python -m repro apps --pattern halo3d --jobs 0 --store runs/ --resume
+    python -m repro apps --pattern halo3d --jobs 0 --store runs/
     python -m repro apps --pattern halo3d --backend both
 
 Campaigns (streaming store: analytic chunks as binary columns,
@@ -55,11 +52,8 @@ simulation chunks as JSON result rows; see README "Campaigns")::
     python -m repro campaign report camp/ --slice approach=pt2pt_part
     python -m repro campaign compact camp/                   # merge segments
 
-Store maintenance::
-
-    python -m repro store runs/            # records per kind/backend, size
-    python -m repro store runs/ --prune    # drop records that no longer parse
-    python -m repro store runs/ --export jsonl --out records.jsonl
+Every root under a ``--store`` directory is such a campaign, so
+``campaign status runs/<hash>/`` and ``campaign export`` work on it.
 """
 
 from __future__ import annotations
@@ -67,6 +61,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 
 from .figures import (
     fig4_improvement,
@@ -95,10 +90,8 @@ def _figures_parser(top_level: bool = False) -> argparse.ArgumentParser:
         description="Regenerate the paper's tables and figures.",
         epilog=(
             "subcommands: 'figures' (this, the default), 'apps' — N-rank "
-            "application patterns, 'campaign' — batched grid campaigns, "
-            "'runner-bench' — runner timings, 'backend-bench' — sim vs "
-            "analytic timings, and 'store' — result-store maintenance; "
-            "see 'python -m repro <subcommand> --help'."
+            "application patterns, and 'campaign' — batched grid "
+            "campaigns; see 'python -m repro <subcommand> --help'."
         ) if top_level else None,
     )
     parser.add_argument("--full", action="store_true",
@@ -121,9 +114,8 @@ def _add_runner_options(parser: argparse.ArgumentParser) -> None:
                        help="worker processes for the scenario grid "
                             "(0 = one per CPU; default 1 = serial)")
     group.add_argument("--store", default=None, metavar="DIR",
-                       help="content-addressed result store directory")
-    group.add_argument("--resume", action="store_true",
-                       help="skip scenarios already in --store")
+                       help="keep each grid as a campaign root under DIR "
+                            "(a rerun executes only missing points)")
     group.add_argument("--backend", default="sim",
                        choices=["sim", "analytic", "both"],
                        help="execution backend: full simulation "
@@ -132,17 +124,14 @@ def _add_runner_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _runner_kwargs(args, parser: argparse.ArgumentParser) -> dict:
-    """Resolve --jobs/--store/--resume into driver keyword arguments."""
-    from .runner import ResultStore, default_jobs
+    """Resolve --jobs/--store into driver keyword arguments."""
+    from .runner import default_jobs
 
     if args.jobs < 0:
         parser.error("--jobs must be >= 0")
-    if args.resume and args.store is None:
-        parser.error("--resume requires --store")
     return {
         "jobs": args.jobs if args.jobs > 0 else default_jobs(),
-        "store": ResultStore(args.store) if args.store else None,
-        "resume": args.resume,
+        "store": args.store,
     }
 
 
@@ -238,11 +227,12 @@ def _run_apps(args, parser) -> int:
     from .apps import (
         DEFAULT_JSON_PATH,
         PatternConfig,
+        PatternSweep,
         build_pattern,
-        sweep_patterns,
     )
     from .bench import APPROACHES
     from .mpi import Cvars
+    from .runner import ScenarioGrid, run_grids
 
     runner_kwargs = _runner_kwargs(args, parser)
     approaches = (
@@ -254,41 +244,47 @@ def _run_apps(args, parser) -> int:
         run_list.append(_BASELINE)
 
     try:
-        configs = [
-            PatternConfig(
-                pattern=args.pattern,
-                approach=name,
-                n_ranks=args.ranks,
-                n_threads=args.threads,
-                msg_bytes=args.size,
-                iterations=args.iters,
-                warmup=args.warmup,
-                compute_us_per_mb=args.compute_us_per_mb,
-                noise=args.noise,
-                noise_us=args.noise_us,
-                noise_sigma_us=args.noise_sigma_us,
-                seed=args.seed,
-                cvars=Cvars(num_vcis=args.vcis),
-            )
-            for name in run_list
-        ]
+        base = PatternConfig(
+            pattern=args.pattern,
+            approach=run_list[0],
+            n_ranks=args.ranks,
+            n_threads=args.threads,
+            msg_bytes=args.size,
+            iterations=args.iters,
+            warmup=args.warmup,
+            compute_us_per_mb=args.compute_us_per_mb,
+            noise=args.noise,
+            noise_us=args.noise_us,
+            noise_sigma_us=args.noise_sigma_us,
+            seed=args.seed,
+            cvars=Cvars(num_vcis=args.vcis),
+        )
+        ScenarioGrid.from_spec(base, {"approach": run_list}).validate()
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # The whole approach list is one runner batch (parallel fan-out).
+
+    def run_sweep(backend: str) -> PatternSweep:
+        # The whole approach list is one grid: one runner batch
+        # (parallel fan-out), one campaign root under --store.
+        grid = ScenarioGrid.from_spec(
+            base, {"approach": run_list}, backend=backend
+        )
+        sweep = PatternSweep()
+        for result in run_grids([grid], **runner_kwargs)[0]:
+            sweep.add(result)
+        return sweep
+
     crossval_report = None
     if args.backend == "both":
         from .backends import compare_pattern_sweeps
 
-        sweep = sweep_patterns(configs, backend="sim", **runner_kwargs)
-        analytic_sweep = sweep_patterns(
-            configs, backend="analytic", **runner_kwargs
-        )
-        crossval_report = compare_pattern_sweeps(sweep, analytic_sweep)
+        sweep = run_sweep("sim")
+        crossval_report = compare_pattern_sweeps(sweep, run_sweep("analytic"))
     else:
-        sweep = sweep_patterns(configs, backend=args.backend, **runner_kwargs)
+        sweep = run_sweep(args.backend)
     results = {
-        config.approach: sweep.get(config) for config in configs
+        name: sweep.get(replace(base, approach=name)) for name in run_list
     }
 
     first = results[run_list[0]]
@@ -337,123 +333,6 @@ def _run_apps(args, parser) -> int:
     return (
         1 if crossval_report is not None and not crossval_report.passed else 0
     )
-
-
-def _runner_bench_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro runner-bench",
-        description="Time the scenario runner's fixed quick grid at "
-                    "jobs=1 vs jobs=N and persist BENCH_runner.json.",
-    )
-    parser.add_argument("--jobs", type=int, default=0, metavar="N",
-                        help="parallel worker count (0 = one per CPU)")
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="persistence path (default BENCH_runner.json)")
-    parser.add_argument("--backend", default="sim",
-                        choices=["sim", "analytic"],
-                        help="execution backend the grid runs under")
-    return parser
-
-
-def _run_runner_bench(args) -> int:
-    from .runner.benchmark import DEFAULT_JSON_PATH, benchmark_runner
-
-    path = args.json if args.json else DEFAULT_JSON_PATH
-    payload = benchmark_runner(
-        jobs=args.jobs if args.jobs > 0 else None, path=path,
-        backend=args.backend,
-    )
-    print(
-        f"{payload['n_scenarios']} scenarios ({payload['backend']}): "
-        f"jobs=1 {payload['serial']['wall_s']:.2f}s, "
-        f"jobs={payload['parallel']['jobs']} "
-        f"{payload['parallel']['wall_s']:.2f}s "
-        f"(speedup x{payload['speedup']:.2f})"
-    )
-    print(f"[timings persisted to {path}]")
-    return 0
-
-
-def _backend_bench_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro backend-bench",
-        description="Time identical grids under the sim and analytic "
-                    "backends and persist BENCH_backends.json.",
-    )
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="persistence path (default BENCH_backends.json)")
-    return parser
-
-
-def _run_backend_bench(args) -> int:
-    from .backends.benchmark import DEFAULT_JSON_PATH, benchmark_backends
-
-    path = args.json if args.json else DEFAULT_JSON_PATH
-    payload = benchmark_backends(path=path)
-    for record in payload["grids"]:
-        print(
-            f"{record['n_scenarios']:4d} scenarios: "
-            f"sim {record['sim_wall_s']:8.3f}s, "
-            f"analytic {record['analytic_wall_s']:8.5f}s "
-            f"(speedup x{record['speedup']:.0f})"
-        )
-    print(f"minimum speedup: x{payload['min_speedup']:.0f}")
-    print(f"[timings persisted to {path}]")
-    return 0
-
-
-def _store_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro store",
-        description="Result-store maintenance: record counts per "
-                    "kind/backend, total size, --prune for records "
-                    "whose spec no longer round-trips, and --export "
-                    "jsonl for a JSON-lines dump.",
-    )
-    parser.add_argument("dir", metavar="DIR",
-                        help="result store directory")
-    parser.add_argument("--prune", action="store_true",
-                        help="delete records that no longer round-trip "
-                             "(torn writes, stale schema versions)")
-    parser.add_argument("--export", choices=["jsonl"], default=None,
-                        help="dump every readable record as JSON-lines "
-                             "(one {hash, scenario, result} per line)")
-    parser.add_argument("--out", default=None, metavar="PATH",
-                        help="export target (default: stdout)")
-    return parser
-
-
-def _run_store(args) -> int:
-    from .runner import ResultStore
-
-    store = ResultStore(args.dir)
-    if args.export == "jsonl":
-        target = args.out if args.out else sys.stdout
-        try:
-            count = store.export_jsonl(target)
-        except BrokenPipeError:  # e.g. piped into head
-            return 0
-        print(f"[exported {count} record(s)"
-              + (f" to {args.out}]" if args.out else "]"),
-              file=sys.stderr)
-        if not args.prune:
-            return 0
-    else:
-        stats = store.stats()
-        print(f"store {stats['root']}: {stats['records']} records, "
-              f"{stats['total_bytes']} bytes")
-        for group, count in stats["per_kind_backend"].items():
-            print(f"  {group:>20}: {count}")
-        if stats["broken"]:
-            print(f"  {'broken':>20}: {len(stats['broken'])}")
-            for rel in stats["broken"]:
-                print(f"    {rel}")
-    if args.prune:
-        # Reuse the stats scan when it ran; prune rescans otherwise.
-        broken = stats["broken"] if args.export != "jsonl" else None
-        removed = store.prune(broken=broken)
-        print(f"pruned {len(removed)} record(s)")
-    return 0
 
 
 def _campaign_parser() -> argparse.ArgumentParser:
@@ -1075,12 +954,6 @@ def main(argv=None) -> int:
         return _run_figures(parser.parse_args(argv[1:]), parser)
     if argv and argv[0] == "campaign":
         return _run_campaign_cli(_campaign_parser().parse_args(argv[1:]))
-    if argv and argv[0] == "runner-bench":
-        return _run_runner_bench(_runner_bench_parser().parse_args(argv[1:]))
-    if argv and argv[0] == "backend-bench":
-        return _run_backend_bench(_backend_bench_parser().parse_args(argv[1:]))
-    if argv and argv[0] == "store":
-        return _run_store(_store_parser().parse_args(argv[1:]))
     # No subcommand: historical figure-regeneration behavior.
     parser = _figures_parser(top_level=True)
     return _run_figures(parser.parse_args(argv), parser)

@@ -123,9 +123,8 @@ class PatternSweep:
         """Rebuild a sweep from :meth:`to_json` output (stats recomputed).
 
         Config and result reconstruction delegate to the runner's
-        scenario protocol, so this format and the
-        :class:`~repro.runner.store.ResultStore` records can never
-        silently diverge.
+        scenario protocol, so this format and the campaign store's
+        result rows can never silently diverge.
         """
         from ..runner.scenario import (
             SCHEMA as RUNNER_SCHEMA,
@@ -170,23 +169,20 @@ class PatternSweep:
 def sweep_patterns(
     configs: Iterable[PatternConfig],
     jobs: int = 1,
-    store=None,
-    resume: bool = False,
     backend: str = "sim",
 ) -> PatternSweep:
     """Run every config into one sweep via the unified runner.
 
     The whole batch is submitted at once, so ``jobs > 1`` fans the
-    configs out across cores; ``store``/``resume`` enable the runner's
-    content-addressed cache (see :class:`repro.runner.ResultStore`);
-    ``backend="analytic"`` uses the first-order pattern model instead
-    of the simulator.
+    configs out across cores; ``backend="analytic"`` uses the
+    first-order pattern model instead of the simulator.  (A
+    :class:`~repro.runner.scenario.ScenarioGrid` of configs runs through
+    :func:`~repro.runner.executor.run_grids` instead, which can also
+    keep it in a store.)
     """
     from ..runner import run_specs
 
     sweep = PatternSweep()
-    for result in run_specs(
-        list(configs), jobs=jobs, store=store, resume=resume, backend=backend
-    ):
+    for result in run_specs(list(configs), jobs=jobs, backend=backend):
         sweep.add(result)
     return sweep

@@ -8,9 +8,7 @@ Every grid point in the reproduction executes through a backend:
   points cost microseconds, so million-point grids become feasible.
 
 ``cross_validate`` runs grids under both and enforces the documented
-per-approach agreement tolerances (``TOLERANCES``);
-``benchmark_backends`` records the analytic speedup in
-``BENCH_backends.json``.
+per-approach agreement tolerances (``TOLERANCES``).
 
 Quick start
 -----------
@@ -34,7 +32,6 @@ from .base import (
     get_backend,
     register_backend,
 )
-from .benchmark import benchmark_backends
 from .crossval import (
     PATTERN_TOLERANCE,
     TOLERANCES,
@@ -65,5 +62,4 @@ __all__ = [
     "compare_bench_sweeps",
     "compare_pattern_sweeps",
     "tolerance_for",
-    "benchmark_backends",
 ]

@@ -10,9 +10,9 @@ native result object.  Two implementations ship with the repo:
   microseconds instead of seconds, making million-point grids feasible.
 
 The backend is part of a scenario's *identity*: it is serialized with
-the spec and baked into the content hash, so a
-:class:`~repro.runner.store.ResultStore` can never confuse an analytic
-record with a simulated one.
+the spec and baked into the scenario and grid content hashes, so a
+store can never confuse an analytic result with a simulated one (the
+two grids live in different campaign roots).
 """
 
 from __future__ import annotations

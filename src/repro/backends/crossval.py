@@ -238,15 +238,13 @@ def compare_pattern_sweeps(
 def cross_validate(
     scenarios: Iterable[Any],
     jobs: int = 1,
-    store=None,
-    resume: bool = False,
 ) -> CrossValReport:
     """Run every scenario under both backends and compare the means.
 
     The simulated half goes through the normal executor (so ``jobs``
-    fans it out and a store caches it); the analytic half runs inline.
-    Incoming scenarios may carry any backend tag — both variants are
-    derived from the spec.
+    fans it out); the analytic half runs inline.  Incoming scenarios
+    may carry any backend tag — both variants are derived from the
+    spec.
     """
     from ..runner.executor import run_scenarios
     from ..runner.scenario import Scenario
@@ -259,12 +257,8 @@ def cross_validate(
         Scenario(kind=s.kind, spec=s.spec, backend=BACKEND_ANALYTIC)
         for s in batch
     ]
-    sim_results = run_scenarios(
-        batch, jobs=jobs, store=store, resume=resume
-    ).results
-    ana_results = run_scenarios(
-        analytic, jobs=1, store=store, resume=resume
-    ).results
+    sim_results = run_scenarios(batch, jobs=jobs).results
+    ana_results = run_scenarios(analytic).results
     report = CrossValReport()
     for scenario, sim_r, ana_r in zip(batch, sim_results, ana_results):
         spec = scenario.spec

@@ -1,15 +1,17 @@
 """Parameter sweeps: message-size series for the paper's figures.
 
 Sweeps are thin grid builders over the unified scenario runner
-(:mod:`repro.runner`): they expand ``(approach, size)`` grids into
-:class:`BenchSpec` scenarios, submit the whole batch at once (so
-``jobs > 1`` fans the grid out across cores), and collect the results
-into a :class:`SweepResult` keyed for the figure reports.
+(:mod:`repro.runner`): each builds one
+:class:`~repro.runner.scenario.ScenarioGrid` around a :class:`BenchSpec`
+(axes ``approach`` and/or ``total_bytes``), submits it whole through
+:func:`~repro.runner.executor.run_grids` (so ``jobs > 1`` fans the grid
+out across cores, and ``store=DIR`` keeps it as a resumable campaign
+root), and collects the results into a :class:`SweepResult` keyed for
+the figure reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from .harness import BenchResult, BenchSpec
@@ -104,17 +106,16 @@ def sweep_sizes(
     out: Optional[SweepResult] = None,
     jobs: int = 1,
     store=None,
-    resume: bool = False,
     backend: str = "sim",
 ) -> SweepResult:
-    """Run ``base`` across message sizes (one runner submission)."""
-    from ..runner import run_specs
+    """Run ``base`` across message sizes (one ``total_bytes`` grid)."""
+    from ..runner import ScenarioGrid, run_grids
 
     result = out if out is not None else SweepResult()
-    specs = [replace(base, total_bytes=size) for size in sizes]
-    for r in run_specs(
-        specs, jobs=jobs, store=store, resume=resume, backend=backend
-    ):
+    grid = ScenarioGrid.from_spec(
+        base, {"total_bytes": list(sizes)}, backend=backend
+    )
+    for r in run_grids([grid], jobs=jobs, store=store)[0]:
         result.add(r)
     return result
 
@@ -125,26 +126,24 @@ def sweep_approaches(
     sizes: Sequence[int],
     jobs: int = 1,
     store=None,
-    resume: bool = False,
     backend: str = "sim",
 ) -> SweepResult:
     """Run several approaches across message sizes (one figure's data).
 
     The full approaches × sizes grid goes to the runner as one batch, so
     ``jobs > 1`` parallelizes across the whole figure, not one series;
-    ``backend="analytic"`` trades the simulator for the closed-form
-    model (microseconds per point).
+    ``store`` is a directory that keeps the grid as a campaign root a
+    rerun resumes; ``backend="analytic"`` trades the simulator for the
+    closed-form model (microseconds per point).
     """
-    specs = [
-        replace(base, approach=name, total_bytes=size)
-        for name in approaches
-        for size in sizes
-    ]
-    from ..runner import run_specs
+    from ..runner import ScenarioGrid, run_grids
 
+    grid = ScenarioGrid.from_spec(
+        base,
+        {"approach": list(approaches), "total_bytes": list(sizes)},
+        backend=backend,
+    )
     result = SweepResult()
-    for r in run_specs(
-        specs, jobs=jobs, store=store, resume=resume, backend=backend
-    ):
+    for r in run_grids([grid], jobs=jobs, store=store)[0]:
         result.add(r)
     return result

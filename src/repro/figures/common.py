@@ -3,7 +3,7 @@
 Each ``figN_*`` module exposes
 
 * ``SIZES`` / configuration constants matching the paper's setup,
-* ``run(iterations=..., quick=..., jobs=..., store=..., resume=...)``
+* ``run(iterations=..., quick=..., jobs=..., store=..., backend=...)``
   returning a :class:`FigureData`,
 * ``report(data)`` returning the printable reproduction of the figure.
 
@@ -11,16 +11,16 @@ Each ``figN_*`` module exposes
 drivers so a full regeneration stays tractable); the full grid matches
 the paper's axis ranges.
 
-Every driver builds its approaches × sizes grid and submits it to the
-unified scenario runner (:mod:`repro.runner`) as one batch, which
-routes it through the chunked execution pipeline: simulated points fan
-out across cores in per-backend chunks (``jobs > 1``; tiny grids
-auto-fall back to serial), analytic points evaluate through the
-vectorized model kernel in one ``run_batch`` call, and a
-:class:`~repro.runner.store.ResultStore` plus ``resume=True`` skips
-points that were already computed by an earlier invocation.  The
-drivers themselves never see the difference: results come back in
-submission order either way.
+Every driver describes its data as grids
+(:class:`~repro.runner.ScenarioGrid`: an approaches × sizes grid, or one
+labeled sizes-grid per series) and submits them through :func:`~repro.runner.executor.run_grids`.  Without
+a store all points go to :func:`repro.runner.run_specs` as one batch:
+simulated points fan out across cores in chunks (``jobs > 1``; tiny
+grids auto-fall back to serial) and analytic points evaluate through
+the vectorized model kernel in one ``run_batch`` call.  With
+``store=DIR`` each grid is a campaign root ``DIR/<grid hash>/`` that a
+rerun resumes, executing only missing points.  The drivers never see
+the difference: results come back in grid order either way.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Dict, List, Sequence
 
 from ..bench import BenchSpec, SweepResult, sweep_approaches
 
-__all__ = ["FigureData", "run_grid", "run_labeled_grid", "paper_sizes"]
+__all__ = ["FigureData", "run_grid", "run_labeled_grids", "paper_sizes"]
 
 
 @dataclass
@@ -64,30 +64,28 @@ def paper_sizes(min_bytes: int, max_bytes: int, n_parts: int,
     return sizes
 
 
-def run_labeled_grid(
+def run_labeled_grids(
     figure: str,
-    labeled_specs: Sequence[tuple],
+    labeled_grids: Sequence[tuple],
     jobs: int = 1,
     store=None,
-    resume: bool = False,
-    backend: str = "sim",
 ) -> FigureData:
-    """Run explicit ``(label, BenchSpec)`` points as one runner batch.
+    """Run ``(label, ScenarioGrid)`` series as one runner submission.
 
     The general entry point for figures whose series are not plain
-    approach names (e.g. Fig. 7's cvar variants): every spec goes out in
-    a single submission, and each result lands in the sweep under its
-    label.
+    approach names (e.g. Fig. 7's cvar variants): each series is its own
+    grid, and every result of a grid lands in the sweep under the
+    grid's label.
     """
-    from ..runner import run_specs
+    from ..runner import run_grids
 
-    specs = [spec for _, spec in labeled_specs]
-    results = run_specs(
-        specs, jobs=jobs, store=store, resume=resume, backend=backend
+    results = run_grids(
+        [grid for _, grid in labeled_grids], jobs=jobs, store=store
     )
     sweep = SweepResult()
-    for (label, _), result in zip(labeled_specs, results):
-        sweep.add_as(label, result)
+    for (label, _), series in zip(labeled_grids, results):
+        for result in series:
+            sweep.add_as(label, result)
     return FigureData(figure=figure, sweep=sweep)
 
 
@@ -98,12 +96,10 @@ def run_grid(
     base: BenchSpec,
     jobs: int = 1,
     store=None,
-    resume: bool = False,
     backend: str = "sim",
 ) -> FigureData:
     """Sweep approaches × sizes under ``backend`` and wrap the result."""
     sweep = sweep_approaches(
-        base, approaches, sizes,
-        jobs=jobs, store=store, resume=resume, backend=backend,
+        base, approaches, sizes, jobs=jobs, store=store, backend=backend,
     )
     return FigureData(figure=figure, sweep=sweep)

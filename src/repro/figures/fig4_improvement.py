@@ -39,8 +39,7 @@ MAX_BYTES = 16 << 20  # 16 MiB ~ the paper's 10^7 B axis end
 
 
 def run(iterations: int = 30, quick: bool = False, jobs: int = 1,
-        store=None, resume: bool = False,
-        backend: str = "sim") -> FigureData:
+        store=None, backend: str = "sim") -> FigureData:
     """Regenerate Fig. 4's data."""
     sizes = paper_sizes(MIN_BYTES, MAX_BYTES, n_parts=1, quick=quick)
     base = BenchSpec(
@@ -51,7 +50,7 @@ def run(iterations: int = 30, quick: bool = False, jobs: int = 1,
         iterations=iterations,
     )
     data = run_grid("fig4", APPROACHES, sizes, base,
-                    jobs=jobs, store=store, resume=resume, backend=backend)
+                    jobs=jobs, store=store, backend=backend)
     small, large = sizes[0], sizes[-1]
     sweep = data.sweep
     data.headline = {

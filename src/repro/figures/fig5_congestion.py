@@ -35,8 +35,7 @@ MAX_BYTES = 16 << 20
 
 
 def run(iterations: int = 30, quick: bool = False, jobs: int = 1,
-        store=None, resume: bool = False,
-        backend: str = "sim") -> FigureData:
+        store=None, backend: str = "sim") -> FigureData:
     """Regenerate Fig. 5's data."""
     sizes = paper_sizes(MIN_BYTES, MAX_BYTES, n_parts=N_THREADS, quick=quick)
     base = BenchSpec(
@@ -47,7 +46,7 @@ def run(iterations: int = 30, quick: bool = False, jobs: int = 1,
         iterations=iterations,
     )
     data = run_grid("fig5", APPROACHES, sizes, base,
-                    jobs=jobs, store=store, resume=resume, backend=backend)
+                    jobs=jobs, store=store, backend=backend)
     small, large = sizes[0], sizes[-1]
     sweep = data.sweep
     data.headline = {

@@ -28,8 +28,7 @@ N_VCIS = 32
 
 
 def run(iterations: int = 30, quick: bool = False, jobs: int = 1,
-        store=None, resume: bool = False,
-        backend: str = "sim") -> FigureData:
+        store=None, backend: str = "sim") -> FigureData:
     """Regenerate Fig. 6's data."""
     sizes = paper_sizes(MIN_BYTES, MAX_BYTES, n_parts=N_THREADS, quick=quick)
     base = BenchSpec(
@@ -41,7 +40,7 @@ def run(iterations: int = 30, quick: bool = False, jobs: int = 1,
         cvars=Cvars(num_vcis=N_VCIS, vci_method=VCI_METHOD_TAG_RR),
     )
     data = run_grid("fig6", APPROACHES, sizes, base,
-                    jobs=jobs, store=store, resume=resume, backend=backend)
+                    jobs=jobs, store=store, backend=backend)
     small = sizes[0]
     sweep = data.sweep
     data.headline = {

@@ -20,9 +20,11 @@ Expected shapes (paper):
 from __future__ import annotations
 
 from dataclasses import replace
+
 from ..bench import BenchSpec, format_us_table
 from ..mpi import Cvars
-from .common import FigureData, paper_sizes, run_labeled_grid
+from ..runner import ScenarioGrid
+from .common import FigureData, paper_sizes, run_labeled_grids
 
 __all__ = ["AGGR_SIZES", "N_THREADS", "THETA", "run", "report"]
 
@@ -40,14 +42,14 @@ def _key(aggr: int) -> str:
 
 
 def run(iterations: int = 30, quick: bool = False, jobs: int = 1,
-        store=None, resume: bool = False,
-        backend: str = "sim") -> FigureData:
+        store=None, backend: str = "sim") -> FigureData:
     """Regenerate Fig. 7's data.
 
     The sweep result keys partitioned variants as
-    ``pt2pt_part(aggr=N)``; baselines keep their registry names.  The
-    baselines and every aggregation variant go to the runner as one
-    labeled grid, so the whole figure fans out in a single batch.
+    ``pt2pt_part(aggr=N)``; baselines keep their registry names.  Each
+    series is one sizes-grid; the baselines and every aggregation
+    variant go to the runner together, so the whole figure fans out in
+    a single batch.
     """
     sizes = paper_sizes(MIN_BYTES, MAX_BYTES, n_parts=N_PARTS, quick=quick)
     base = BenchSpec(
@@ -57,26 +59,30 @@ def run(iterations: int = 30, quick: bool = False, jobs: int = 1,
         theta=THETA,
         iterations=iterations,
     )
+
+    def series(spec: BenchSpec) -> ScenarioGrid:
+        return ScenarioGrid.from_spec(
+            spec, {"total_bytes": sizes}, backend=backend
+        )
+
     labeled = [
-        (name, replace(base, approach=name, total_bytes=size))
+        (name, series(replace(base, approach=name)))
         for name in ("pt2pt_single", "pt2pt_many")
-        for size in sizes
     ]
     labeled += [
         (
             _key(aggr),
-            replace(
-                base,
-                approach="pt2pt_part",
-                total_bytes=size,
-                cvars=Cvars(part_aggr_size=aggr),
+            series(
+                replace(
+                    base,
+                    approach="pt2pt_part",
+                    cvars=Cvars(part_aggr_size=aggr),
+                )
             ),
         )
         for aggr in AGGR_SIZES
-        for size in sizes
     ]
-    data = run_labeled_grid(
-        "fig7", labeled, jobs=jobs, store=store, resume=resume, backend=backend)
+    data = run_labeled_grids("fig7", labeled, jobs=jobs, store=store)
     sweep = data.sweep
     small = sizes[0]
     data.headline = {

@@ -45,8 +45,7 @@ def theoretical_gain() -> float:
 
 
 def run(iterations: int = 30, quick: bool = False, jobs: int = 1,
-        store=None, resume: bool = False,
-        backend: str = "sim") -> FigureData:
+        store=None, backend: str = "sim") -> FigureData:
     """Regenerate Fig. 8's data."""
     sizes = paper_sizes(MIN_BYTES, MAX_BYTES, n_parts=N_THREADS, quick=quick)
     base = BenchSpec(
@@ -58,7 +57,7 @@ def run(iterations: int = 30, quick: bool = False, jobs: int = 1,
         gamma_us_per_mb=GAMMA_US_PER_MB,
     )
     data = run_grid("fig8", APPROACHES, sizes, base,
-                    jobs=jobs, store=store, resume=resume, backend=backend)
+                    jobs=jobs, store=store, backend=backend)
     sweep = data.sweep
     large = sizes[-1]
     # Gain of each pipelined approach over bulk synchronization.

@@ -7,7 +7,7 @@ listed operations (via runtime call counters and wire traffic).
 
 Unlike the ``figN_*`` drivers, the tables are static text — there is no
 scenario grid to submit to :mod:`repro.runner`, so regeneration is free
-and ignores ``--jobs``/``--store``/``--resume``.
+and ignores ``--jobs``/``--store``.
 """
 
 from __future__ import annotations

@@ -1,30 +1,31 @@
 """Unified scenario-execution engine.
 
-One declarative grid language, parallel fan-out, and cached/resumable
-results for every execution path in the repo:
+One declarative grid language, parallel fan-out, and resumable results
+for every execution path in the repo:
 
 * :class:`~repro.runner.scenario.ScenarioGrid` — declarative axis
   cross-products over either spec family (``bench`` two-rank points,
   ``pattern`` N-rank application points), expanded in a deterministic
   order;
-* :class:`~repro.runner.executor.ParallelExecutor` — ``multiprocessing``
-  fan-out (``jobs=N``; ``jobs=1`` is plain in-process serial) with
-  results reassembled in submission order and moved through one
-  serialized form, so parallel output is byte-identical to serial;
-* :class:`~repro.runner.store.ResultStore` — content-addressed JSON
-  cache keyed by scenario hash; ``resume=True`` serves warm points
-  without simulating.
+* :func:`~repro.runner.executor.run_scenarios` — backend-aware batch
+  execution: inline (analytic) points in one vectorized ``run_batch``
+  call, simulated points chunked across a ``multiprocessing`` pool
+  (``jobs=N``; ``jobs=1`` is plain in-process serial) and reassembled
+  in submission order, so parallel output is byte-identical to serial;
+* :func:`~repro.runner.executor.run_grids` — runs a list of grids,
+  either as one :func:`run_specs` batch or, with a store directory, as
+  one :class:`~repro.runner.campaign.CampaignStore` root per grid
+  (``<store>/<grid.content_hash()>/``) that a rerun resumes.
 
-The figure drivers, ``bench.sweep``, ``apps.sweep``, and the CLI
-(``--jobs`` / ``--store`` / ``--resume``) all submit their grids here.
+The figure drivers, ``bench.sweep``, the ``apps`` CLI, and the CLI
+runner options (``--jobs`` / ``--store``) all submit their grids here.
 
 Campaign-scale grids (10⁵–10⁶ points and beyond) go through
-:mod:`repro.runner.campaign` instead: the same declarative grid, but
-index-addressed chunks streamed into a
-:class:`~repro.runner.campaign.CampaignStore` — a few hundred segment
-files instead of one file per point: binary column blocks for analytic
-chunks (the fast path decodes grid indices straight into
-vectorized-kernel columns), JSON result rows for simulated ones.
+:mod:`repro.runner.campaign` directly: index-addressed chunks streamed
+into a :class:`~repro.runner.campaign.CampaignStore` — a few hundred
+segment files: binary column blocks for analytic chunks (the fast path
+decodes grid indices straight into vectorized-kernel columns), JSON
+result rows for simulated ones.
 
 Quick start
 -----------
@@ -42,19 +43,13 @@ Quick start
 
 from .campaign import CampaignStore, parse_grid_spec, run_campaign
 from .executor import (
-    ParallelExecutor,
     RunReport,
     default_jobs,
+    run_grids,
     run_scenarios,
     run_specs,
 )
-from .planner import (
-    Chunk,
-    ExecutionPlan,
-    available_cpus,
-    plan_execution,
-    shard_plan,
-)
+from .planner import available_cpus, shard_plan
 from .profile import Attribution, build_attribution, render_profile
 from .scenario import (
     DEFAULT_BACKEND,
@@ -67,7 +62,6 @@ from .scenario import (
     scenario_for,
 )
 from .shard import merge_shards, run_shard, run_sharded, shard_token
-from .store import ResultStore
 
 __all__ = [
     "SCHEMA",
@@ -78,16 +72,11 @@ __all__ = [
     "execute",
     "result_to_dict",
     "result_from_dict",
-    "ParallelExecutor",
     "RunReport",
-    "ResultStore",
     "CampaignStore",
     "parse_grid_spec",
     "run_campaign",
-    "Chunk",
-    "ExecutionPlan",
     "available_cpus",
-    "plan_execution",
     "shard_plan",
     "merge_shards",
     "run_shard",
@@ -96,6 +85,7 @@ __all__ = [
     "Attribution",
     "build_attribution",
     "render_profile",
+    "run_grids",
     "run_scenarios",
     "run_specs",
     "default_jobs",

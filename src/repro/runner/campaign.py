@@ -1,12 +1,12 @@
 """Streaming campaign store + batched campaign execution.
 
 A *campaign* is one declarative :class:`~repro.runner.scenario.ScenarioGrid`
-executed to completion, however many sessions that takes.  The v1
-:class:`~repro.runner.store.ResultStore` keeps one content-addressed
-JSON file per scenario — perfect for ad-hoc caching, hopeless for
-million-point grids (a million files, a content hash per point).  The
-campaign store exploits that a grid point is fully identified by
-``(grid content hash, row-major index)``:
+executed to completion, however many sessions that takes.  It is the
+one result store of the repo: ``campaign run --root`` writes one, and
+``figures``/``apps --store DIR`` keep one campaign root per grid under
+``DIR`` (:func:`~repro.runner.executor.run_grids`).  The store exploits
+that a grid point is fully identified by ``(grid content hash,
+row-major index)`` — no file and no content hash per point:
 
 * ``campaign.json`` — the header: schema version, the full declarative
   grid (so the campaign is self-describing and re-openable anywhere),

@@ -2,59 +2,65 @@
 
 Every scenario builds its own :class:`~repro.mpi.world.MPIWorld` and
 shares no state with its neighbours, so a grid is embarrassingly
-parallel.  The :class:`ParallelExecutor` asks the planner
-(:mod:`repro.runner.planner`) to partition a batch into **chunks** and
-fans the pooled chunks out across a ``multiprocessing`` pool — one pool
-task per chunk, not per point, so fork/pickle/IPC overhead amortizes
-over many scenarios.  Results stream back chunk by chunk (store writes
-land incrementally, in completion order) and are reassembled **in
-submission order**; both the serial and the parallel path move results
-through the same serialized form
-(:func:`~repro.runner.scenario.result_to_dict`) — so the output of
+parallel.  :func:`run_scenarios` splits a batch by backend:
+
+* scenarios whose backend is *inline* (the analytic model —
+  microseconds per point) never go to a pool; each inline backend's
+  whole sub-batch is handed to
+  :meth:`~repro.backends.base.Backend.run_batch` in one call, which the
+  analytic backend evaluates through the vectorized model kernel;
+* simulation-backed scenarios are cut into chunks
+  (:func:`~repro.runner.planner.auto_chunk_size`) and streamed through
+  :func:`iter_chunk_results` — the same submit-ahead pipeline campaigns
+  use — one pool task per chunk, not per point, so fork/pickle/IPC
+  overhead amortizes.  The default ``pool="auto"`` policy
+  (:func:`~repro.runner.planner.pool_workers`) runs tiny grids and
+  single-CPU machines in-process, where a pool cannot pay for itself.
+
+Results are reassembled **in submission order**, and the serial and the
+pooled path move results through the same serialized form
+(:func:`~repro.runner.scenario.result_to_dict`), so the output of
 ``jobs=N`` is byte-identical to ``jobs=1``.
 
-Dispatch is backend-aware: scenarios whose backend is *inline* (the
-analytic model — microseconds per point) never go to the pool; the
-whole inline sub-batch is handed to
-:meth:`~repro.backends.base.Backend.run_batch` in one call, which the
-analytic backend evaluates through the vectorized model kernel.  Only
-simulation-backed scenarios are worth worker processes — and only when
-the grid is big enough: the default ``pool="auto"`` policy falls back
-to in-process serial execution for tiny grids and single-CPU machines,
-where the pool's fork overhead cannot pay for itself (the historical
-``BENCH_runner.json`` regression).
-
-With a :class:`~repro.runner.store.ResultStore` attached, computed
-results are recorded chunk-by-chunk and — under ``resume=True`` —
-already-recorded scenarios are served from the store without running a
-single simulation.
+:func:`run_grids` is the entry point of the figure, sweep and ``apps``
+layers: without a store every point of every grid goes to
+:func:`run_specs` as one batch; with a store each grid is a campaign
+root under the store directory (:mod:`repro.runner.campaign`), so a
+rerun executes only what is missing.
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import queue
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from .. import telemetry
 from ..telemetry import span
-from .planner import plan_execution
+from .planner import (
+    auto_chunk_size,
+    auto_submit_window,
+    available_cpus,
+    pool_workers,
+)
 from .scenario import (
+    DEFAULT_BACKEND,
     Scenario,
     execute,
     result_from_dict,
     result_to_dict,
     scenario_for,
 )
-from .store import ResultStore
 
 __all__ = [
     "AsyncSegmentWriter",
-    "ParallelExecutor",
     "RunReport",
+    "default_jobs",
     "iter_chunk_results",
+    "run_grids",
     "run_scenarios",
     "run_specs",
 ]
@@ -67,8 +73,6 @@ def default_jobs() -> int:
     :func:`~repro.runner.planner.available_cpus`, so containers and CI
     runners with restricted CPU sets do not over-fork.
     """
-    from .planner import available_cpus
-
     return available_cpus()
 
 
@@ -231,13 +235,13 @@ def iter_chunk_results(
 ):
     """Yield one result-dict list per payload chunk, **in submission
     order**, keeping up to ``window`` chunks in flight on a persistent
-    pool — the campaign submit-ahead pipeline.
+    pool — the submit-ahead pipeline behind both :func:`run_scenarios`
+    and campaigns.
 
-    The per-chunk ``executor.run()`` loop drains the pool at every
-    chunk boundary (workers idle while the consumer writes its
-    segment).  Here one pool spans the whole campaign: while the
-    consumer handles chunk *k*, chunks *k+1 … k+window-1* are already
-    executing.  Ordered delivery means the consumer's store writes are
+    One pool spans the whole stream, so it never drains at a chunk
+    boundary: while the consumer handles chunk *k* (a campaign writes
+    its segment), chunks *k+1 … k+window-1* are already executing.
+    Ordered delivery means the consumer's store writes are
     byte-identical to sequential execution — results move through
     exactly the serialized form ``_execute_chunk`` produces either
     way, so ``use_pool=False`` (the auto-serial fallback) differs only
@@ -305,29 +309,18 @@ def iter_chunk_results(
 
 @dataclass
 class RunReport:
-    """Outcome of one executor submission."""
+    """Outcome of one :func:`run_scenarios` batch."""
 
     #: Native result objects, in submission order.
     results: List[Any] = field(default_factory=list)
     #: Serialized result dicts, parallel to ``results`` (the byte-stable
     #: form used for determinism checks and store records).
     result_dicts: List[dict] = field(default_factory=list)
-    #: Number of scenarios actually executed by this submission.
-    executed: int = 0
-    #: Number of scenarios served from the store without running.
-    cached: int = 0
-    #: Worker count requested for the simulated portion.
-    jobs: int = 1
-    #: Chunks the planner produced (inline + pooled).
-    chunks: int = 0
-    #: True when the pooled portion actually used the process pool
-    #: (False under the tiny-grid / single-CPU auto-serial fallback).
-    pool_used: bool = False
 
     def canonical_json(self) -> str:
         """Canonical serialization of the batch's results (sorted keys),
-        independent of worker count or cache hits — the byte-identity
-        invariant checked by the determinism tests."""
+        independent of worker count — the byte-identity invariant
+        checked by the determinism tests."""
         import json
 
         return json.dumps(
@@ -335,169 +328,141 @@ class RunReport:
         )
 
 
-class ParallelExecutor:
-    """Runs scenario batches across a process pool, chunk-wise.
-
-    Parameters
-    ----------
-    jobs:
-        Worker processes; ``None`` means ``os.cpu_count()``.  ``1``
-        falls back to in-process serial execution.
-    store:
-        Optional default :class:`ResultStore` for :meth:`run`.
-    resume:
-        Default resume behaviour for :meth:`run`.
-    chunk_size:
-        Points per pooled chunk; ``None`` lets the planner size chunks
-        (a few per worker, capped — see
-        :func:`~repro.runner.planner.auto_chunk_size`).
-    pool:
-        Pool policy: ``"auto"`` (default; serial fallback for tiny
-        grids and single-CPU machines), ``"always"``, or ``"never"``.
-    """
-
-    def __init__(
-        self,
-        jobs: Optional[int] = None,
-        store: Optional[ResultStore] = None,
-        resume: bool = False,
-        chunk_size: Optional[int] = None,
-        pool: str = "auto",
-    ):
-        self.jobs = default_jobs() if jobs is None else int(jobs)
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        self.store = store
-        self.resume = resume
-        self.chunk_size = chunk_size
-        self.pool = pool
-
-    def run(
-        self,
-        scenarios: Iterable[Scenario],
-        store: Optional[ResultStore] = None,
-        resume: Optional[bool] = None,
-    ) -> RunReport:
-        """Execute a batch; results come back in submission order."""
-        from ..backends import get_backend
-
-        batch: Sequence[Scenario] = list(scenarios)
-        store = store if store is not None else self.store
-        resume = self.resume if resume is None else resume
-        report = RunReport(jobs=self.jobs)
-        result_dicts: List[Optional[dict]] = [None] * len(batch)
-
-        # Serve warm points from the store first (records that are
-        # missing or unreadable — torn file, foreign schema — simply
-        # count as cold and are recomputed).
-        pending: List[int] = []
-        for i, scenario in enumerate(batch):
-            cached = (
-                store.load_dict(scenario)
-                if resume and store is not None
-                else None
-            )
-            if cached is not None:
-                result_dicts[i] = cached
-                report.cached += 1
-            else:
-                pending.append(i)
-
-        plan = plan_execution(
-            batch, pending, self.jobs,
-            chunk_size=self.chunk_size, pool=self.pool,
-        )
-        report.chunks = len(plan.inline_chunks) + len(plan.pool_chunks)
-        report.pool_used = plan.use_pool
-
-        # Results are recorded in the store chunk-by-chunk as each one
-        # lands, so an interrupted run keeps its completed prefix for
-        # --resume.
-        def consume(indices, computed) -> None:
-            for i, result_dict in zip(indices, computed):
-                result_dicts[i] = result_dict
-                if store is not None:
-                    store.put_dict(batch[i], result_dict)
-
-        # Inline chunks (analytic: the vectorized kernel) run
-        # in-process, whole sub-batch at once.  The results still flow
-        # through result_to_dict, so the stored and reported form is
-        # identical to the pooled path's.
-        for chunk in plan.inline_chunks:
-            backend = get_backend(chunk.backend)
-            chunk_scenarios = [batch[i] for i in chunk.indices]
-            for scenario in chunk_scenarios:
-                if not backend.supports(scenario):
-                    raise ValueError(
-                        f"backend {scenario.backend!r} does not support "
-                        f"{scenario!r}"
-                    )
-            consume(
-                chunk.indices,
-                (
-                    result_to_dict(scenario, result)
-                    for scenario, result in zip(
-                        chunk_scenarios,
-                        backend.run_batch(chunk_scenarios),
-                    )
-                ),
-            )
-
-        if plan.use_pool:
-            payloads = [
-                [batch[i].to_dict() for i in chunk.indices]
-                for chunk in plan.pool_chunks
-            ]
-            with multiprocessing.Pool(processes=plan.workers) as mp_pool:
-                for chunk, chunk_results in zip(
-                    plan.pool_chunks,
-                    mp_pool.imap(_execute_chunk, payloads, chunksize=1),
-                ):
-                    consume(chunk.indices, chunk_results)
-        else:
-            for chunk in plan.pool_chunks:
-                consume(
-                    chunk.indices,
-                    (
-                        result_to_dict(batch[i], execute(batch[i]))
-                        for i in chunk.indices
-                    ),
-                )
-        report.executed = len(pending)
-
-        report.result_dicts = result_dicts  # type: ignore[assignment]
-        report.results = [
-            result_from_dict(scenario, result_dict)
-            for scenario, result_dict in zip(batch, result_dicts)
-        ]
-        return report
-
-
 def run_scenarios(
     scenarios: Iterable[Scenario],
     jobs: int = 1,
-    store: Optional[ResultStore] = None,
-    resume: bool = False,
     chunk_size: Optional[int] = None,
     pool: str = "auto",
 ) -> RunReport:
-    """One-shot convenience wrapper around :class:`ParallelExecutor`."""
-    return ParallelExecutor(jobs=jobs, chunk_size=chunk_size, pool=pool).run(
-        scenarios, store=store, resume=resume
+    """Execute a batch; results come back in submission order.
+
+    ``jobs`` caps the worker processes for the simulated portion
+    (``1`` is in-process serial); ``chunk_size`` pins the points per
+    pooled chunk (default :func:`~repro.runner.planner.auto_chunk_size`);
+    ``pool`` is the pool policy of
+    :func:`~repro.runner.planner.pool_workers` (``"auto"``,
+    ``"always"`` or ``"never"``).
+    """
+    from ..backends import get_backend
+
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    batch: Sequence[Scenario] = list(scenarios)
+    result_dicts: List[Optional[dict]] = [None] * len(batch)
+    inline: Dict[str, List[int]] = {}
+    pooled: List[int] = []
+    for i, scenario in enumerate(batch):
+        if get_backend(scenario.backend).inline:
+            inline.setdefault(scenario.backend, []).append(i)
+        else:
+            pooled.append(i)
+    workers, use_pool = pool_workers(len(pooled), jobs, pool)
+
+    # Inline backends (analytic: the vectorized kernel) run in-process,
+    # one run_batch call per backend.  The results still flow through
+    # result_to_dict, so the reported form is identical to the pooled
+    # path's.
+    for name, indices in inline.items():
+        backend = get_backend(name)
+        sub_batch = [batch[i] for i in indices]
+        for scenario in sub_batch:
+            if not backend.supports(scenario):
+                raise ValueError(
+                    f"backend {name!r} does not support {scenario!r}"
+                )
+        for i, scenario, result in zip(
+            indices, sub_batch, backend.run_batch(sub_batch)
+        ):
+            result_dicts[i] = result_to_dict(scenario, result)
+
+    size = (
+        auto_chunk_size(len(pooled), workers)
+        if chunk_size is None
+        else max(1, int(chunk_size))
+    )
+    chunks = [pooled[k:k + size] for k in range(0, len(pooled), size)]
+    payloads = ([batch[i].to_dict() for i in chunk] for chunk in chunks)
+    for chunk, computed in zip(
+        chunks,
+        iter_chunk_results(
+            payloads, workers, auto_submit_window(workers), use_pool
+        ),
+    ):
+        for i, result_dict in zip(chunk, computed):
+            result_dicts[i] = result_dict
+
+    return RunReport(
+        results=[
+            result_from_dict(scenario, result_dict)
+            for scenario, result_dict in zip(batch, result_dicts)
+        ],
+        result_dicts=result_dicts,  # type: ignore[arg-type]
     )
 
 
 def run_specs(
     specs: Iterable[Any],
     jobs: int = 1,
-    store: Optional[ResultStore] = None,
-    resume: bool = False,
-    backend: str = "sim",
+    backend: str = DEFAULT_BACKEND,
 ) -> List[Any]:
     """Run bare spec dataclasses (BenchSpec / PatternConfig mixes are
     fine) under ``backend`` and return their native results in
     submission order."""
     scenarios = [scenario_for(spec, backend=backend) for spec in specs]
-    return run_scenarios(
-        scenarios, jobs=jobs, store=store, resume=resume
-    ).results
+    return run_scenarios(scenarios, jobs=jobs).results
+
+
+def run_grids(
+    grids: Iterable[Any],
+    jobs: int = 1,
+    store: Optional[Any] = None,
+) -> List[List[Any]]:
+    """Run grids (:class:`~repro.runner.scenario.ScenarioGrid`); returns
+    one list of native results per grid, in grid expansion order.
+
+    Without a ``store`` every point of every grid goes to
+    :func:`run_specs` as one batch (so ``jobs`` fans out across all the
+    grids at once); the grids must then share one backend.  With a
+    ``store`` directory, each grid is the campaign root
+    ``<store>/<grid.content_hash()>/``: created on first use, resumed
+    afterwards, so a warm rerun executes nothing and writes nothing.
+    """
+    grids = list(grids)
+    if store is None:
+        # Looked up on the package at call time, so a wrapper installed
+        # on ``repro.runner.run_specs`` sees every figure batch.
+        from . import run_specs as run_batch
+
+        backends = {grid.backend for grid in grids}
+        if len(backends) > 1:
+            raise ValueError(
+                f"store-less grids must share one backend, got "
+                f"{sorted(backends)}"
+            )
+        results = iter(
+            run_batch(
+                [s.spec for grid in grids for s in grid.expand()],
+                jobs=jobs,
+                backend=backends.pop() if backends else DEFAULT_BACKEND,
+            )
+        )
+        return [list(itertools.islice(results, len(grid))) for grid in grids]
+
+    from pathlib import Path
+
+    from .campaign import CampaignStore, run_campaign
+
+    per_grid: List[List[Any]] = []
+    for grid in grids:
+        campaign = CampaignStore.create(
+            Path(store) / grid.content_hash(), grid
+        )
+        run_campaign(campaign, jobs=jobs)
+        rows = dict(campaign.iter_rows())
+        per_grid.append(
+            [
+                result_from_dict(scenario, rows[index])
+                for index, scenario in enumerate(grid.expand())
+            ]
+        )
+    return per_grid

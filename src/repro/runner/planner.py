@@ -1,37 +1,33 @@
-"""Chunked execution planning: batches, not points, are the unit of work.
+"""Execution sizing: batches, not points, are the unit of work.
 
-The executor historically submitted one pool task per scenario, so every
-point paid its own fork/pickle/IPC round trip — measurable enough that
-``BENCH_runner.json`` once recorded the parallel path *losing* to serial
-on small grids.  The planner fixes the granularity:
+Pure functions (no execution) that size the executor's and the
+campaign pipeline's work, so the policy stays unit-testable without
+spawning a process:
 
-* **inline backends** (the analytic model: microseconds per point) are
-  collapsed into one chunk per backend and handed to
-  :meth:`~repro.backends.base.Backend.run_batch` in-process — the whole
-  chunk evaluates through the vectorized kernel in a few array ops;
-* **pooled backends** (the simulator: seconds per point) are split into
-  contiguous chunks sized so each worker gets a few chunks to balance
-  load while IPC amortizes over many points;
-* **tiny grids fall back to serial** ("auto" policy): when there are
-  fewer pooled points than two per worker — or only one usable CPU —
-  the pool's fork overhead cannot pay for itself, so the plan runs
-  everything in-process.
+* :func:`pool_workers` decides the worker count and whether a process
+  pool pays for itself at all: fewer pooled points than two per worker
+  shrink the pool, and a grid too small to feed two workers (or a
+  single usable CPU) runs in-process;
+* :func:`auto_chunk_size` cuts pooled points into contiguous chunks, a
+  few per worker, so IPC amortizes over many points while stragglers
+  still rebalance;
+* :func:`auto_submit_window` / :func:`auto_writer_depth` bound what the
+  campaign pipeline keeps in flight;
+* :func:`shard_plan` splits a campaign's missing coverage into shard
+  slabs.
 
-A plan is pure data (no execution); the executor consumes it, which
-keeps the policy unit-testable without ever spawning a process.
+Inline backends (the analytic model) need none of this: the executor
+hands their whole sub-batch to
+:meth:`~repro.backends.base.Backend.run_batch` in one call.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 __all__ = [
-    "Chunk",
-    "ExecutionPlan",
     "available_cpus",
-    "plan_execution",
     "auto_chunk_size",
     "auto_submit_window",
     "auto_writer_depth",
@@ -114,10 +110,10 @@ def pool_workers(
     """``(workers, use_pool)`` for a purely pooled workload — the one
     owner of the worker-count / pool-fallback policy.
 
-    :func:`plan_execution` applies it to a batch's pooled portion;
-    callers that schedule their own chunks (the campaign submit-ahead
-    pipeline spans *many* executor-sized batches) pin one decision up
-    front rather than re-deciding per chunk.
+    :func:`~repro.runner.executor.run_scenarios` applies it to a
+    batch's pooled portion; the campaign submit-ahead pipeline pins one
+    decision for every chunk of a run.  ``cpu_count`` is injectable for
+    tests and defaults to :func:`available_cpus`.
     """
     if pool not in POOL_POLICIES:
         raise ValueError(
@@ -135,111 +131,6 @@ def pool_workers(
         # a grid too small to feed even two workers runs serial.
         workers = max(1, n_points // 2)
     return workers, workers > 1 and pool != "never"
-
-
-@dataclass(frozen=True)
-class Chunk:
-    """A contiguous run of batch indices sharing one backend."""
-
-    indices: Tuple[int, ...]
-    backend: str
-    inline: bool
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-
-@dataclass
-class ExecutionPlan:
-    """Everything the executor needs to run a batch's cold points."""
-
-    #: One chunk per inline backend (whole backend sub-batch at once).
-    inline_chunks: List[Chunk] = field(default_factory=list)
-    #: Pooled chunks in submission order.
-    pool_chunks: List[Chunk] = field(default_factory=list)
-    #: Worker processes the pooled portion should use.
-    workers: int = 1
-    #: Points per pooled chunk the plan was built with.
-    chunk_size: int = 1
-    #: True when the pooled chunks go to a multiprocessing pool; False
-    #: means the auto-serial fallback (or an explicit "never") applies.
-    use_pool: bool = False
-
-    @property
-    def pooled_points(self) -> int:
-        return sum(len(c) for c in self.pool_chunks)
-
-    @property
-    def inline_points(self) -> int:
-        return sum(len(c) for c in self.inline_chunks)
-
-
-def plan_execution(
-    batch: Sequence,
-    pending: Sequence[int],
-    jobs: int,
-    chunk_size: Optional[int] = None,
-    pool: str = "auto",
-    cpu_count: Optional[int] = None,
-) -> ExecutionPlan:
-    """Partition the pending indices of ``batch`` into execution chunks.
-
-    ``pool`` selects the fallback policy (see :data:`POOL_POLICIES`);
-    ``cpu_count`` is injectable for tests and defaults to the machine's.
-    """
-    from ..backends import get_backend
-
-    if pool not in POOL_POLICIES:
-        raise ValueError(
-            f"unknown pool policy {pool!r}; choose from {POOL_POLICIES}"
-        )
-    inline_by_backend: Dict[str, List[int]] = {}
-    pooled_by_backend: Dict[str, List[int]] = {}
-    n_pooled = 0
-    for i in pending:
-        backend = batch[i].backend
-        if get_backend(backend).inline:
-            inline_by_backend.setdefault(backend, []).append(i)
-        else:
-            pooled_by_backend.setdefault(backend, []).append(i)
-            n_pooled += 1
-
-    plan = ExecutionPlan()
-    for backend, indices in inline_by_backend.items():
-        plan.inline_chunks.append(
-            Chunk(indices=tuple(indices), backend=backend, inline=True)
-        )
-
-    plan.workers, plan.use_pool = pool_workers(
-        n_pooled, jobs, pool, cpu_count=cpu_count
-    )
-    plan.chunk_size = (
-        auto_chunk_size(n_pooled, plan.workers)
-        if chunk_size is None
-        else max(1, int(chunk_size))
-    )
-    for backend, pooled in pooled_by_backend.items():
-        for start in range(0, len(pooled), plan.chunk_size):
-            plan.pool_chunks.append(
-                Chunk(
-                    indices=tuple(pooled[start:start + plan.chunk_size]),
-                    backend=backend,
-                    inline=False,
-                )
-            )
-    # Chunking decisions as observables (no-ops unless a telemetry
-    # registry is active): the profile report shows the plan the
-    # executor actually ran under.
-    from .. import telemetry
-
-    if telemetry.active_registry() is not None:
-        telemetry.count("planner.plans")
-        telemetry.count("planner.chunks.inline", len(plan.inline_chunks))
-        telemetry.count("planner.chunks.pooled", len(plan.pool_chunks))
-        telemetry.gauge("planner.workers", plan.workers)
-        telemetry.gauge("planner.chunk_size", plan.chunk_size)
-        telemetry.gauge("planner.use_pool", int(plan.use_pool))
-    return plan
 
 
 def shard_plan(

@@ -12,9 +12,8 @@ protocol:
   the nested :class:`~repro.net.params.SystemParams` machine model and
   :class:`~repro.mpi.cvars.Cvars` runtime knobs) *and* the execution
   backend — the backend is part of a scenario's identity;
-* ``content_hash()`` is a stable SHA-256 over the canonical JSON form,
-  addressing the scenario in a :class:`~repro.runner.store.ResultStore`
-  (an analytic record can never be confused with a simulated one: the
+* ``content_hash()`` is a stable SHA-256 over the canonical JSON form
+  (an analytic result can never be confused with a simulated one: the
   backend tag is inside the hash);
 * :func:`execute` runs the point through its backend
   (:mod:`repro.backends`); :func:`result_to_dict` /
@@ -23,7 +22,10 @@ protocol:
 
 A :class:`ScenarioGrid` expands axis specs into scenarios in a
 deterministic order (row-major over the axes in declaration order), so
-grid expansion — and therefore result ordering — is reproducible.
+grid expansion — and therefore result ordering — is reproducible.  Its
+own ``content_hash()`` names the campaign root that holds the grid's
+results in a store directory (:func:`~repro.runner.executor.run_grids`,
+``--store DIR``).
 
 Imports of the bench/apps layers happen lazily inside functions: the
 sweep modules of both layers submit their grids here, and eager imports
@@ -263,6 +265,24 @@ class ScenarioGrid:
                 raise ValueError(f"axis {name!r} also fixed in base")
             if not len(values):
                 raise ValueError(f"axis {name!r} is empty")
+
+    @classmethod
+    def from_spec(
+        cls,
+        spec: Any,
+        axes: Mapping[str, Sequence[Any]],
+        backend: str = DEFAULT_BACKEND,
+    ) -> "ScenarioGrid":
+        """The grid that varies ``axes`` around one spec: its base is
+        every other field of ``spec`` (kind inferred from the type), so
+        each point equals ``dataclasses.replace(spec, **assignment)``."""
+        base = {
+            f.name: getattr(spec, f.name)
+            for f in dataclasses.fields(spec)
+            if f.name not in axes
+        }
+        kind = scenario_for(spec).kind
+        return cls(kind, base=base, axes=axes, backend=backend)
 
     def points(self) -> Iterator[Tuple[Dict[str, Any], "Scenario"]]:
         """Yield ``(axis_assignment, scenario)`` pairs in grid order."""

@@ -12,10 +12,10 @@ from repro.backends import (
 )
 from repro.bench import BenchSpec
 from repro.runner import (
-    ResultStore,
+    CampaignStore,
     Scenario,
     ScenarioGrid,
-    execute,
+    run_grids,
     run_scenarios,
     run_specs,
     scenario_for,
@@ -93,13 +93,15 @@ class TestScenarioBackendIdentity:
 
     def test_store_keeps_backends_apart(self, tmp_path):
         spec = BenchSpec(approach="pt2pt_part", total_bytes=4096, iterations=2)
-        store = ResultStore(tmp_path)
-        for backend in ("sim", "analytic"):
-            scenario = scenario_for(spec, backend=backend)
-            store.put(scenario, execute(scenario))
-        assert len(store) == 2
-        sim_r = store.get(scenario_for(spec))
-        ana_r = store.get(scenario_for(spec, backend="analytic"))
+        grids = [
+            ScenarioGrid.from_spec(spec, {"total_bytes": [4096]}, backend=b)
+            for b in ("sim", "analytic")
+        ]
+        (sim_r,), (ana_r,) = [
+            run_grids([grid], store=tmp_path)[0] for grid in grids
+        ]
+        # The backend is in the grid hash: two roots, never one.
+        assert len(list(tmp_path.iterdir())) == 2
         assert sim_r.times != ana_r.times
 
 
@@ -135,7 +137,7 @@ class TestAnalyticExecution:
             scenario_for(spec, backend="analytic"),
         ]
         report = run_scenarios(batch, jobs=1)
-        assert report.executed == 3
+        assert len(report.results) == 3
         assert report.results[0].times == report.results[2].times
         # All three measure the same point, so sim and analytic agree
         # closely — but the analytic samples are exactly uniform.
@@ -168,79 +170,74 @@ class TestFigureGridsAnalytic:
 
 
 class TestStoreMaintenance:
+    """A ``--store`` directory holds one campaign root per grid; each
+    root's header says what it holds, and files that are not its
+    segments never count as results."""
+
     def test_stats_counts_per_kind_and_backend(self, tmp_path):
-        store = ResultStore(tmp_path)
         bench = BenchSpec(approach="pt2pt_single", total_bytes=64,
                           iterations=1)
         pattern = PatternConfig(pattern="halo3d", n_ranks=4, n_threads=1,
                                 msg_bytes=256, iterations=1)
         for spec in (bench, pattern):
             for backend in ("sim", "analytic"):
-                scenario = scenario_for(spec, backend=backend)
-                store.put(scenario, execute(scenario))
-        stats = store.stats()
-        assert stats["records"] == 4
-        assert stats["per_kind_backend"] == {
+                grid = ScenarioGrid.from_spec(
+                    spec, {"approach": [spec.approach]}, backend=backend
+                )
+                run_grids([grid], store=tmp_path)
+        per_kind_backend = {}
+        for root in tmp_path.iterdir():
+            store = CampaignStore.open(root)
+            key = f"{store.header['kind']}/{store.header['backend']}"
+            per_kind_backend[key] = store.n_completed
+            stats = store.stats()
+            assert stats["total_bytes"] > 0
+            assert stats["ignored"] == []
+        assert per_kind_backend == {
             "bench/analytic": 1,
             "bench/sim": 1,
             "pattern/analytic": 1,
             "pattern/sim": 1,
         }
-        assert stats["total_bytes"] > 0
-        assert stats["broken"] == []
 
     def test_pattern_sweep_filters_by_backend(self, tmp_path):
-        store = ResultStore(tmp_path)
         config = PatternConfig(
             pattern="halo3d", n_ranks=4, n_threads=1, msg_bytes=256,
             iterations=1,
         )
+        results = {}
         for backend in ("sim", "analytic"):
-            scenario = scenario_for(config, backend=backend)
-            store.put(scenario, execute(scenario))
-        sim_sweep = store.pattern_sweep()
-        ana_sweep = store.pattern_sweep(backend="analytic")
-        assert len(sim_sweep) == 1
-        assert len(ana_sweep) == 1
-        assert sim_sweep.get(config).times != ana_sweep.get(config).times
+            grid = ScenarioGrid.from_spec(
+                config, {"approach": [config.approach]}, backend=backend
+            )
+            (results[backend],) = run_grids([grid], store=tmp_path)[0]
+            store = CampaignStore.open(tmp_path / grid.content_hash())
+            assert store.header["producer"]["backend"] == backend
+        assert results["sim"].config == results["analytic"].config
+        assert results["sim"].times != results["analytic"].times
 
     def test_records_skips_stale_schema_versions(self, tmp_path):
         import json
 
-        store = ResultStore(tmp_path)
-        scenario = scenario_for(
-            BenchSpec(approach="pt2pt_single", total_bytes=64, iterations=1)
-        )
-        good = store.put(scenario, execute(scenario))
-        # A record from a previous scenario-schema generation: valid
-        # store schema, unparseable scenario — must be skipped, not
-        # abort the iteration.
-        stale = json.loads(good.read_text())
-        stale["scenario"]["schema"] = "repro.runner/v1"
-        old = tmp_path / "bench" / "aa" / "stale.json"
-        old.parent.mkdir(parents=True, exist_ok=True)
-        old.write_text(json.dumps(stale))
-        records = list(store.records())
-        assert len(records) == 1
-        assert records[0][0] == scenario
-
-    def test_prune_removes_unparseable_records(self, tmp_path):
-        store = ResultStore(tmp_path)
-        scenario = scenario_for(
-            BenchSpec(approach="pt2pt_single", total_bytes=64, iterations=1)
-        )
-        good = store.put(scenario, execute(scenario))
-        torn = tmp_path / "bench" / "00" / "torn.json"
-        torn.parent.mkdir(parents=True, exist_ok=True)
-        torn.write_text('{"schema": "repro.runner.store/v1", "scen')
-        foreign = tmp_path / "bench" / "01" / "foreign.json"
-        foreign.parent.mkdir(parents=True, exist_ok=True)
-        foreign.write_text('{"schema": "other/v9"}')
-        assert len(store.stats()["broken"]) == 2
-        removed = store.prune()
-        assert len(removed) == 2
-        assert good.is_file()
-        assert store.stats()["broken"] == []
+        spec = BenchSpec(approach="pt2pt_single", total_bytes=64,
+                         iterations=1)
+        grid = ScenarioGrid.from_spec(spec, {"total_bytes": [64, 128]})
+        (first, _) = run_grids([grid], store=tmp_path)[0]
+        root = tmp_path / grid.content_hash()
+        # A segment from an older segment-schema generation: readable
+        # JSON, wrong schema — it must be ignored, not abort the read
+        # and not count as coverage.
+        good = sorted((root / "segments").iterdir())[0]
+        lines = good.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["schema"] = "repro.campaign.segment/v1"
+        stale = root / "segments" / "seg-000099.jsonl"
+        stale.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        store = CampaignStore.open(root)
+        assert store.stats()["ignored"] == ["segments/seg-000099.jsonl"]
+        rows = list(store.iter_rows())
+        assert [index for index, _ in rows] == [0, 1]
+        assert rows[0][1]["times"] == first.times
 
 
 class TestAppsJsonBackendTag:

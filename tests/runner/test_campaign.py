@@ -9,7 +9,6 @@ import pytest
 
 from repro.runner import (
     CampaignStore,
-    ResultStore,
     ScenarioGrid,
     parse_grid_spec,
     run_campaign,
@@ -791,16 +790,3 @@ class TestSimCampaignAndMigration:
         )
         assert store.n_completed == 2
         assert len(dict(store.iter_rows())) == 2
-
-    def test_v1_export_jsonl(self, tmp_path):
-        grid = self.sim_grid()
-        v1 = ResultStore(tmp_path / "v1")
-        run_scenarios(grid.expand()[:2], jobs=1, store=v1)
-        target = tmp_path / "dump.jsonl"
-        assert v1.export_jsonl(target) == 2
-        records = [
-            json.loads(line) for line in target.read_text().splitlines()
-        ]
-        assert all(
-            set(r) == {"hash", "scenario", "result"} for r in records
-        )

@@ -1,21 +1,24 @@
-"""Executor: parallel-equals-serial determinism, caching, resume."""
+"""Executor: parallel-equals-serial determinism, grid stores, resume."""
 
 import pytest
 
 from repro.apps import PatternConfig
 from repro.bench import BenchSpec
 from repro.runner import (
-    ParallelExecutor,
-    ResultStore,
+    CampaignStore,
     ScenarioGrid,
+    available_cpus,
+    default_jobs,
+    run_campaign,
+    run_grids,
     run_scenarios,
     run_specs,
-    scenario_for,
 )
+from repro.sim import Environment
 
 
-def mixed_grid():
-    """A small bench × pattern mix: the fixed determinism fixture."""
+def mixed_grids():
+    """A small bench grid and a small pattern grid."""
     bench = ScenarioGrid(
         "bench",
         base={"iterations": 2, "n_threads": 2, "theta": 1},
@@ -38,7 +41,21 @@ def mixed_grid():
             "approach": ["pt2pt_part", "pt2pt_single"],
         },
     )
-    return bench.expand() + pattern.expand()
+    return bench, pattern
+
+
+def mixed_grid():
+    """A small bench × pattern mix: the fixed determinism fixture."""
+    return [s for grid in mixed_grids() for s in grid.expand()]
+
+
+def files_under(root):
+    """``{path: (size, mtime_ns)}`` of every file below ``root``."""
+    return {
+        path: (path.stat().st_size, path.stat().st_mtime_ns)
+        for path in root.rglob("*")
+        if path.is_file()
+    }
 
 
 class TestIterChunkResults:
@@ -103,7 +120,6 @@ class TestDeterminism:
         scenarios = mixed_grid()
         serial = run_scenarios(scenarios, jobs=1)
         parallel = run_scenarios(scenarios, jobs=4)
-        assert serial.jobs == 1 and parallel.jobs == 4
         # Byte-identical serialized results, point for point.
         assert serial.canonical_json() == parallel.canonical_json()
 
@@ -140,59 +156,77 @@ class TestDeterminism:
 
 
 class TestStoreAndResume:
+    """``run_grids(store=DIR)``: one campaign root per grid, always
+    resumed — a warm rerun executes nothing and writes nothing."""
+
     def test_store_populated_on_run(self, tmp_path):
-        store = ResultStore(tmp_path / "s")
-        scenarios = mixed_grid()
-        report = run_scenarios(scenarios, jobs=1, store=store)
-        assert report.executed == len(scenarios)
-        assert len(store) == len(scenarios)
+        grids = mixed_grids()
+        run_grids(grids, jobs=1, store=tmp_path / "s")
+        roots = sorted(p.name for p in (tmp_path / "s").iterdir())
+        assert roots == sorted(grid.content_hash() for grid in grids)
+        for grid in grids:
+            campaign = CampaignStore.open(
+                tmp_path / "s" / grid.content_hash()
+            )
+            assert campaign.n_completed == campaign.n_points == len(grid)
 
     def test_resume_runs_nothing_on_warm_store(self, tmp_path):
-        store = ResultStore(tmp_path / "s")
-        scenarios = mixed_grid()
-        cold = run_scenarios(scenarios, jobs=1, store=store)
-        warm = run_scenarios(scenarios, jobs=1, store=store, resume=True)
-        assert warm.executed == 0
-        assert warm.cached == len(scenarios)
-        assert warm.canonical_json() == cold.canonical_json()
+        grids = mixed_grids()
+        cold = run_grids(grids, jobs=1, store=tmp_path / "s")
+        before = files_under(tmp_path / "s")
+        envs = Environment.instances_created
+        warm = run_grids(grids, jobs=1, store=tmp_path / "s")
+        assert Environment.instances_created == envs
+        assert files_under(tmp_path / "s") == before
+        for cold_series, warm_series in zip(cold, warm):
+            assert [r.times for r in warm_series] == [
+                r.times for r in cold_series
+            ]
 
     def test_partial_resume_runs_only_cold_points(self, tmp_path):
-        store = ResultStore(tmp_path / "s")
-        scenarios = mixed_grid()
-        half = scenarios[: len(scenarios) // 2]
-        run_scenarios(half, jobs=1, store=store)
-        report = run_scenarios(scenarios, jobs=1, store=store, resume=True)
-        assert report.cached == len(half)
-        assert report.executed == len(scenarios) - len(half)
+        bench, _ = mixed_grids()
+        root = tmp_path / "s" / bench.content_hash()
+        half = len(bench) // 2
+        run_campaign(CampaignStore.create(root, bench), limit=half)
+        envs = Environment.instances_created
+        results = run_grids([bench], jobs=1, store=tmp_path / "s")[0]
+        # One Environment per executed bench point.
+        assert Environment.instances_created - envs == len(bench) - half
+        assert [r.times for r in results] == [
+            r.times for r in run_specs(s.spec for s in bench.expand())
+        ]
 
-    def test_without_resume_store_is_write_only(self, tmp_path):
-        store = ResultStore(tmp_path / "s")
-        scenario = scenario_for(
-            BenchSpec(approach="pt2pt_single", total_bytes=64, iterations=1)
+    def test_without_store_every_run_executes(self, tmp_path):
+        bench, _ = mixed_grids()
+        for _ in range(2):
+            envs = Environment.instances_created
+            run_grids([bench], jobs=1)
+            assert Environment.instances_created - envs == len(bench)
+
+    def test_store_matches_store_less_run(self, tmp_path):
+        grids = mixed_grids()
+        plain = [run_grids([grid])[0] for grid in grids]
+        stored = run_grids(grids, jobs=2, store=tmp_path / "s")
+        for a, b in zip(plain, stored):
+            assert [r.times for r in a] == [r.times for r in b]
+            assert [
+                getattr(r, "spec", getattr(r, "config", None)) for r in a
+            ] == [getattr(r, "spec", getattr(r, "config", None)) for r in b]
+
+    def test_store_less_grids_must_share_a_backend(self):
+        bench, _ = mixed_grids()
+        analytic = ScenarioGrid(
+            bench.kind, base=bench.base, axes=bench.axes, backend="analytic"
         )
-        run_scenarios([scenario], jobs=1, store=store)
-        report = run_scenarios([scenario], jobs=1, store=store)
-        assert report.executed == 1  # recomputed despite the warm store
-        assert report.cached == 0
+        with pytest.raises(ValueError):
+            run_grids([bench, analytic])
 
 
 class TestExecutorConfig:
     def test_jobs_default_is_cpu_count(self):
-        import os
-
-        assert ParallelExecutor().jobs == (os.cpu_count() or 1)
+        # The usable CPUs (affinity mask), not the machine's count.
+        assert default_jobs() == available_cpus()
 
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError):
-            ParallelExecutor(jobs=0)
-
-    def test_constructor_defaults_used_by_run(self, tmp_path):
-        store = ResultStore(tmp_path / "s")
-        executor = ParallelExecutor(jobs=1, store=store, resume=True)
-        scenario = scenario_for(
-            BenchSpec(approach="pt2pt_single", total_bytes=64, iterations=1)
-        )
-        first = executor.run([scenario])
-        second = executor.run([scenario])
-        assert first.executed == 1
-        assert second.executed == 0 and second.cached == 1
+            run_scenarios(mixed_grid()[:1], jobs=0)

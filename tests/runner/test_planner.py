@@ -1,11 +1,13 @@
-"""Planner: chunk partitioning, pool policies, auto-serial fallback."""
+"""Planner and executor: chunk partitioning, pool policies, auto-serial
+fallback."""
 
 import pytest
 
+import repro.runner.executor as executor_module
+from repro.backends import AnalyticBackend
 from repro.bench import BenchSpec
 from repro.runner import (
     ScenarioGrid,
-    plan_execution,
     run_scenarios,
     scenario_for,
 )
@@ -15,6 +17,48 @@ from repro.runner.planner import (
     auto_submit_window,
     pool_workers,
 )
+
+
+@pytest.fixture()
+def chunk_log(monkeypatch):
+    """Point counts of every chunk the executor hands to a worker."""
+    log = []
+    execute_chunk = executor_module._execute_chunk
+
+    def logged(payloads):
+        log.append([payload["backend"] for payload in payloads])
+        return execute_chunk(payloads)
+
+    monkeypatch.setattr(executor_module, "_execute_chunk", logged)
+    return log
+
+
+@pytest.fixture()
+def batch_log(monkeypatch):
+    """Every sub-batch handed to the analytic backend's run_batch."""
+    log = []
+    run_batch = AnalyticBackend.run_batch
+
+    def logged(self, scenarios):
+        log.append(list(scenarios))
+        return run_batch(self, scenarios)
+
+    monkeypatch.setattr(AnalyticBackend, "run_batch", logged)
+    return log
+
+
+@pytest.fixture()
+def pool_log(monkeypatch):
+    """Worker counts of every process pool the executor creates."""
+    log = []
+    pool = executor_module.multiprocessing.Pool
+
+    def logged(processes=None, **kwargs):
+        log.append(processes)
+        return pool(processes=processes, **kwargs)
+
+    monkeypatch.setattr(executor_module.multiprocessing, "Pool", logged)
+    return log
 
 
 def bench_scenarios(n, backend="sim"):
@@ -44,91 +88,60 @@ class TestAutoChunkSize:
 
 
 class TestPlanning:
-    def test_inline_backend_is_one_chunk(self):
+    """How run_scenarios splits a batch: inline backends in one
+    run_batch call, pooled points in contiguous chunks, and the
+    pool_workers policy deciding whether a pool runs at all."""
+
+    def test_inline_backend_is_one_chunk(self, batch_log, chunk_log, pool_log):
         batch = bench_scenarios(10, backend="analytic")
-        plan = plan_execution(batch, range(10), jobs=4, cpu_count=8)
-        assert len(plan.inline_chunks) == 1
-        assert plan.inline_chunks[0].indices == tuple(range(10))
-        assert plan.pool_chunks == []
-        assert not plan.use_pool
+        run_scenarios(batch, jobs=4)
+        assert batch_log == [batch]
+        assert chunk_log == [] and pool_log == []
 
-    def test_pooled_chunks_cover_pending_in_order(self):
+    def test_pooled_chunks_cover_pending_in_order(self, chunk_log):
         batch = bench_scenarios(10)
-        plan = plan_execution(
-            batch, range(10), jobs=2, chunk_size=4, cpu_count=8
-        )
-        covered = [i for chunk in plan.pool_chunks for i in chunk.indices]
-        assert covered == list(range(10))
-        assert [len(c) for c in plan.pool_chunks] == [4, 4, 2]
-        assert plan.use_pool
+        report = run_scenarios(batch, jobs=1, chunk_size=4)
+        assert [len(chunk) for chunk in chunk_log] == [4, 4, 2]
+        assert [r.spec for r in report.results] == [s.spec for s in batch]
 
-    def test_mixed_backends_split_into_inline_and_pooled(self):
+    def test_mixed_backends_split_into_inline_and_pooled(
+        self, batch_log, chunk_log
+    ):
         batch = bench_scenarios(4) + bench_scenarios(4, backend="analytic")
-        plan = plan_execution(batch, range(8), jobs=2, cpu_count=8)
-        assert plan.inline_points == 4
-        assert plan.pooled_points == 4
-        assert all(c.backend == "analytic" for c in plan.inline_chunks)
-        assert all(c.backend == "sim" for c in plan.pool_chunks)
+        report = run_scenarios(batch, jobs=1)
+        assert batch_log == [batch[4:]]
+        assert sum(chunk_log, []) == ["sim"] * 4
+        assert len(report.results) == 8
 
     def test_tiny_grid_falls_back_to_serial(self):
-        batch = bench_scenarios(3)
-        plan = plan_execution(batch, range(3), jobs=4, cpu_count=8)
-        assert not plan.use_pool  # 3 points cannot feed two workers
+        # 3 points cannot feed two workers.
+        assert pool_workers(3, 4, cpu_count=8) == (1, False)
 
     def test_underfed_pool_shrinks_instead_of_abandoning(self):
         # 13 points with 16 workers available: the auto policy keeps
         # the pool but shrinks it so every worker gets >= 2 points.
-        batch = bench_scenarios(13)
-        plan = plan_execution(batch, range(13), jobs=16, cpu_count=16)
-        assert plan.use_pool
-        assert plan.workers == 6
+        assert pool_workers(13, 16, cpu_count=16) == (6, True)
         # With a comfortable points-per-worker ratio, no shrink.
-        plan = plan_execution(batch, range(13), jobs=4, cpu_count=16)
-        assert plan.use_pool and plan.workers == 4
+        assert pool_workers(13, 4, cpu_count=16) == (4, True)
 
     def test_single_cpu_falls_back_to_serial(self):
-        batch = bench_scenarios(64)
-        plan = plan_execution(batch, range(64), jobs=4, cpu_count=1)
-        assert plan.workers == 1
-        assert not plan.use_pool
+        assert pool_workers(64, 4, cpu_count=1) == (1, False)
 
     def test_always_policy_forces_pool_regardless_of_cpus(self):
-        batch = bench_scenarios(4)
-        plan = plan_execution(
-            batch, range(4), jobs=2, pool="always", cpu_count=1
-        )
-        assert plan.use_pool and plan.workers == 2
+        assert pool_workers(4, 2, "always", cpu_count=1) == (2, True)
 
-    def test_never_policy_disables_pool(self):
-        batch = bench_scenarios(64)
-        plan = plan_execution(
-            batch, range(64), jobs=4, pool="never", cpu_count=8
-        )
-        assert not plan.use_pool
+    def test_never_policy_disables_pool(self, pool_log):
+        assert not pool_workers(64, 4, "never", cpu_count=8)[1]
+        run_scenarios(bench_scenarios(4), jobs=2, pool="never")
+        assert pool_log == []
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
-            plan_execution(bench_scenarios(2), range(2), jobs=1, pool="bogus")
+            run_scenarios(bench_scenarios(2), jobs=1, pool="bogus")
 
 
 class TestPoolWorkers:
-    """The whole-campaign pool decision mirrors plan_execution's
-    per-batch policy exactly."""
-
-    def test_matches_plan_execution_policy(self):
-        scenarios = bench_scenarios(40)
-        for jobs, pool, cpus in [
-            (4, "auto", 8), (4, "auto", 1), (4, "always", 1),
-            (8, "never", 8), (2, "auto", 8),
-        ]:
-            plan = plan_execution(
-                scenarios, range(len(scenarios)), jobs,
-                pool=pool, cpu_count=cpus,
-            )
-            workers, use_pool = pool_workers(
-                len(scenarios), jobs, pool, cpu_count=cpus
-            )
-            assert (workers, use_pool) == (plan.workers, plan.use_pool)
+    """The one owner of the worker-count / pool-fallback policy."""
 
     def test_tiny_workload_serial_fallback(self):
         workers, use_pool = pool_workers(3, 8, "auto", cpu_count=16)
@@ -163,16 +176,16 @@ class TestChunkedExecution:
             },
         ).expand()
 
-    def test_forced_pool_byte_identical_to_serial(self):
+    def test_forced_pool_byte_identical_to_serial(self, pool_log):
         scenarios = self.grid()
         serial = run_scenarios(scenarios, jobs=1)
+        assert pool_log == []
         pooled = run_scenarios(
             scenarios, jobs=2, chunk_size=2, pool="always"
         )
-        assert pooled.pool_used and not serial.pool_used
+        assert pool_log == [2]
         assert serial.canonical_json() == pooled.canonical_json()
 
-    def test_report_counts_chunks(self):
-        scenarios = self.grid()
-        report = run_scenarios(scenarios, jobs=1, chunk_size=3)
-        assert report.chunks == 2  # 4 points in chunks of 3
+    def test_report_counts_chunks(self, chunk_log):
+        run_scenarios(self.grid(), jobs=1, chunk_size=3)
+        assert len(chunk_log) == 2  # 4 points in chunks of 3
