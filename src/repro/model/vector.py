@@ -229,23 +229,31 @@ class _BenchCols:
         return self.total_bytes // self.n_parts
 
 
-def _negotiated_vec(cols: _BenchCols) -> np.ndarray:
-    """``negotiate_message_count`` over columns (cached per unique
-    (n_parts, total_bytes, aggr) triple — the function is pure Python)."""
-    from ..mpi.partitioned import negotiate_message_count
+def _negotiated_vec(n, total_bytes, aggr) -> np.ndarray:
+    """``negotiate_message_count(n, n, total_bytes, aggr)`` over
+    columns, for both kernels.  Aggregation's ``k_max`` is array math;
+    only the divisor rule (``largest_divisor_at_most``) runs in Python,
+    once per distinct ``(n, k_max)`` pair keyed as one int64."""
+    from ..mpi.errors import PartitionError
+    from ..mpi.partitioned import largest_divisor_at_most
 
-    stacked = np.stack(
-        [cols.n_parts, cols.total_bytes, cols.part_aggr_size]
-    )
-    uniq, inverse = np.unique(stacked, axis=1, return_inverse=True)
-    values = np.array(
+    n = np.asarray(n, dtype=np.int64)
+    if n.size and n.min() < 1:
+        raise PartitionError("partition counts must be >= 1")
+    aggr = np.asarray(aggr, dtype=np.int64)
+    msg = np.asarray(total_bytes, dtype=np.int64) // n
+    merge = (aggr > 0) & (msg > 0) & (msg <= aggr)
+    k_max = np.where(merge, np.minimum(n, aggr // np.maximum(msg, 1)), 1)
+    base = int(n.max(initial=0)) + 1
+    keys, inverse = np.unique(n * base + k_max, return_inverse=True)
+    best = np.array(
         [
-            negotiate_message_count(int(n), int(n), int(tb), int(aggr))
-            for n, tb, aggr in uniq.T
+            largest_divisor_at_most(key // base, key % base)
+            for key in keys.tolist()
         ],
         dtype=np.int64,
     )
-    return values[np.asarray(inverse).reshape(-1)]
+    return n // best[inverse.reshape(k_max.shape)]
 
 
 def _tag_transfer_vec(
@@ -374,7 +382,7 @@ def _pready_vec(p: SystemParams, n_threads) -> np.ndarray:
 
 def _vec_pt2pt_part(cols: _BenchCols) -> np.ndarray:
     p = cols.params
-    n_msgs = _negotiated_vec(cols)
+    n_msgs = _negotiated_vec(cols.n_parts, cols.total_bytes, cols.part_aggr_size)
     msg_bytes = cols.total_bytes // n_msgs
     barrier = _barrier_vec(p, cols.n_threads)
     lanes, contenders, rx_lanes = _part_post_geometry_vec(
@@ -761,18 +769,7 @@ def _pattern_link_messages(approach: str, nbytes, n_threads, aggr):
     if approach == "pt2pt_single" or approach == "pt2pt_part_old":
         return np.ones_like(nbytes), nbytes
     if approach == "pt2pt_part":
-        from ..mpi.partitioned import negotiate_message_count
-
-        stacked = np.stack([n_threads, nbytes, aggr])
-        uniq, inverse = np.unique(stacked, axis=1, return_inverse=True)
-        values = np.array(
-            [
-                negotiate_message_count(int(t), int(t), int(nb), int(a))
-                for t, nb, a in uniq.T
-            ],
-            dtype=np.int64,
-        )
-        n = values[np.asarray(inverse).reshape(-1)]
+        n = _negotiated_vec(n_threads, nbytes, aggr)
         return n, nbytes // n
     return n_threads, nbytes // n_threads
 

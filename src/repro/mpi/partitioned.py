@@ -67,13 +67,16 @@ def negotiate_message_count(
     msg_bytes = total_bytes // g
     if msg_bytes > aggr_size or msg_bytes == 0:
         return g
-    # Largest k dividing g with k * msg_bytes <= aggr_size.
-    k_max = min(g, aggr_size // msg_bytes) if msg_bytes else g
-    best = 1
-    for k in range(1, k_max + 1):
+    return g // largest_divisor_at_most(g, min(g, aggr_size // msg_bytes))
+
+
+def largest_divisor_at_most(g: int, k_max: int) -> int:
+    """How many whole messages aggregation merges: the largest ``k <=
+    k_max`` dividing ``g`` (1 when no larger one does)."""
+    for k in range(k_max, 1, -1):
         if g % k == 0:
-            best = k
-    return g // best
+            return k
+    return 1
 
 
 def _part_registry(rt) -> Dict[Tuple[int, int, int], Any]:

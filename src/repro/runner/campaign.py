@@ -827,30 +827,36 @@ class CampaignStore:
         )
 
     # -- reading -------------------------------------------------------------
-    def _iterations_at(self, index: int) -> int:
+    def _piece_results(self, encoding: str, indices, payload) -> Iterator[dict]:
+        """The result dicts of one :meth:`_pieces` piece: a ``result``
+        piece carries its dicts; a binary piece expands to the
+        deterministic analytic result (every iteration sample
+        identical), its iteration counts decoded once for the piece."""
+        if encoding == ENC_RESULT:
+            return (row[1] for row in payload)
         grid = self.grid
         if "iterations" in grid.axes:
-            return int(grid.assignment_at(index)["iterations"])
-        if "iterations" in grid.base:
-            return int(grid.base["iterations"])
-        return 30 if grid.kind == KIND_BENCH else 10
-
-    def _decode_row(self, row: list, encoding: str) -> Tuple[int, dict]:
-        """``(index, result_dict)`` for one stored row: a ``result``
-        row carries its dict; a binary row ``[index, *column values]``
-        expands to the deterministic analytic result (every iteration
-        sample identical)."""
-        index = int(row[0])
-        if encoding == ENC_RESULT:
-            return index, row[1]
-        times = [float(row[1])] * self._iterations_at(index)
+            values = grid.axes["iterations"]
+            codes = grid.axis_codes("iterations", indices).tolist()
+            iterations = [int(values[c]) for c in codes]
+        else:
+            default = 30 if grid.kind == KIND_BENCH else 10
+            iterations = [int(grid.base.get("iterations", default))] * len(indices)
+        times = payload["times"].tolist()
         if encoding == ENC_BENCH_BIN:
-            return index, {"times": times, "retries": 0, "verified": True}
-        return index, {
-            "times": times,
-            "bytes_per_iteration": int(row[2]),
-            "n_links": int(row[3]),
-        }
+            return (
+                {"times": [t] * k, "retries": 0, "verified": True}
+                for t, k in zip(times, iterations)
+            )
+        return (
+            {"times": [t] * k, "bytes_per_iteration": b, "n_links": n}
+            for t, k, b, n in zip(
+                times,
+                iterations,
+                payload["bytes_per_iteration"].tolist(),
+                payload["n_links"].tolist(),
+            )
+        )
 
     def _segment_rows(self, path: Path) -> Tuple[Any, List[list]]:
         """A ``result`` segment as ``(index_array, rows)``: every row
@@ -960,28 +966,16 @@ class CampaignStore:
                     keep = np.flatnonzero(mask) + lo
             yield encoding, seg_idx[keep], _take(payload, keep)
 
-    def _rows(
-        self, where: Optional[Mapping[str, Any]] = None
-    ) -> Iterator[Tuple[int, list, str]]:
-        """``(index, row, encoding)`` per surviving point, ascending —
-        the row view of :meth:`_pieces`; binary pieces unfold to
-        ``[index, *column values]`` rows."""
-        for encoding, indices, payload in self._pieces(where):
-            if encoding == ENC_RESULT:
-                for index, row in zip(indices.tolist(), payload):
-                    yield index, row, encoding
-                continue
-            values = zip(*(column.tolist() for column in payload.values()))
-            for index, value in zip(indices.tolist(), values):
-                yield index, [index, *value], encoding
-
     def iter_rows(self) -> Iterator[Tuple[int, dict]]:
         """Yield ``(grid_index, result_dict)`` sorted by index, one per
         point (on duplicate coverage the latest append wins).  Streams:
         peak memory is bounded by the segments being read, not the
         campaign (see :meth:`_pieces`)."""
-        for _, row, encoding in self._rows():
-            yield self._decode_row(row, encoding)
+        for encoding, indices, payload in self._pieces():
+            yield from zip(
+                indices.tolist(),
+                self._piece_results(encoding, indices, payload),
+            )
 
     def scenario_at(self, index: int) -> Scenario:
         return self.grid.scenario_at(index)
@@ -1180,13 +1174,21 @@ class CampaignStore:
         Axis filters are decoded once into matching *value codes* and
         tested digit-wise against the row-major index as one boolean
         mask per piece of the merge (:meth:`_pieces`), so rows are
-        decoded only for the matches.  Base-field filters (and unknown
+        decoded only for the matches, and each piece's assignments in
+        one vectorized axis decode.  Base-field filters (and unknown
         names) resolve before any segment is read: a mismatch yields
         nothing.
         """
-        for index, row, encoding in self._rows(filters or None):
-            _, result = self._decode_row(row, encoding)
-            yield index, self.assignment_at(index), result
+        axes = self.grid.axes
+        for encoding, indices, payload in self._pieces(filters or None):
+            codes = self.grid.axis_codes_for_indices(indices)
+            columns = [[v[c] for c in codes[n].tolist()] for n, v in axes.items()]
+            assignments = zip(*columns) if columns else [()] * len(indices)
+            results = self._piece_results(encoding, indices, payload)
+            for index, assignment, result in zip(
+                indices.tolist(), assignments, results
+            ):
+                yield index, dict(zip(axes, assignment)), result
 
     def export_jsonl(self, target, where: Optional[dict] = None) -> int:
         """Dump completed points as JSON-lines ``{"index", "assignment",
@@ -1379,8 +1381,8 @@ def slice_report(
     filter semantics; the report then groups the surviving points by
     each *remaining* axis value and gives n / mean / min / max of the
     per-iteration time (µs).  Everything is one
-    :meth:`~CampaignStore.read_columns` call plus one vectorized
-    axis-code decode — no row dicts at any size.
+    :meth:`~CampaignStore.read_columns` call, one vectorized axis-code
+    decode and one sort per axis — no row dicts at any size.
     """
     import numpy as np
 
@@ -1402,24 +1404,22 @@ def slice_report(
     for name, values in store.grid.axes.items():
         if slices and name in slices:
             continue
-        groups = []
-        axis_codes = codes[name]
-        for code, value in enumerate(values):
-            mask = axis_codes == code
-            n = int(mask.sum())
-            if not n:
-                continue
-            selected = times[mask]
-            groups.append(
-                {
-                    "value": value,
-                    "n": n,
-                    "mean_us": float(selected.mean()) * 1e6,
-                    "min_us": float(selected.min()) * 1e6,
-                    "max_us": float(selected.max()) * 1e6,
-                }
-            )
-        report["axes"][name] = groups
+        # One stable sort per axis makes each value's points one
+        # contiguous run in index order, so a run's mean is the same
+        # pairwise sum as the masked ``times[codes == code].mean()``.
+        grouped = times[np.argsort(codes[name], kind="stable")]
+        bounds = np.cumsum(np.bincount(codes[name], minlength=len(values)))
+        report["axes"][name] = [
+            {
+                "value": value,
+                "n": len(run),
+                "mean_us": float(run.mean()) * 1e6,
+                "min_us": float(run.min()) * 1e6,
+                "max_us": float(run.max()) * 1e6,
+            }
+            for value, run in zip(values, np.split(grouped, bounds[:-1]))
+            if len(run)
+        ]
     return report
 
 

@@ -466,3 +466,118 @@ class TestRunBatchEquivalence:
             assert result_to_dict(scenario, result) == result_to_dict(
                 scenario, backend.run(scenario)
             )
+
+
+class TestNegotiationVector:
+    """The columnar message-count negotiation both kernels call equals
+    ``negotiate_message_count`` exactly, in every aggregation regime."""
+
+    AGGRS = (0, -1, 1, 511, 512, 4096, 16384, 1 << 30)
+
+    @staticmethod
+    def cases():
+        n, total, aggr = [], [], []
+        for parts in range(1, 129):
+            for size in (
+                0, parts - 1, parts, 7 * parts + 3, 512 * parts,
+                4096 * parts + 1, 1 << 20, (3 << 20) + 5,
+            ):
+                for a in TestNegotiationVector.AGGRS:
+                    n.append(parts)
+                    total.append(size)
+                    aggr.append(a)
+        return (
+            np.array(n, dtype=np.int64),
+            np.array(total, dtype=np.int64),
+            np.array(aggr, dtype=np.int64),
+        )
+
+    @staticmethod
+    def scalar(n, total, aggr):
+        from repro.mpi.partitioned import negotiate_message_count
+
+        return [
+            negotiate_message_count(p, p, t, a)
+            for p, t, a in zip(n.tolist(), total.tolist(), aggr.tolist())
+        ]
+
+    def test_cases_cover_every_regime(self):
+        n, total, aggr = self.cases()
+        msg = total // n
+        merges = (aggr > 0) & (msg > 0) & (msg <= aggr)
+        assert ((aggr > 0) & (msg == 0)).any()  # total_bytes < n
+        assert ((aggr > 0) & (msg > aggr)).any()
+        assert (merges & (aggr // np.maximum(msg, 1) >= n)).any()  # k_max >= g
+        assert (merges & (aggr // np.maximum(msg, 1) < n)).any()
+
+    def test_bench_entry_point_equals_scalar(self):
+        from repro.model.vector import _negotiated_vec
+
+        n, total, aggr = self.cases()
+        counts = _negotiated_vec(n, total, aggr)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == self.scalar(n, total, aggr)
+
+    def test_pattern_entry_point_equals_scalar(self):
+        from repro.model.vector import _pattern_link_messages
+
+        n, total, aggr = self.cases()
+        counts, msg_bytes = _pattern_link_messages(
+            "pt2pt_part", total, n, aggr
+        )
+        expected = self.scalar(n, total, aggr)
+        assert counts.tolist() == expected
+        assert msg_bytes.tolist() == [
+            t // c for t, c in zip(total.tolist(), expected)
+        ]
+
+    @pytest.mark.parametrize("aggr", [a for a in AGGRS if a >= 0])
+    def test_bench_kernel_under_aggregation(self, aggr):
+        """The bench call site, through the columns API, against the
+        scalar predictor with the same aggregation bound."""
+        cvars = Cvars(part_aggr_size=aggr)
+        specs = [
+            BenchSpec(
+                approach="pt2pt_part", total_bytes=size, n_threads=nt,
+                theta=theta, iterations=1, cvars=cvars,
+            )
+            for size in (64, 2048, 1 << 16, 1 << 20)
+            for nt in (1, 4, 16)
+            for theta in (1, 3)
+        ]
+        columns = {
+            name: np.array([getattr(s, name) for s in specs])
+            for name in BENCH_COLUMN_FIELDS
+        }
+        from_columns = bench_times_from_columns(
+            MELUXINA, cvars.num_vcis, cvars.vci_method, aggr,
+            columns, len(specs),
+        )
+        assert list(from_columns) == [predict_bench_time(s).time for s in specs]
+
+    def test_zero_length_batch(self):
+        from repro.model.vector import _negotiated_vec, _pattern_link_messages
+
+        empty = np.empty(0, dtype=np.int64)
+        counts = _negotiated_vec(empty, empty, empty)
+        assert counts.dtype == np.int64 and counts.shape == (0,)
+        counts, msg_bytes = _pattern_link_messages(
+            "pt2pt_part", empty, empty, empty
+        )
+        assert counts.shape == msg_bytes.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_partition_count_below_one_raises(self, bad):
+        from repro.model.vector import _negotiated_vec, _pattern_link_messages
+        from repro.mpi.errors import PartitionError
+        from repro.mpi.partitioned import negotiate_message_count
+
+        n = np.array([4, bad], dtype=np.int64)
+        total = np.array([4096, 4096], dtype=np.int64)
+        aggr = np.array([512, 512], dtype=np.int64)
+        with pytest.raises(PartitionError):
+            negotiate_message_count(bad, bad, 4096, 512)
+        with pytest.raises(PartitionError):
+            _negotiated_vec(n, total, aggr)
+        with pytest.raises(PartitionError):
+            _pattern_link_messages("pt2pt_part", total, n, aggr)

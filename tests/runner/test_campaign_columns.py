@@ -3,6 +3,7 @@
 vectorized ``query``, npz export, column-moving ``compact``, and the
 ``slice_report`` consumer."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -247,9 +248,9 @@ class TestVectorizedQuery:
 
     def test_query_decodes_only_matches(self, tmp_path, monkeypatch):
         """The filter runs before any decode: on a filtered query, the
-        number of _decode_row calls equals the number of matches, not
-        the number of covered points — on both the columnar path and
-        the row-stream path."""
+        number of points handed to _piece_results equals the number of
+        matches, not the number of covered points — on both the
+        columnar path and the row-stream path."""
         grid = parse_grid_spec(analytic_spec())
         columnar = CampaignStore.create(tmp_path / "cols", grid)
         run_campaign(columnar, chunk_points=40)
@@ -261,13 +262,13 @@ class TestVectorizedQuery:
         rowform.append_chunk(rows, ENC_RESULT, [(0, len(grid))])
 
         calls = {"n": 0}
-        real_decode = CampaignStore._decode_row
+        real_decode = CampaignStore._piece_results
 
-        def counting_decode(self, row, encoding):
-            calls["n"] += 1
-            return real_decode(self, row, encoding)
+        def counting_decode(self, encoding, indices, payload):
+            calls["n"] += len(indices)
+            return real_decode(self, encoding, indices, payload)
 
-        monkeypatch.setattr(CampaignStore, "_decode_row", counting_decode)
+        monkeypatch.setattr(CampaignStore, "_piece_results", counting_decode)
         for store in (columnar, rowform):
             calls["n"] = 0
             matches = list(store.query(approach="pt2pt_part"))
@@ -369,7 +370,7 @@ class TestCompactBinaryZeroDecode:
         self, tmp_path, monkeypatch
     ):
         """compact over an all-columnar store must never touch the row
-        machinery: no _segment_rows, no _decode_row — column blocks
+        machinery: no _segment_rows, no _piece_results — column blocks
         move as array slices."""
         grid = parse_grid_spec(analytic_spec())
         store = CampaignStore.create(
@@ -385,7 +386,7 @@ class TestCompactBinaryZeroDecode:
                 "binary→binary compact touched the row path"
             )
 
-        for name in ("_segment_rows", "_decode_row"):
+        for name in ("_segment_rows", "_piece_results"):
             monkeypatch.setattr(CampaignStore, name, forbidden)
         summary = store.compact()
         monkeypatch.undo()
@@ -468,6 +469,156 @@ class TestSliceReport:
         report = slice_report(store)
         assert report["points"] == 0
         assert "times_us" not in report
+
+
+def mask_loop_slice_report(store, slices=None):
+    """The per-value-mask ``slice_report``: one boolean mask over every
+    point per axis value — the reference the one-sort report must
+    match byte for byte."""
+    indices, columns = store.read_columns(where=slices or None)
+    times = np.asarray(columns["times"])
+    report = {
+        "kind": store.header["kind"],
+        "slice": dict(slices or {}),
+        "points": int(len(indices)),
+        "axes": {},
+    }
+    if len(indices):
+        report["times_us"] = {
+            "mean": float(times.mean()) * 1e6,
+            "min": float(times.min()) * 1e6,
+            "max": float(times.max()) * 1e6,
+        }
+    codes = store.grid.axis_codes_for_indices(indices)
+    for name, values in store.grid.axes.items():
+        if slices and name in slices:
+            continue
+        groups = []
+        for code, value in enumerate(values):
+            mask = codes[name] == code
+            n = int(mask.sum())
+            if not n:
+                continue
+            selected = times[mask]
+            groups.append(
+                {
+                    "value": value,
+                    "n": n,
+                    "mean_us": float(selected.mean()) * 1e6,
+                    "min_us": float(selected.min()) * 1e6,
+                    "max_us": float(selected.max()) * 1e6,
+                }
+            )
+        report["axes"][name] = groups
+    return report
+
+
+class TestSliceReportBitIdentical:
+    @staticmethod
+    def partial_resegmented_store(tmp_path):
+        """Seven 100-point segments covering [0, 700) of a 1,024-point
+        grid, then [150, 420) re-appended with jittered times (latest
+        wins).  pt2pt_part covers only its first 188 points, so under
+        that slice most total_bytes values have zero points."""
+        grid = parse_grid_spec(wide_spec(n_sizes=64))
+        full = CampaignStore.create(tmp_path / "full", grid)
+        run_campaign(full)
+        _, columns = full.read_columns()
+        times = np.asarray(columns["times"])
+        store = CampaignStore.create(tmp_path / "camp", grid)
+        for start in range(0, 700, 100):
+            store.append_columns(
+                start, start + 100, [times[start:start + 100]],
+                ENC_BENCH_COLS,
+            )
+        jitter = np.random.default_rng(7).uniform(0.5, 3.0, 270)
+        store.append_columns(
+            150, 420, [times[150:420] * jitter], ENC_BENCH_COLS
+        )
+        return store
+
+    @staticmethod
+    def dumps(report):
+        return json.dumps(report, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "slices",
+        [
+            None,
+            {"approach": "pt2pt_part"},
+            {"iterations": 3},
+            {"approach": "pt2pt_single", "n_threads": 4},
+        ],
+    )
+    def test_matches_mask_loop(self, tmp_path, slices):
+        store = self.partial_resegmented_store(tmp_path)
+        assert len(list((store.root / "segments").glob("*.bin"))) == 8
+        report = slice_report(store, slices)
+        assert self.dumps(report) == self.dumps(
+            mask_loop_slice_report(store, slices)
+        )
+        assert report["points"] > 0
+
+    def test_zero_point_values_are_skipped(self, tmp_path):
+        store = self.partial_resegmented_store(tmp_path)
+        report = slice_report(store, {"approach": "pt2pt_part"})
+        sizes = report["axes"]["total_bytes"]
+        assert 0 < len(sizes) < len(store.grid.axes["total_bytes"])
+
+    def test_data_is_order_sensitive(self, tmp_path):
+        """Summing a group in another order changes some mean here, so
+        a non-stable sort (which scrambles each group) would fail
+        :meth:`test_matches_mask_loop`."""
+        store = self.partial_resegmented_store(tmp_path)
+        indices, columns = store.read_columns()
+        times = np.asarray(columns["times"])
+        codes = store.grid.axis_codes_for_indices(indices)
+        for name in store.grid.axes:
+            for code in np.unique(codes[name]).tolist():
+                selected = times[codes[name] == code]
+                if selected.mean() != selected[::-1].mean():
+                    return
+        pytest.fail("no group mean depends on the summation order")
+
+
+class TestQueryPerPieceDecode:
+    def test_rows_equal_per_row_reference(self, tmp_path):
+        """query() decodes assignments and iteration counts once per
+        piece; every yielded tuple equals the per-row decode
+        ``(i, grid.assignment_at(i), result)``."""
+        spec = wide_spec(n_sizes=12)
+        del spec["base"]["iterations"]
+        spec["axes"]["iterations"] = [1, 3, 5]
+        grid = parse_grid_spec(spec)
+        store = CampaignStore.create(tmp_path / "camp", grid)
+        run_campaign(store, chunk_points=100)
+        store.append_columns(
+            50, 260, [np.linspace(1e-6, 2e-6, 210)], ENC_BENCH_COLS
+        )
+        indices, columns = store.read_columns()
+
+        def reference(**filters):
+            out = []
+            for index, t in zip(indices.tolist(), columns["times"].tolist()):
+                assignment = grid.assignment_at(index)
+                probe = {**grid.base, **assignment}
+                if all(probe.get(k) == v for k, v in filters.items()):
+                    result = {
+                        "times": [float(t)] * int(assignment["iterations"]),
+                        "retries": 0,
+                        "verified": True,
+                    }
+                    out.append((index, assignment, result))
+            return out
+
+        for filters in (
+            {},
+            {"iterations": 5},
+            {"approach": "pt2pt_part", "iterations": 1},
+            {"theta": 2, "n_threads": 8},
+        ):
+            rows = list(store.query(**filters))
+            assert rows and rows == reference(**filters)
 
 
 class TestVectorizedAxisCodes:
