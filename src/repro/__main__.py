@@ -42,8 +42,9 @@ simulation chunks as JSON result rows; see README "Campaigns")::
 
     python -m repro campaign run grid.json --root camp/      # plan + execute
     python -m repro campaign run grid.json --root camp/ --limit 10000
-    python -m repro campaign run sim.json --root camp/ --jobs 8 --submit-ahead 16
+    python -m repro campaign run sim.json --root camp/ --jobs 8
     python -m repro campaign run grid.json --root camp/ --metrics   # telemetry
+    python -m repro campaign run grid.json --root camp/ --shards 4  # processes
     python -m repro campaign profile camp/                   # stage attribution
     python -m repro campaign status camp/                    # coverage
     python -m repro campaign status camp/ --json             # machine-readable
@@ -353,13 +354,8 @@ def _campaign_parser() -> argparse.ArgumentParser:
     run.add_argument("--jobs", type=int, default=1, metavar="N",
                      help="worker processes for simulation-backed "
                           "chunks (0 = one per CPU; default 1)")
-    run.add_argument("--chunk", type=int, default=None, metavar="N",
-                     help="points per chunk (default: backend-sized)")
     run.add_argument("--limit", type=int, default=None, metavar="N",
                      help="max points to execute this invocation")
-    run.add_argument("--submit-ahead", type=int, default=None, metavar="N",
-                     help="simulation chunks kept in flight on the "
-                          "persistent pool (default: ~2x workers)")
     run.add_argument("--sync-write", action="store_true",
                      help="disable the async segment writer (analytic "
                           "campaigns append on the compute thread; "
@@ -376,75 +372,11 @@ def _campaign_parser() -> argparse.ArgumentParser:
                           "sink)")
     run.add_argument("--shards", type=int, default=None, metavar="N",
                      help="split the missing points across N local "
-                          "shard subprocesses and merge their segments "
+                          "shard processes and merge their segments "
                           "back (0 = one per available CPU); each "
                           "shard writes collision-free seg-<token>-* "
-                          "segments in its own store")
-    run.add_argument("--keep-shards", action="store_true",
-                     help="with --shards: keep the per-shard stores "
-                          "under <root>/shards/ after the merge")
-
-    shard = sub.add_parser(
-        "shard",
-        help="sharded execution: plan slabs, run one shard, merge "
-             "shard stores",
-    )
-    shard_sub = shard.add_subparsers(dest="shard_action", required=True)
-
-    splan = shard_sub.add_parser(
-        "plan", help="print the [start, stop) slabs each shard would run"
-    )
-    splan.add_argument("spec", metavar="SPEC",
-                       help="grid spec JSON path ('-' reads stdin)")
-    splan.add_argument("--shards", type=int, required=True, metavar="N",
-                       help="shard count")
-    splan.add_argument("--root", default=None, metavar="DIR",
-                       help="existing campaign store whose completed "
-                            "ranges are subtracted first (resume-aware "
-                            "planning)")
-
-    srun = shard_sub.add_parser(
-        "run",
-        help="execute one shard into its own store (multi-machine "
-             "shape: run anywhere, rsync the store back, merge once)",
-    )
-    srun.add_argument("spec", metavar="SPEC",
-                      help="grid spec JSON path ('-' reads stdin)")
-    srun.add_argument("--root", required=True, metavar="DIR",
-                      help="this shard's store directory")
-    srun.add_argument("--shard", required=True, metavar="I/N",
-                      help="shard index/count, 1-based (e.g. 2/4)")
-    srun.add_argument("--ranges", default=None, metavar="S-E,S-E",
-                      help="explicit half-open index slabs (default: "
-                           "shard I of shard-plan over the full grid)")
-    srun.add_argument("--jobs", type=int, default=1, metavar="N",
-                      help="worker processes inside this shard for "
-                           "simulation-backed chunks (default 1)")
-    srun.add_argument("--chunk", type=int, default=None, metavar="N",
-                      help="points per chunk (default: backend-sized)")
-    srun.add_argument("--limit", type=int, default=None, metavar="N",
-                      help="max points to execute this invocation")
-    srun.add_argument("--sync-write", action="store_true",
-                      help="disable the async segment writer")
-    srun.add_argument("--metrics", nargs="?", const="auto", default=None,
-                      metavar="PATH",
-                      help="record this shard's telemetry to a metrics "
-                           "JSONL (default: <root>/metrics.jsonl)")
-
-    smerge = shard_sub.add_parser(
-        "merge",
-        help="adopt shard stores' segments into a target store "
-             "(verified: grid hash, per-segment schema, disjoint "
-             "coverage)",
-    )
-    smerge.add_argument("root", metavar="TARGET",
-                        help="target campaign store")
-    smerge.add_argument("shard_roots", nargs="+", metavar="SHARD",
-                        help="shard store directories to adopt")
-    smerge.add_argument("--link", action="store_true",
-                        help="hard-link segments instead of moving "
-                             "them (same filesystem; shard stores stay "
-                             "intact)")
+                          "segments in its own store; --jobs is then "
+                          "the pool size inside each shard (0 = 1)")
 
     status = sub.add_parser("status", help="coverage and store health")
     status.add_argument("root", metavar="DIR")
@@ -514,65 +446,6 @@ def _parse_where(clauses):
     return filters
 
 
-def _run_campaign_metered(store, run_campaign_fn, run_kwargs, args) -> dict:
-    """Run a campaign under an active telemetry registry, writing the
-    metrics JSONL (and, with ``--trace``, the streamed simulator trace)
-    when the run finishes — or is interrupted."""
-    from pathlib import Path
-
-    from . import telemetry
-    from .runner.profile import DEFAULT_METRICS_NAME
-
-    metrics_path = (
-        Path(store.root) / DEFAULT_METRICS_NAME
-        if args.metrics == "auto"
-        else Path(args.metrics)
-    )
-    producer = {
-        "tool": "campaign run",
-        "grid_hash": store.header["grid_hash"],
-        "backend": store.header["backend"],
-        "kind": store.header["kind"],
-        "jobs": run_kwargs["jobs"],
-    }
-    shard = store.header.get("shard")
-    if shard is not None:
-        # Per-shard provenance: a merged campaign's metrics-<token>
-        # files each say which slab of which split produced them.
-        producer["tool"] = "campaign shard run"
-        producer["shard"] = {
-            "index": shard["index"],
-            "count": shard["count"],
-        }
-    trace = getattr(args, "trace", False)
-    registry = telemetry.MetricsRegistry()
-    sink = telemetry.MetricsSink(metrics_path, producer=producer)
-    previous_registry = telemetry.set_registry(registry)
-    # Trace records can only reach the parent's sink from in-process
-    # simulations, so --trace pins the pool policy to "never".
-    previous_sink = telemetry.set_trace_sink(
-        sink.write_trace if trace else None
-    )
-    if trace:
-        run_kwargs = dict(run_kwargs, pool="never")
-    try:
-        summary = run_campaign_fn(store, **run_kwargs)
-        sink.write_snapshot(registry.snapshot())
-        sink.close(
-            summary={
-                key: summary[key]
-                for key in ("executed", "chunks", "wall_s", "points_per_s")
-                if key in summary
-            }
-        )
-    finally:
-        telemetry.set_registry(previous_registry)
-        telemetry.set_trace_sink(previous_sink)
-        sink.close()
-    print(f"[metrics written to {metrics_path}]")
-    return summary
-
-
 def _run_campaign_cli(args) -> int:
     import json as _json
 
@@ -614,228 +487,87 @@ def _run_campaign_cli(args) -> int:
             print(f"error: {message}", file=sys.stderr)
             return 2
         from .runner import default_jobs
+        from .runner.profile import run_metered
 
-        jobs = args.jobs if args.jobs > 0 else default_jobs()
-        if args.shards is not None:
+        sharded = args.shards is not None
+        if sharded:
             if args.trace:
                 print("error: --trace is per-process; unsupported with "
                       "--shards", file=sys.stderr)
                 return 2
-            if args.limit is not None or args.submit_ahead is not None:
-                print("error: --limit/--submit-ahead are per-shard "
-                      "knobs; unsupported with --shards",
-                      file=sys.stderr)
+            if args.limit is not None:
+                print("error: --limit is a per-shard knob; unsupported "
+                      "with --shards", file=sys.stderr)
                 return 2
             from .runner.shard import run_sharded
 
-            def run_sharded_fn(store, jobs=1):
+            # The shards already fill the CPUs: --jobs 0 means no pool
+            # inside a shard, and that is the count the metrics record.
+            jobs = args.jobs if args.jobs > 0 else 1
+
+            def run():
                 return run_sharded(
                     store,
                     n_shards=args.shards,
-                    jobs=args.jobs if args.jobs > 0 else 1,
-                    chunk_points=args.chunk,
-                    keep_shards=args.keep_shards,
+                    jobs=jobs,
                     shard_metrics=bool(args.metrics),
                     progress=print,
                 )
+        else:
+            jobs = args.jobs if args.jobs > 0 else default_jobs()
+            run_kwargs = dict(
+                jobs=jobs,
+                limit=args.limit,
+                async_write=False if args.sync_write else None,
+                progress=print,
+            )
+            if args.trace:
+                # Trace records reach the sink only from in-process
+                # simulations.
+                run_kwargs["pool"] = "never"
 
-            run_kwargs = dict(jobs=jobs)
-            try:
-                if args.metrics:
-                    summary = _run_campaign_metered(
-                        store, run_sharded_fn, run_kwargs, args
-                    )
-                else:
-                    summary = run_sharded_fn(store, **run_kwargs)
-            except (RuntimeError, ValueError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-            merge = summary.get("merge")
-            pps = summary["points_per_s"]
+            def run():
+                return run_campaign_fn(store, **run_kwargs)
+
+        try:
+            if args.metrics:
+                summary = run_metered(
+                    store,
+                    run,
+                    None if args.metrics == "auto" else args.metrics,
+                    trace=args.trace,
+                    jobs=jobs,
+                )
+                print(f"[metrics written to {summary['metrics']}]")
+            else:
+                summary = run()
+        except (RuntimeError, ValueError) as exc:
+            if not sharded:
+                raise
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        pps = summary["points_per_s"]
+        rate = f" ({pps:,.0f} points/s)" if pps else ""
+        if sharded:
+            merge = summary["merge"]
             print(
                 f"executed {summary['executed']} point(s) across "
                 f"{len(summary['shards'])} shard(s), "
-                f"{summary['wall_s']:.2f}s"
-                + (f" ({pps:,.0f} points/s)" if pps else "")
+                f"{summary['wall_s']:.2f}s{rate}"
                 + (f"; adopted {merge['segments_adopted']} segment(s)"
                    if merge else "")
             )
-            print(
-                f"campaign {store.header['grid_hash'][:12]}: "
-                f"{summary['completed']}/{summary['n_points']} "
-                f"points complete"
-            )
-            return 0
-        run_kwargs = dict(
-            jobs=jobs,
-            chunk_points=args.chunk,
-            limit=args.limit,
-            submit_ahead=args.submit_ahead,
-            async_write=False if args.sync_write else None,
-            progress=print,
-        )
-        if args.metrics:
-            summary = _run_campaign_metered(
-                store, run_campaign_fn, run_kwargs, args
-            )
         else:
-            summary = run_campaign_fn(store, **run_kwargs)
-        pps = summary["points_per_s"]
-        print(
-            f"executed {summary['executed']} point(s) in "
-            f"{summary['chunks']} chunk(s), {summary['wall_s']:.2f}s"
-            + (f" ({pps:,.0f} points/s)" if pps else "")
-        )
+            print(
+                f"executed {summary['executed']} point(s) in "
+                f"{summary['chunks']} chunk(s), "
+                f"{summary['wall_s']:.2f}s{rate}"
+            )
         print(
             f"campaign {store.header['grid_hash'][:12]}: "
             f"{summary['completed']}/{summary['n_points']} points complete"
         )
         return 0
-
-    if args.action == "shard":
-        from .runner.shard import (
-            format_ranges,
-            merge_shards,
-            parse_ranges,
-            parse_shard,
-            run_shard,
-            shard_token,
-        )
-
-        if args.shard_action == "merge":
-            try:
-                summary = merge_shards(
-                    args.root, args.shard_roots, link=args.link
-                )
-            except (FileNotFoundError, ValueError, RuntimeError,
-                    OSError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            print(
-                f"adopted {summary['segments_adopted']} segment(s) from "
-                f"{summary['shards']} shard store(s)"
-                + (" [linked]" if summary["linked"] else "")
-            )
-            print(f"target: {summary['completed']} point(s) complete")
-            return 0
-
-        try:
-            raw = (
-                sys.stdin.read()
-                if args.spec == "-"
-                else open(args.spec).read()
-            )
-            grid = parse_grid_spec(_json.loads(raw))
-        except OSError as exc:
-            print(f"error: cannot read grid spec: {exc}", file=sys.stderr)
-            return 2
-        except (KeyError, TypeError, ValueError) as exc:
-            print(f"error: bad grid spec: {exc}", file=sys.stderr)
-            return 2
-
-        if args.shard_action == "plan":
-            from .runner.planner import shard_plan
-
-            completed = []
-            if args.root:
-                try:
-                    target = CampaignStore.open(args.root)
-                except (FileNotFoundError, ValueError) as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return 2
-                if target.header["grid_hash"] != grid.content_hash():
-                    print(
-                        "error: --root holds a different grid than SPEC",
-                        file=sys.stderr,
-                    )
-                    return 2
-                completed = target.completed_ranges()
-            try:
-                plans = shard_plan(
-                    len(grid), args.shards, completed=completed
-                )
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            print(_json.dumps(
-                {
-                    "n_points": len(grid),
-                    "grid_hash": grid.content_hash(),
-                    "shards": [
-                        {
-                            "shard": f"{i + 1}/{args.shards}",
-                            "points": sum(e - s for s, e in plan),
-                            "ranges": [[s, e] for s, e in plan],
-                            "ranges_arg": format_ranges(plan),
-                        }
-                        for i, plan in enumerate(plans)
-                    ],
-                },
-                indent=2,
-            ))
-            return 0
-
-        if args.shard_action == "run":
-            try:
-                index, count = parse_shard(args.shard)
-                ranges = (
-                    parse_ranges(args.ranges) if args.ranges else None
-                )
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            if ranges is None:
-                from .runner.planner import shard_plan
-
-                ranges = shard_plan(len(grid), count)[index - 1]
-            run_kwargs = dict(
-                jobs=args.jobs,
-                chunk_points=args.chunk,
-                limit=args.limit,
-                async_write=False if args.sync_write else None,
-                progress=print,
-            )
-
-            def run_shard_fn(store, **kw):
-                return run_shard(
-                    args.root, grid, index, count,
-                    ranges=ranges, **kw
-                )
-
-            try:
-                if args.metrics:
-                    store = CampaignStore.create(
-                        args.root, grid,
-                        writer_token=shard_token(index, count),
-                        shard={
-                            "index": index,
-                            "count": count,
-                            "ranges": ranges,
-                        },
-                    )
-                    summary = _run_campaign_metered(
-                        store, run_shard_fn, run_kwargs, args
-                    )
-                else:
-                    summary = run_shard_fn(None, **run_kwargs)
-            except (KeyError, TypeError, ValueError) as exc:
-                message = exc.args[0] if exc.args else exc
-                print(f"error: {message}", file=sys.stderr)
-                return 2
-            info = summary["shard"]
-            pps = summary["points_per_s"]
-            print(
-                f"shard {index}/{count} [{info['token']}]: executed "
-                f"{summary['executed']} point(s) in "
-                f"{summary['wall_s']:.2f}s"
-                + (f" ({pps:,.0f} points/s)" if pps else "")
-            )
-            print(
-                f"assigned {info['assigned']} point(s), "
-                f"{info['remaining']} remaining in this shard"
-            )
-            return 0
-        return 2
 
     try:
         store = CampaignStore.open(args.root)
@@ -860,9 +592,6 @@ def _run_campaign_cli(args) -> int:
         if stats["ignored"]:
             print(f"  ignored:  {len(stats['ignored'])} file(s) that are "
                   f"not readable segments of this campaign")
-        if "shard" in stats:
-            print(f"  shard:    {stats['shard']['index']}/"
-                  f"{stats['shard']['count']} of a sharded campaign")
         for writer, cov in stats.get("shard_segments", {}).items():
             print(f"  writer {writer}: {cov['points']} point(s) in "
                   f"{len(cov['ranges'])} range(s)")

@@ -1280,12 +1280,12 @@ class CampaignStore:
     def stats(self) -> dict:
         """Campaign health summary (the ``campaign status`` view).
 
-        Shard-aware: when this root *is* a shard store, its header
-        provenance is echoed under ``"shard"``; when its segments carry
-        writer tokens (merged-from-shards or concurrent writers), the
-        per-writer coverage appears under ``"shard_segments"``; and
-        when shard stores live under ``root/shards/``, each one's
-        progress is summarized under ``"shards"``.  ``"ignored"`` lists
+        Shard-aware: when its segments carry writer tokens
+        (merged-from-shards or concurrent writers), the per-writer
+        coverage appears under ``"shard_segments"``; and when shard
+        stores live under ``root/shards/`` (a failed sharded run's
+        leftovers), each one's progress is summarized under
+        ``"shards"``.  ``"ignored"`` lists
         the files that are not readable segments of this campaign.
         """
         index = self._index()
@@ -1307,8 +1307,6 @@ class CampaignStore:
             "total_bytes": total_bytes,
             "ignored": index["ignored"],
         }
-        if self.shard is not None:
-            payload["shard"] = self.shard
         by_writer: Dict[str, List[Sequence[int]]] = {}
         for entry in index["segments"]:
             if "writer" in entry:

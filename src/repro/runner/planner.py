@@ -152,8 +152,8 @@ def shard_plan(
 
     The result is pure data: every shard entry is a list of half-open
     ``[start, stop)`` grid-index ranges, directly consumable by
-    ``run_campaign(..., ranges=shard)`` or serialisable onto a
-    ``campaign shard run --ranges`` command line for another machine.
+    ``run_campaign(..., ranges=shard)`` and
+    :func:`~repro.runner.shard.run_shard`.
     """
     n_points = grid if isinstance(grid, int) else len(grid)
     if n_points < 0:

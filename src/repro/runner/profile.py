@@ -1,4 +1,5 @@
-"""``campaign profile``: stage attribution from a metrics JSONL.
+"""``campaign profile``: stage attribution from a metrics JSONL, and
+:func:`run_metered`, which writes that file.
 
 Turns the span totals recorded by a ``campaign run --metrics`` session
 into the pipeline-attribution table the ROADMAP's async-writer and
@@ -17,8 +18,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
+from .. import telemetry
 from ..telemetry import read_metrics_jsonl
 
 __all__ = [
@@ -27,6 +29,7 @@ __all__ = [
     "build_attribution",
     "render_profile",
     "resolve_metrics_path",
+    "run_metered",
 ]
 
 #: Where ``campaign run --metrics`` (no explicit path) lands inside the
@@ -68,13 +71,13 @@ _STAGE_HINTS: Dict[str, str] = {
                    "this is per-point python object cost",
     "compute": "in-process simulation compute dominates; add workers "
                "(--jobs N)",
-    "stall": "ordered-consume stall dominates; raise --submit-ahead or "
-             "rebalance chunk sizes",
+    "stall": "ordered-consume stall dominates; raise run_campaign's "
+             "submit_ahead or rebalance chunk sizes",
     "writer-stall": "the async segment writer's queue is the bottleneck; "
                     "the disk cannot keep up with the kernel",
     "read": "store read (range planning + segment loads) dominates; "
             "many small or overlapping segments — run campaign compact",
-    "shard": "shard subprocess wall (kernel runs there) plus merge; "
+    "shard": "shard process wall (kernel runs there) plus merge; "
              "per-shard attribution lives in each shard's metrics file",
     "other": "uninstrumented time dominates; the span coverage needs "
              "a closer look before trusting this profile",
@@ -138,6 +141,58 @@ def resolve_metrics_path(target: str | Path) -> Path:
     if not path.is_file():
         raise FileNotFoundError(f"no metrics file at {path}")
     return path
+
+
+def run_metered(
+    store,
+    run: Callable[[], dict],
+    path: Optional[str | Path] = None,
+    trace: bool = False,
+    **producer,
+) -> dict:
+    """Call ``run()`` under a fresh telemetry registry and write the
+    metrics JSONL when it finishes — or is interrupted.
+
+    The file lands at ``path`` (default ``<store root>/metrics.jsonl``,
+    where ``campaign profile STORE`` looks).  Its header names the
+    campaign ``store`` holds plus the ``producer`` keywords (the job
+    count that ran; a shard's ``{index, count}``).  ``trace=True`` also
+    streams simulator trace records into the file; they arrive only
+    from in-process simulations, so the caller keeps the pool off.
+    Returns ``run()``'s summary with the file's path under
+    ``"metrics"``.
+    """
+    path = Path(path) if path is not None else store.root / DEFAULT_METRICS_NAME
+    registry = telemetry.MetricsRegistry()
+    sink = telemetry.MetricsSink(
+        path,
+        producer={
+            "tool": "campaign run",
+            "grid_hash": store.header["grid_hash"],
+            "backend": store.header["backend"],
+            "kind": store.header["kind"],
+            **producer,
+        },
+    )
+    previous_registry = telemetry.set_registry(registry)
+    previous_sink = telemetry.set_trace_sink(
+        sink.write_trace if trace else None
+    )
+    try:
+        summary = run()
+        sink.write_snapshot(registry.snapshot())
+        sink.close(
+            summary={
+                key: summary[key]
+                for key in ("executed", "chunks", "wall_s", "points_per_s")
+                if key in summary
+            }
+        )
+    finally:
+        telemetry.set_registry(previous_registry)
+        telemetry.set_trace_sink(previous_sink)
+        sink.close()
+    return dict(summary, metrics=str(path))
 
 
 def build_attribution(metrics: dict) -> Attribution:

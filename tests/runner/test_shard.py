@@ -3,6 +3,7 @@ namespaces, shard runs, and the verified merge/adopt step."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -27,7 +28,7 @@ from repro.runner.campaign import (
     _merge_ranges,
     _subtract_ranges,
 )
-from repro.runner.shard import format_ranges, parse_ranges, parse_shard
+from repro.telemetry import read_metrics_jsonl
 
 
 def analytic_spec(sizes=(10, 16)):
@@ -149,24 +150,12 @@ class TestShardPlan:
             shard_plan(10, 2, completed=[(4, 6), (2, 3)])
 
 
-class TestShardSpecParsing:
-    def test_shard_token_and_parse_round_trip(self):
+class TestShardToken:
+    def test_token_names_index_and_count(self):
         assert shard_token(2, 4) == "s002of004"
-        assert parse_shard("2/4") == (2, 4)
-
-    def test_parse_shard_rejects_garbage(self):
-        for bad in ("0/4", "5/4", "4", "a/b", "1/0"):
+        for index, count in ((0, 4), (5, 4), (1, 0)):
             with pytest.raises(ValueError):
-                parse_shard(bad)
-
-    def test_ranges_round_trip(self):
-        ranges = [(0, 5), (10, 20)]
-        assert parse_ranges(format_ranges(ranges)) == ranges
-
-    def test_parse_ranges_rejects_garbage(self):
-        for bad in ("", "5-2", "-3-4", "1:2"):
-            with pytest.raises(ValueError):
-                parse_ranges(bad)
+                shard_token(index, count)
 
 
 class TestWriterTokenNaming:
@@ -284,20 +273,13 @@ class TestRunShardAndMerge:
         for name in ref_cols:
             assert np.array_equal(ref_cols[name], got_cols[name])
 
-    def test_shard_default_ranges_from_plan(self, tmp_path):
-        """Bare index/count (the multi-machine shape) assumes the
-        shard_plan split of the full grid."""
-        grid = make_grid()
-        summary = run_shard(tmp_path / "s1", grid, 1, 3)
-        expected = shard_plan(len(grid), 3)[0]
-        assert summary["shard"]["ranges"] == [[s, e] for s, e in expected]
-        assert summary["executed"] == sum(e - s for s, e in expected)
-
     def test_shard_resume_executes_nothing(self, tmp_path):
         grid = make_grid()
-        first = run_shard(tmp_path / "s1", grid, 1, 2)
-        assert first["executed"] > 0
-        again = run_shard(tmp_path / "s1", grid, 1, 2)
+        plan = shard_plan(len(grid), 2)[0]
+        first = run_shard(tmp_path / "s1", grid, 1, 2, plan)
+        assert first["executed"] == sum(e - s for s, e in plan)
+        assert first["shard"]["ranges"] == [[s, e] for s, e in plan]
+        again = run_shard(tmp_path / "s1", grid, 1, 2, plan)
         assert again["executed"] == 0
         assert again["shard"]["remaining"] == 0
 
@@ -320,24 +302,16 @@ class TestRunShardAndMerge:
         merge_shards(target, roots)
         assert target.n_completed == len(grid)
 
-    def test_merge_link_keeps_shard_store_intact(self, tmp_path):
-        grid = make_grid()
-        target, roots = self._run_shards(tmp_path, grid, 2)
-        summary = merge_shards(target, roots, link=True)
-        assert summary["linked"]
-        assert target.n_completed == len(grid)
-        # The shard stores still read their own (linked) segments.
-        shard_store = CampaignStore.open(roots[0])
-        assert shard_store.n_completed > 0
-
     def test_merge_is_not_repeatable(self, tmp_path):
         """Adopting the same shard twice must fail loudly (coverage
         overlap), not silently duplicate points."""
         grid = make_grid()
         target, roots = self._run_shards(tmp_path, grid, 2)
-        merge_shards(target, roots, link=True)
+        copy = tmp_path / "copy-of-shard-1"
+        shutil.copytree(roots[0], copy)
+        merge_shards(target, roots)
         with pytest.raises(ValueError, match="overlap"):
-            merge_shards(target, [roots[0]], link=True)
+            merge_shards(target, [copy])
 
     def test_stats_shard_awareness(self, tmp_path):
         grid = make_grid()
@@ -351,9 +325,6 @@ class TestRunShardAndMerge:
         entry = stats["shards"][0]
         assert entry["shard"]["index"] == 1
         assert entry["missing"] == 0
-        # Shard store's own stats echo provenance.
-        sub = CampaignStore.open(shards_dir / "s001of002")
-        assert sub.stats()["shard"]["count"] == 2
         # After merging the other shard: per-writer coverage appears.
         merge_shards(target, [roots[1]])
         writers = target.stats()["shard_segments"]
@@ -368,7 +339,7 @@ class TestMergeRejections:
         grid = make_grid()
         other = make_grid(sizes=(10, 15))
         target = CampaignStore.create(tmp_path / "target", grid)
-        summary = run_shard(tmp_path / "s1", other, 1, 1)
+        summary = run_shard(tmp_path / "s1", other, 1, 1, [(0, len(other))])
         with pytest.raises(ValueError, match="different campaign"):
             merge_shards(target, [summary["shard"]["root"]])
 
@@ -455,7 +426,7 @@ class TestRunCampaignRanges:
 
 class TestRunSharded:
     def test_subprocess_driver_end_to_end(self, tmp_path):
-        """3 real shard subprocesses, merged, equal to unsharded."""
+        """3 real shard processes, merged, equal to unsharded."""
         import numpy as np
 
         grid = make_grid()
@@ -487,6 +458,82 @@ class TestRunSharded:
         assert summary["executed"] == 0
         assert summary["shards"] == []
         assert summary["merge"] is None
+
+    def test_sim_shards_run_their_own_pools(self, tmp_path):
+        """A simulation-backed shard with jobs > 1 starts a worker pool
+        inside its shard process, which a daemonic process may not."""
+        grid = parse_grid_spec({
+            "kind": "bench",
+            "backend": "sim",
+            "base": {"iterations": 1, "warmup": 0},
+            "axes": {
+                "approach": ["pt2pt_single", "pt2pt_part"],
+                "total_bytes": [16384, 32768],
+                "n_threads": [1, 2],
+            },
+        })
+        assert len(grid) == 8
+        ref = CampaignStore.create(tmp_path / "ref", grid)
+        run_campaign(ref, jobs=1)
+        target = CampaignStore.create(tmp_path / "target", grid)
+        summary = run_sharded(target, n_shards=2, jobs=2)
+        assert summary["executed"] == len(grid)
+        assert list(target.iter_rows()) == list(ref.iter_rows())
+
+    def test_failed_shard_merges_nothing_and_resumes(self, tmp_path):
+        import numpy as np
+
+        grid = make_grid()
+        root = tmp_path / "target"
+        target = CampaignStore.create(root, grid, compression="binary")
+        # A regular file where shard 2's store directory belongs makes
+        # that shard fail before it writes anything.
+        blocker = root / "shards" / shard_token(2, 2)
+        blocker.parent.mkdir()
+        blocker.write_text("not a campaign store\n")
+        with pytest.raises(RuntimeError, match="2/2"):
+            run_sharded(target, n_shards=2)
+        assert CampaignStore.open(root).n_completed == 0
+        first = CampaignStore.open(root / "shards" / shard_token(1, 2))
+        assert first.n_completed == sum(
+            e - s for s, e in shard_plan(len(grid), 2)[0]
+        )
+        # The rerun resumes shard 1's store and runs shard 2.
+        blocker.unlink()
+        summary = run_sharded(target, n_shards=2)
+        assert summary["merge"]["completed"] == len(grid)
+        assert not (root / "shards").exists()
+        ref = CampaignStore.create(
+            tmp_path / "ref", grid, compression="binary"
+        )
+        run_campaign(ref)
+        ref_idx, ref_cols = ref.read_columns()
+        got_idx, got_cols = CampaignStore.open(root).read_columns()
+        assert np.array_equal(ref_idx, got_idx)
+        assert set(ref_cols) == set(got_cols)
+        for name in ref_cols:
+            assert np.array_equal(ref_cols[name], got_cols[name])
+
+    def test_shard_metrics_files_per_shard(self, tmp_path):
+        """The contract the benchmark reads: one metrics file per shard
+        with a campaign.run span and a producer naming the shard, and no
+        working files left behind."""
+        grid = make_grid()
+        root = tmp_path / "target"
+        target = CampaignStore.create(root, grid, compression="binary")
+        summary = run_sharded(target, n_shards=2, shard_metrics=True)
+        assert summary["executed"] == len(grid)
+        assert summary["merge"]["wall_s"] >= 0
+        assert sorted(p.name for p in root.glob("metrics-*.jsonl")) == [
+            "metrics-s001of002.jsonl", "metrics-s002of002.jsonl",
+        ]
+        for info in summary["shards"]:
+            metrics = read_metrics_jsonl(info["metrics"])
+            assert "campaign.run" in metrics["span_totals"]
+            producer = metrics["header"]["producer"]
+            assert producer["shard"] == {"index": info["index"], "count": 2}
+        assert not (root / "shards").exists()
+        assert not (root / "shard-grid.json").exists()
 
 
 class TestAffinityAwareDefaults:
@@ -534,29 +581,28 @@ class TestShardCLI:
             env=env,
         )
 
-    def test_shard_plan_run_merge_cli(self, tmp_path):
+    def test_shard_subcommand_is_gone(self, tmp_path):
         spec = self._spec_file(tmp_path)
         plan = self._run("shard", "plan", str(spec), "--shards", "2")
-        assert plan.returncode == 0, plan.stderr
-        payload = json.loads(plan.stdout)
-        assert len(payload["shards"]) == 2
-        for entry in payload["shards"]:
-            run = self._run(
-                "shard", "run", str(spec),
-                "--root", str(tmp_path / entry["shard"].replace("/", "of")),
-                "--shard", entry["shard"],
-                "--ranges", entry["ranges_arg"],
-            )
-            assert run.returncode == 0, run.stderr
-        grid = make_grid()
-        CampaignStore.create(tmp_path / "target", grid)
-        merge = self._run(
-            "shard", "merge", str(tmp_path / "target"),
-            str(tmp_path / "1of2"), str(tmp_path / "2of2"),
-        )
-        assert merge.returncode == 0, merge.stderr
-        target = CampaignStore.open(tmp_path / "target")
-        assert target.n_completed == len(grid)
+        assert plan.returncode == 2
+        assert "invalid choice" in plan.stderr
+
+    def test_sharded_metrics_record_the_jobs_that_ran(self, tmp_path, capsys):
+        """--jobs 0 with --shards runs every shard without a pool, and
+        the metrics producers say so."""
+        from repro.__main__ import main
+
+        spec = self._spec_file(tmp_path)
+        root = tmp_path / "camp"
+        assert main([
+            "campaign", "run", str(spec), "--root", str(root),
+            "--shards", "2", "--jobs", "0", "--metrics",
+        ]) == 0
+        assert "across 2 shard(s)" in capsys.readouterr().out
+        for name in ("metrics.jsonl", "metrics-s001of002.jsonl",
+                     "metrics-s002of002.jsonl"):
+            producer = read_metrics_jsonl(root / name)["header"]["producer"]
+            assert producer["jobs"] == 1, name
 
     def test_status_json_reports_writers(self, tmp_path):
         grid = make_grid()
