@@ -145,7 +145,13 @@ class PatternConfig:
 
 
 class Pattern:
-    """Base class: a pattern is a link graph plus optional dependencies."""
+    """Base class: a pattern is a link graph plus optional dependencies.
+
+    Contract: the ``(src, dst, key)`` links and :meth:`blocking_recvs`
+    depend on ``n_ranks`` alone, and every link carries
+    ``align_bytes(msg_bytes, n_threads)`` — the analytic kernel builds
+    one graph per ``(pattern, n_ranks)`` and computes payloads as columns.
+    """
 
     #: Registry key.
     name = "abstract"

@@ -36,6 +36,7 @@ conversion); every grid in the repo is far below that.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
@@ -73,8 +74,8 @@ BENCH_COLUMN_FIELDS = (
 )
 
 #: PatternConfig fields the column-based pattern kernel consumes.  The
-#: first four shape the link topology (summarized once per unique
-#: geometry); the rest enter the per-point arithmetic directly.
+#: first two shape the link graph, the next two size its payload; the
+#: rest enter the per-point arithmetic directly.
 PATTERN_COLUMN_FIELDS = (
     "pattern",
     "n_ranks",
@@ -698,70 +699,66 @@ class PatternBatch:
         ]
 
 
-#: Topology summaries keyed by the config fields that shape the link
-#: graph: ``(pattern, n_ranks, n_threads, msg_bytes)``.  A summary is
-#: everything the predictor needs from the graph:
-#: (nbytes, max_out, max_in, max links per ordered pair, depth,
-#: bytes_per_iteration, n_links).
-_TOPOLOGY_CACHE: Dict[Tuple, Tuple] = {}
+#: Link-graph shapes keyed by ``(pattern, n_ranks)``: every registered
+#: pattern draws its links from the rank count alone and gives each the
+#: same aligned payload (the :class:`~repro.apps.base.Pattern`
+#: contract).  A shape is everything the predictor needs from the
+#: graph: (max_out, max_in, max links per ordered pair, depth, n_links).
+_SHAPE_CACHE: Dict[Tuple[str, int], Tuple[int, int, int, int, int]] = {}
 
 
-def _topology_summary_key(
-    pattern_name: str, n_ranks: int, n_threads: int, msg_bytes: int
-) -> Tuple:
-    """The topology summary for one unique geometry key.
-
-    Builds the link graph at most once per key (process-lifetime
-    cache): the columns-first campaign path never constructs a config
-    object, so the graph is reached through a throwaway
-    ``PatternConfig`` carrying only the geometry fields.
-    """
-    key = (pattern_name, n_ranks, n_threads, msg_bytes)
-    hit = _TOPOLOGY_CACHE.get(key)
+def _graph_shape(pattern_name: str, n_ranks: int) -> Tuple[int, ...]:
+    """The link-graph shape of one ``(pattern, n_ranks)``, built at
+    most once per process through a throwaway ``PatternConfig``."""
+    key = (pattern_name, n_ranks)
+    hit = _SHAPE_CACHE.get(key)
     if hit is not None:
         return hit
     from ..apps.base import PatternConfig, build_pattern
     from .patterns import _dependency_depth
 
     pattern = build_pattern(
-        PatternConfig(
-            pattern=pattern_name,
-            n_ranks=n_ranks,
-            n_threads=n_threads,
-            msg_bytes=msg_bytes,
-        )
+        PatternConfig(pattern=pattern_name, n_ranks=n_ranks)
     )
     links = pattern.links()
-    if not links:
-        summary = (0, 0, 0, 0, 0, 0, 0)
-    else:
-        out_deg: Dict[int, int] = {}
-        in_deg: Dict[int, int] = {}
-        pair_links: Dict[Tuple[int, int], int] = {}
-        for link in links:
-            out_deg[link.src] = out_deg.get(link.src, 0) + 1
-            in_deg[link.dst] = in_deg.get(link.dst, 0) + 1
-            pair = (link.src, link.dst)
-            pair_links[pair] = pair_links.get(pair, 0) + 1
-        summary = (
-            links[0].nbytes,
-            max(out_deg.values()),
-            max(in_deg.values()),
-            max(pair_links.values()),
+    shape: Tuple[int, ...] = (0, 0, 0, 0, 0)
+    if links:
+        shape = (
+            max(Counter(link.src for link in links).values()),
+            max(Counter(link.dst for link in links).values()),
+            max(Counter((link.src, link.dst) for link in links).values()),
             _dependency_depth(pattern, n_ranks),
-            # bytes_per_iteration, from the links already in hand (the
-            # method would enumerate the O(ranks²) graph a second time).
-            sum(link.nbytes for link in links),
             len(links),
         )
-    _TOPOLOGY_CACHE[key] = summary
-    return summary
+    _SHAPE_CACHE[key] = shape
+    return shape
 
 
-def _topology_summary(config) -> Tuple:
-    return _topology_summary_key(
-        config.pattern, config.n_ranks, config.n_threads, config.msg_bytes
-    )
+def _topology_columns(pattern, n_ranks, n_threads, msg_bytes):
+    """The topology columns of :class:`_PatternCols` (a dict) and the
+    ``bytes_per_iteration`` column: graph shapes gathered from one build
+    per unique ``(pattern, n_ranks)``; ``nbytes`` is the per-link
+    ``align_bytes(msg_bytes, n_threads)``.  ``pattern`` is a
+    ``(names, codes)`` pair, the rest int64 columns."""
+    if (n_ranks < 2).any():
+        raise ValueError("patterns need n_ranks >= 2")
+    if (n_threads < 1).any():
+        raise ValueError("n_threads must be >= 1")
+    if (msg_bytes < 1).any():
+        raise ValueError("msg_bytes must be >= 1")
+    names, codes = pattern
+    stride = int(n_ranks.max()) + 1 if n_ranks.size else 1
+    keys, inverse = np.unique(codes * stride + n_ranks, return_inverse=True)
+    shapes = np.array(
+        [_graph_shape(names[int(key // stride)], int(key % stride))
+         for key in keys],
+        dtype=np.int64,
+    ).reshape(-1, 5)[np.asarray(inverse).reshape(-1)]
+    topo = dict(zip(
+        ("max_out", "max_in", "max_pair_links", "depth", "n_links"), shapes.T
+    ))
+    topo["nbytes"] = _ceil_div(msg_bytes, n_threads) * n_threads
+    return topo, topo["nbytes"] * topo["n_links"]
 
 
 def _pattern_link_messages(approach: str, nbytes, n_threads, aggr):
@@ -808,8 +805,8 @@ def _pattern_per_message_vec(p, approach: str, msg_bytes, mult):
 @dataclass
 class _PatternCols:
     """Array twin of the scalar pattern predictor's inputs for one
-    (approach, params) group — topology summaries already gathered to
-    per-point columns, plus the per-point spec columns."""
+    (approach, params) group — the :func:`_topology_columns` shape and
+    payload columns, plus the per-point spec columns."""
 
     nbytes: np.ndarray
     max_out: np.ndarray
@@ -937,17 +934,12 @@ def _noise_quantum_column(noise, noise_us, noise_sigma_us) -> np.ndarray:
     return values[np.asarray(inverse).reshape(-1)]
 
 
-def _pattern_group_times(p, approach: str, configs) -> np.ndarray:
+def _pattern_group_times(p, approach: str, configs, topo) -> np.ndarray:
     """Vector twin of ``patterns.predict_pattern_time`` for one
-    (approach, params) group of config objects."""
-    topo = [_topology_summary(c) for c in configs]
+    (approach, params) group of config objects, given the group's
+    :func:`_topology_columns`."""
     cols = _PatternCols(
-        nbytes=np.array([t[0] for t in topo], dtype=np.int64),
-        max_out=np.array([t[1] for t in topo], dtype=np.int64),
-        max_in=np.array([t[2] for t in topo], dtype=np.int64),
-        max_pair_links=np.array([t[3] for t in topo], dtype=np.int64),
-        depth=np.array([t[4] for t in topo], dtype=np.int64),
-        n_links=np.array([t[6] for t in topo], dtype=np.int64),
+        **topo,
         n_threads=np.array([c.n_threads for c in configs], dtype=np.int64),
         num_vcis=np.array(
             [c.cvars.num_vcis for c in configs], dtype=np.int64
@@ -979,18 +971,25 @@ def pattern_batch(configs: Sequence[Any]) -> PatternBatch:
     groups: Dict[Any, List[int]] = {}
     for i, config in enumerate(configs):
         groups.setdefault((config.approach, config.params), []).append(i)
+    with span("kernel.topology", kind="pattern"):
+        topo, bytes_per_iteration = _topology_columns(
+            _approach_codes([c.pattern for c in configs]),
+            *(np.array([getattr(c, name) for c in configs], dtype=np.int64)
+              for name in ("n_ranks", "n_threads", "msg_bytes")),
+        )
     with span("kernel.eval", kind="pattern"):
         for (approach, params), indices in groups.items():
-            sub = [configs[i] for i in indices]
-            times[np.array(indices)] = _pattern_group_times(
-                params, approach, sub
+            idx = np.array(indices)
+            times[idx] = _pattern_group_times(
+                params,
+                approach,
+                [configs[i] for i in indices],
+                {name: column[idx] for name, column in topo.items()},
             )
-    with span("kernel.topology", kind="pattern"):
-        topo = [_topology_summary(c) for c in configs]
     return PatternBatch(
         times=times,
-        bytes_per_iteration=np.array([t[5] for t in topo], dtype=np.int64),
-        n_links=np.array([t[6] for t in topo], dtype=np.int64),
+        bytes_per_iteration=bytes_per_iteration,
+        n_links=topo["n_links"],
     )
 
 
@@ -1013,9 +1012,9 @@ def pattern_times_from_columns(
     bare name, or arrays of names.  ``params`` and the cvar knobs are
     batch constants, as in the bench twin.
 
-    Topology link graphs are built once per unique
-    ``(pattern, n_ranks, n_threads, msg_bytes)`` geometry
-    (process-lifetime cache) and gathered to per-point columns; every
+    Link graphs are built once per unique ``(pattern, n_ranks)``
+    (process-lifetime cache) and their shapes gathered to per-point
+    columns; the payload sizes are computed as columns.  Every
     per-point value is bitwise-equal to the scalar
     ``predict_pattern_time`` path.
     """
@@ -1039,33 +1038,19 @@ def pattern_times_from_columns(
     n_threads = col("n_threads", np.int64, 4)
     msg_bytes = col("msg_bytes", np.int64, 256 << 10)
 
-    # One link-graph build per unique geometry; gather to columns.
+    # One link-graph build per unique (pattern, n_ranks); the payload
+    # is a column.
     with span("kernel.topology", kind="pattern"):
-        geometry = np.stack(
-            [pattern_codes, n_ranks, n_threads, msg_bytes]
+        topo, bytes_per_iteration = _topology_columns(
+            (pattern_names, pattern_codes), n_ranks, n_threads, msg_bytes
         )
-        uniq, inverse = np.unique(geometry, axis=1, return_inverse=True)
-        summaries = [
-            _topology_summary_key(
-                pattern_names[int(code)], int(ranks), int(threads), int(size)
-            )
-            for code, ranks, threads, size in uniq.T
-        ]
-        gathered = np.asarray(summaries, dtype=np.int64)[
-            np.asarray(inverse).reshape(-1)
-        ]
 
     # Column prep is model work too (the noise-quantum column calls the
     # scalar model once per unique noise triple) — charged to the
     # kernel stage so the profile attribution covers it.
     with span("kernel.eval", kind="pattern"):
         cols = _PatternCols(
-            nbytes=gathered[:, 0],
-            max_out=gathered[:, 1],
-            max_in=gathered[:, 2],
-            max_pair_links=gathered[:, 3],
-            depth=gathered[:, 4],
-            n_links=gathered[:, 6],
+            **topo,
             n_threads=n_threads,
             num_vcis=np.full(n_points, num_vcis, dtype=np.int64),
             aggr=np.full(n_points, part_aggr_size, dtype=np.int64),
@@ -1098,6 +1083,6 @@ def pattern_times_from_columns(
             times[idx] = _pattern_times_cols(params, name, sub)
     return PatternBatch(
         times=times,
-        bytes_per_iteration=gathered[:, 5],
-        n_links=gathered[:, 6],
+        bytes_per_iteration=bytes_per_iteration,
+        n_links=topo["n_links"],
     )

@@ -101,6 +101,29 @@ class TestTopologies:
         assert len(links) == 20  # R*(R-1)
         assert pattern.bytes_per_iteration() == sum(l.nbytes for l in links)
 
+    @pytest.mark.parametrize("name", sorted(PATTERNS))
+    def test_graph_depends_on_ranks_alone(self, name):
+        """The `Pattern` contract the analytic kernel's one-build-per-
+        (pattern, n_ranks) shape cache relies on."""
+        n_ranks = 12
+        built = [
+            build_pattern(PatternConfig(pattern=name, n_ranks=n_ranks,
+                                        n_threads=threads, msg_bytes=size))
+            for threads, size in ((1, 1), (7, 65537))
+        ]
+        graphs = [
+            (
+                [(l.src, l.dst, l.key) for l in pattern.links()],
+                [pattern.blocking_recvs(rank) for rank in range(n_ranks)],
+            )
+            for pattern in built
+        ]
+        assert graphs[0] == graphs[1]
+        for pattern in built:
+            config = pattern.config
+            payload = align_bytes(config.msg_bytes, config.n_threads)
+            assert {l.nbytes for l in pattern.links()} == {payload}
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("pattern", sorted(PATTERNS))

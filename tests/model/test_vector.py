@@ -324,17 +324,84 @@ class TestPatternEquivalence:
                 pattern=pattern,
                 approach="pt2pt_part",
                 n_ranks=8,
-                n_threads=2,
-                msg_bytes=16384,
+                n_threads=threads,
+                msg_bytes=size,
                 iterations=1,
             )
             for pattern in ("halo3d", "sweep3d", "fft")
+            for threads in (2, 3)
+            for size in (16384, 16385)
         ]
         batch = predict_pattern_times(configs)
         for j, config in enumerate(configs):
             built = build_pattern(config)
             assert batch.bytes_per_iteration[j] == built.bytes_per_iteration()
             assert batch.n_links[j] == len(built.links())
+
+
+class TestTopologyColumns:
+    """The topology summary: one link-graph build per (pattern,
+    n_ranks), payload sizes as a column."""
+
+    def test_equals_per_geometry_build(self):
+        """Every registered pattern over ranks x threads x sizes equals
+        a summary of the graph built at that exact geometry."""
+        from collections import Counter
+
+        from repro.apps.base import PATTERNS, build_pattern
+        from repro.model.patterns import _dependency_depth
+        from repro.model.vector import _topology_columns
+
+        names = sorted(PATTERNS)
+        combos = list(itertools.product(
+            range(len(names)),
+            (2, 3, 4, 5, 6, 8, 12, 16, 27),
+            (1, 2, 3, 4, 7, 8, 32),
+            (1, 2, 3, 1000, 4097, 16384, 65537),
+        ))
+        code, ranks, threads, size = (
+            np.array(column, dtype=np.int64) for column in zip(*combos)
+        )
+        topo, bytes_per_iteration = _topology_columns(
+            (names, code), ranks, threads, size
+        )
+        for i, (c, r, t, m) in enumerate(combos):
+            pattern = build_pattern(PatternConfig(
+                pattern=names[c], n_ranks=r, n_threads=t, msg_bytes=m,
+            ))
+            links = pattern.links()
+            expected = {
+                "max_out": max(Counter(l.src for l in links).values()),
+                "max_in": max(Counter(l.dst for l in links).values()),
+                "max_pair_links": max(
+                    Counter((l.src, l.dst) for l in links).values()
+                ),
+                "depth": _dependency_depth(pattern, r),
+                "n_links": len(links),
+                "nbytes": links[0].nbytes,
+            }
+            got = {name: int(column[i]) for name, column in topo.items()}
+            assert got == expected, combos[i]
+            assert bytes_per_iteration[i] == pattern.bytes_per_iteration()
+        assert len(combos) == 1323
+
+    @pytest.mark.parametrize("field, bad, match", [
+        ("msg_bytes", 0, "msg_bytes"),
+        ("n_threads", 0, "n_threads"),
+        ("n_ranks", 1, "n_ranks"),
+    ])
+    def test_columns_api_rejects_bad_geometry(self, field, bad, match):
+        from repro.model.vector import pattern_times_from_columns
+
+        columns = {"pattern": "halo3d", field: np.array([4, bad])}
+        with np.errstate(all="raise"), pytest.raises(ValueError, match=match):
+            pattern_times_from_columns(MELUXINA, 1, 512, columns, 2)
+
+    def test_columns_api_rejects_unknown_pattern(self):
+        from repro.model.vector import pattern_times_from_columns
+
+        with pytest.raises(KeyError, match="unknown pattern"):
+            pattern_times_from_columns(MELUXINA, 1, 512, {"pattern": "ring"}, 1)
 
 
 class TestRunBatchEquivalence:
