@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -146,6 +147,68 @@ def _chain_max(*terms):
     return out
 
 
+def _dense_codes(values) -> Tuple[np.ndarray, int]:
+    """``(inverse, n_unique)`` of ``np.unique(values, return_inverse=True)``
+    for a 1-D int64 array; a presence table replaces the sort when the
+    values span no more than the array's length."""
+    lo, hi = (int(values.min()), int(values.max())) if values.size else (0, 0)
+    if hi - lo >= values.size:
+        uniq, inverse = np.unique(values, return_inverse=True)
+        return inverse, len(uniq)
+    offset = values - lo
+    present = np.zeros(hi - lo + 1, dtype=bool)
+    present[offset] = True
+    rank = np.cumsum(present) - 1
+    return rank[offset], int(rank[-1]) + 1
+
+
+def _factorize(*columns) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact group-by over equal-length 1-D key columns.
+
+    Returns ``(first, inverse)``: ``first[g]`` is the index of group
+    ``g``'s first point and ``inverse[i]`` the group of point ``i``.
+
+    A column is a ``(names, codes)`` pair (codes used as they are,
+    radix ``len(names)``), an int64 array or a float64 array.  Arrays
+    become dense codes (:func:`_dense_codes`); floats are keyed by
+    their bit pattern, so ``0.0``/``-0.0`` and distinct NaN payloads
+    never share a group.  The codes are packed mixed-radix into one
+    int64 key, re-densified whenever the next radix could overflow it,
+    and the key is factorized once; ``first`` is each group's smallest
+    index (``np.minimum.at``: ``return_index`` would force a stable
+    sort, several times slower at chunk sizes).
+    """
+    key, size = np.int64(0), 1
+    for column in columns:
+        if isinstance(column, tuple):
+            radix, codes = len(column[0]), column[1]
+        else:
+            column = np.asarray(column)
+            if column.dtype.kind == "f":
+                column = column.astype(np.float64, copy=False).view(np.int64)
+            codes, radix = _dense_codes(column)
+        if size * radix >= 2**63:
+            key, size = _dense_codes(key)
+        key, size = key * radix + codes, size * radix
+    inverse, n_groups = _dense_codes(key)
+    first = np.full(n_groups, len(inverse))
+    np.minimum.at(first, inverse, np.arange(len(inverse)))
+    return first, inverse
+
+
+def _scalar_per_key(scalar, dtype, *columns) -> np.ndarray:
+    """``scalar(*key)`` at every point, called once per exact key group
+    of :func:`_factorize` (a ``(names, codes)`` column passes the name),
+    so each point gets the scalar's value for its own inputs."""
+    first, inverse = _factorize(*columns)
+    keys = zip(*(
+        [column[0][code] for code in column[1][first].tolist()]
+        if isinstance(column, tuple) else column[first].tolist()
+        for column in columns
+    ))
+    return np.array([scalar(*key) for key in keys], dtype=dtype)[inverse]
+
+
 # ---------------------------------------------------------------------------
 # per-message stage costs (vector twins of _tag_msg_cost / _put_msg_cost)
 # ---------------------------------------------------------------------------
@@ -234,7 +297,7 @@ def _negotiated_vec(n, total_bytes, aggr) -> np.ndarray:
     """``negotiate_message_count(n, n, total_bytes, aggr)`` over
     columns, for both kernels.  Aggregation's ``k_max`` is array math;
     only the divisor rule (``largest_divisor_at_most``) runs in Python,
-    once per distinct ``(n, k_max)`` pair keyed as one int64."""
+    once per exact ``(n, k_max)`` key (:func:`_scalar_per_key`)."""
     from ..mpi.errors import PartitionError
     from ..mpi.partitioned import largest_divisor_at_most
 
@@ -245,16 +308,7 @@ def _negotiated_vec(n, total_bytes, aggr) -> np.ndarray:
     msg = np.asarray(total_bytes, dtype=np.int64) // n
     merge = (aggr > 0) & (msg > 0) & (msg <= aggr)
     k_max = np.where(merge, np.minimum(n, aggr // np.maximum(msg, 1)), 1)
-    base = int(n.max(initial=0)) + 1
-    keys, inverse = np.unique(n * base + k_max, return_inverse=True)
-    best = np.array(
-        [
-            largest_divisor_at_most(key // base, key % base)
-            for key in keys.tolist()
-        ],
-        dtype=np.int64,
-    )
-    return n // best[inverse.reshape(k_max.shape)]
+    return n // _scalar_per_key(largest_divisor_at_most, np.int64, n, k_max)
 
 
 def _tag_transfer_vec(
@@ -736,26 +790,20 @@ def _graph_shape(pattern_name: str, n_ranks: int) -> Tuple[int, ...]:
 
 def _topology_columns(pattern, n_ranks, n_threads, msg_bytes):
     """The topology columns of :class:`_PatternCols` (a dict) and the
-    ``bytes_per_iteration`` column: graph shapes gathered from one build
-    per unique ``(pattern, n_ranks)``; ``nbytes`` is the per-link
-    ``align_bytes(msg_bytes, n_threads)``.  ``pattern`` is a
-    ``(names, codes)`` pair, the rest int64 columns."""
+    ``bytes_per_iteration`` column: one :func:`_graph_shape` per exact
+    ``(pattern, n_ranks)`` key (:func:`_scalar_per_key`); ``nbytes`` is
+    the per-link ``align_bytes(msg_bytes, n_threads)``.  ``pattern`` is
+    a ``(names, codes)`` pair, the rest int64 columns."""
     if (n_ranks < 2).any():
         raise ValueError("patterns need n_ranks >= 2")
     if (n_threads < 1).any():
         raise ValueError("n_threads must be >= 1")
     if (msg_bytes < 1).any():
         raise ValueError("msg_bytes must be >= 1")
-    names, codes = pattern
-    stride = int(n_ranks.max()) + 1 if n_ranks.size else 1
-    keys, inverse = np.unique(codes * stride + n_ranks, return_inverse=True)
-    shapes = np.array(
-        [_graph_shape(names[int(key // stride)], int(key % stride))
-         for key in keys],
-        dtype=np.int64,
-    ).reshape(-1, 5)[np.asarray(inverse).reshape(-1)]
+    shapes = _scalar_per_key(_graph_shape, np.int64, pattern, n_ranks)
     topo = dict(zip(
-        ("max_out", "max_in", "max_pair_links", "depth", "n_links"), shapes.T
+        ("max_out", "max_in", "max_pair_links", "depth", "n_links"),
+        shapes.reshape(-1, 5).T,
     ))
     topo["nbytes"] = _ceil_div(msg_bytes, n_threads) * n_threads
     return topo, topo["nbytes"] * topo["n_links"]
@@ -908,55 +956,20 @@ def _pattern_times_cols(p, approach: str, cols: _PatternCols) -> np.ndarray:
 
 
 def _noise_quantum_column(noise, noise_us, noise_sigma_us) -> np.ndarray:
-    """``patterns.noise_mean_quantum`` over columns, evaluated once per
-    unique (noise, amplitude, sigma) triple through the *scalar*
-    function — so the vector path is bitwise-equal by construction.
+    """``patterns.noise_mean_quantum`` over columns, through the
+    *scalar* function once per exact (noise, amplitude, sigma) key —
+    floats keyed by bit pattern, so it is bitwise-equal by construction.
 
     ``noise`` is either a ``(names, codes)`` pair (the campaign fast
     path) or an array of shape names.
     """
     from .patterns import noise_mean_quantum
 
-    names, codes = _approach_codes(noise)
-    noise_us = np.asarray(noise_us, dtype=np.float64)
-    noise_sigma_us = np.asarray(noise_sigma_us, dtype=np.float64)
-    stacked = np.stack(
-        [codes.astype(np.float64), noise_us, noise_sigma_us]
+    return _scalar_per_key(
+        noise_mean_quantum, np.float64, _approach_codes(noise),
+        np.asarray(noise_us, dtype=np.float64),
+        np.asarray(noise_sigma_us, dtype=np.float64),
     )
-    uniq, inverse = np.unique(stacked, axis=1, return_inverse=True)
-    values = np.array(
-        [
-            noise_mean_quantum(names[int(code)], float(us), float(sigma))
-            for code, us, sigma in uniq.T
-        ],
-        dtype=np.float64,
-    )
-    return values[np.asarray(inverse).reshape(-1)]
-
-
-def _pattern_group_times(p, approach: str, configs, topo) -> np.ndarray:
-    """Vector twin of ``patterns.predict_pattern_time`` for one
-    (approach, params) group of config objects, given the group's
-    :func:`_topology_columns`."""
-    cols = _PatternCols(
-        **topo,
-        n_threads=np.array([c.n_threads for c in configs], dtype=np.int64),
-        num_vcis=np.array(
-            [c.cvars.num_vcis for c in configs], dtype=np.int64
-        ),
-        aggr=np.array(
-            [c.cvars.part_aggr_size for c in configs], dtype=np.int64
-        ),
-        compute_rate=np.array(
-            [c.compute_us_per_mb for c in configs], dtype=np.float64
-        ),
-        noise_q=_noise_quantum_column(
-            np.array([c.noise for c in configs], dtype=object),
-            [c.noise_us for c in configs],
-            [c.noise_sigma_us for c in configs],
-        ),
-    )
-    return _pattern_times_cols(p, approach, cols)
 
 
 def pattern_batch(configs: Sequence[Any]) -> PatternBatch:
@@ -966,26 +979,40 @@ def pattern_batch(configs: Sequence[Any]) -> PatternBatch:
     ``predict_pattern_time(configs[i]).time``; ``bytes_per_iteration``
     and ``n_links`` match the pattern the scalar backend would build.
     """
-    n = len(configs)
-    times = np.empty(n, dtype=np.float64)
+    def column(name, dtype=np.int64):
+        get = attrgetter(name)
+        return np.array([get(c) for c in configs], dtype=dtype)
+
+    times = np.empty(len(configs), dtype=np.float64)
     groups: Dict[Any, List[int]] = {}
     for i, config in enumerate(configs):
         groups.setdefault((config.approach, config.params), []).append(i)
+    n_threads = column("n_threads")
     with span("kernel.topology", kind="pattern"):
         topo, bytes_per_iteration = _topology_columns(
-            _approach_codes([c.pattern for c in configs]),
-            *(np.array([getattr(c, name) for c in configs], dtype=np.int64)
-              for name in ("n_ranks", "n_threads", "msg_bytes")),
+            _approach_codes(column("pattern", object)),
+            column("n_ranks"),
+            n_threads,
+            column("msg_bytes"),
         )
     with span("kernel.eval", kind="pattern"):
+        cols = dict(
+            topo,
+            n_threads=n_threads,
+            num_vcis=column("cvars.num_vcis"),
+            aggr=column("cvars.part_aggr_size"),
+            compute_rate=column("compute_us_per_mb", np.float64),
+            noise_q=_noise_quantum_column(
+                column("noise", object),
+                column("noise_us", np.float64),
+                column("noise_sigma_us", np.float64),
+            ),
+        )
         for (approach, params), indices in groups.items():
             idx = np.array(indices)
-            times[idx] = _pattern_group_times(
-                params,
-                approach,
-                [configs[i] for i in indices],
-                {name: column[idx] for name, column in topo.items()},
-            )
+            times[idx] = _pattern_times_cols(params, approach, _PatternCols(
+                **{field: values[idx] for field, values in cols.items()}
+            ))
     return PatternBatch(
         times=times,
         bytes_per_iteration=bytes_per_iteration,
@@ -1046,11 +1073,12 @@ def pattern_times_from_columns(
         )
 
     # Column prep is model work too (the noise-quantum column calls the
-    # scalar model once per unique noise triple) — charged to the
-    # kernel stage so the profile attribution covers it.
+    # scalar model once per exact noise triple): one kernel span covers
+    # it and the approach loop, as in the bench twin.
+    times = np.empty(n_points, dtype=np.float64)
     with span("kernel.eval", kind="pattern"):
-        cols = _PatternCols(
-            **topo,
+        cols = dict(
+            topo,
             n_threads=n_threads,
             num_vcis=np.full(n_points, num_vcis, dtype=np.int64),
             aggr=np.full(n_points, part_aggr_size, dtype=np.int64),
@@ -1061,8 +1089,6 @@ def pattern_times_from_columns(
                 col("noise_sigma_us", np.float64, 0.0),
             ),
         )
-    times = np.empty(n_points, dtype=np.float64)
-    with span("kernel.eval", kind="pattern"):
         for code, name in enumerate(approach_names):
             idx = np.nonzero(approach_codes == code)[0]
             if not idx.size:
@@ -1074,13 +1100,9 @@ def pattern_times_from_columns(
                 raise KeyError(
                     f"no analytic predictor for approach {name!r}"
                 )
-            sub = _PatternCols(
-                **{
-                    field: getattr(cols, field)[idx]
-                    for field in cols.__dataclass_fields__
-                }
-            )
-            times[idx] = _pattern_times_cols(params, name, sub)
+            times[idx] = _pattern_times_cols(params, name, _PatternCols(
+                **{field: values[idx] for field, values in cols.items()}
+            ))
     return PatternBatch(
         times=times,
         bytes_per_iteration=bytes_per_iteration,

@@ -404,6 +404,175 @@ class TestTopologyColumns:
             pattern_times_from_columns(MELUXINA, 1, 512, {"pattern": "ring"}, 1)
 
 
+NOISE_SHAPES = ("none", "single", "uniform", "gaussian")
+
+
+class TestNoiseQuantumColumn:
+    """The noise-quantum column equals a per-point loop over the scalar
+    ``noise_mean_quantum``, bit for bit, whatever form its inputs take."""
+
+    @staticmethod
+    def check(noise, shapes, us, sigma):
+        from repro.model.patterns import noise_mean_quantum
+        from repro.model.vector import _noise_quantum_column
+
+        us = np.asarray(us, dtype=np.float64)
+        sigma = np.asarray(sigma, dtype=np.float64)
+        got = _noise_quantum_column(noise, us, sigma)
+        expected = np.array(
+            [noise_mean_quantum(shape, u, s)
+             for shape, u, s in zip(shapes, us.tolist(), sigma.tolist())],
+            dtype=np.float64,
+        )
+        assert got.dtype == np.float64 and got.shape == us.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_shapes_amplitudes_sigmas(self):
+        """All four shapes over >= 1,000 distinct amplitudes and sigmas.
+        Each base point recurs with only its amplitude, or only its
+        sigma, moved one ulp or 3e-8, so no rounded key can pass."""
+        rng = np.random.default_rng(7)
+        base = 1200
+        us0 = rng.uniform(0.0, 200.0, base)
+        sigma0 = rng.uniform(0.0, 60.0, base)
+        us0[::7] = 0.0
+        sigma0[::11] = 0.0
+
+        def same(column):
+            return column
+
+        def ulp(column):
+            return np.nextafter(column, np.inf)
+
+        def near(column):
+            return column + 3e-8
+
+        moves = [(same, same), (ulp, same), (near, same), (same, ulp),
+                 (same, near)]
+        us = np.concatenate([move(us0) for move, _ in moves])
+        sigma = np.concatenate([move(sigma0) for _, move in moves])
+        codes = np.tile(rng.integers(0, len(NOISE_SHAPES), base), len(moves))
+        assert len(np.unique(us)) >= 1000 and len(np.unique(sigma)) >= 1000
+        shapes = [NOISE_SHAPES[c] for c in codes]
+        self.check((NOISE_SHAPES, codes), shapes, us, sigma)
+        self.check(np.array(shapes), shapes, us, sigma)
+
+    @pytest.mark.parametrize("shape", NOISE_SHAPES)
+    def test_scalar_broadcast_columns(self, shape):
+        n = 64
+        us = np.full(n, 25.0)
+        sigma = np.full(n, 5.0)
+        codes = np.zeros(n, dtype=np.int64)
+        self.check(([shape], codes), [shape] * n, us, sigma)
+        self.check(np.array([shape] * n), [shape] * n, us, sigma)
+        # a names list with an entry no point uses
+        names = ["unused", shape]
+        self.check((names, codes + 1), [shape] * n, us, sigma)
+
+    def test_signed_zero_never_merges(self):
+        """``single`` returns the amplitude as is, so ``-0.0`` and
+        ``0.0`` must each reach the scalar."""
+        us = np.array([0.0, -0.0, 0.0, -0.0])
+        sigma = np.array([5.0, 5.0, -0.0, 0.0])
+        for shape in NOISE_SHAPES:
+            self.check(np.array([shape] * 4), [shape] * 4, us, sigma)
+        from repro.model.vector import _noise_quantum_column
+
+        got = _noise_quantum_column(np.array(["single"] * 2), us[:2], sigma[:2])
+        assert np.signbit(got).tolist() == [False, True]
+
+    def test_empty_batch(self):
+        empty = np.empty(0, dtype=np.float64)
+        self.check(np.array([], dtype=str), [], empty, empty)
+        self.check((["gaussian"], np.empty(0, dtype=np.int64)), [], empty,
+                   empty)
+
+
+class TestFactorize:
+    """The exact group-by behind every scalar-per-key column."""
+
+    @staticmethod
+    def check_groups(first, inverse, *columns):
+        """``first`` holds each group's first point, ``inverse`` maps
+        every point to a group whose key equals its own, bit for bit."""
+        keys = [
+            np.asarray(c).view(np.int64) if np.asarray(c).dtype.kind == "f"
+            else np.asarray(c)
+            for c in columns
+        ]
+        n = len(keys[0])
+        assert inverse.shape == (n,)
+        for key in keys:
+            assert np.array_equal(key[first][inverse], key)
+        seen = {}
+        for i, row in enumerate(zip(*(k.tolist() for k in keys))):
+            seen.setdefault(row, i)
+        assert len(first) == len(seen)
+        assert sorted(first.tolist()) == sorted(seen.values())
+
+    def test_first_index_is_first_occurrence(self):
+        from repro.model.vector import _factorize
+
+        rng = np.random.default_rng(3)
+        a = rng.integers(0, 5, 2000)  # narrow: a presence table
+        wide = rng.integers(-2**62, 2**62, 7)[rng.integers(0, 7, 2000)]
+        b = rng.choice([0.0, -0.0, 1.5, np.nan, 2.5], 2000)
+        names = ["x", "y", "z"]
+        codes = rng.integers(0, 3, 2000)
+        first, inverse = _factorize((names, codes), a, wide, b)
+        self.check_groups(first, inverse, codes, a, wide, b)
+        for g, start in enumerate(first.tolist()):
+            assert np.flatnonzero(inverse == g)[0] == start
+
+    def test_negative_zero_and_nan_payloads_stay_apart(self):
+        from repro.model.vector import _factorize
+
+        quiet = np.float64(np.nan)
+        payload = np.array([0x7FF8000000000001], dtype=np.int64).view(
+            np.float64
+        )[0]
+        column = np.array([0.0, -0.0, quiet, payload, 0.0, payload])
+        first, inverse = _factorize(column)
+        assert len(first) == 4
+        assert inverse[0] == inverse[4] and inverse[3] == inverse[5]
+        self.check_groups(first, inverse, column)
+
+    def test_three_wide_float_columns_pack_without_overflow(self):
+        """~1e5 distinct values per column: the raw bit patterns packed
+        directly would overflow int64; dense codes do not."""
+        from repro.model.vector import _factorize
+
+        rng = np.random.default_rng(11)
+        n = 220_000
+        columns = [rng.uniform(-1e6, 1e6, n) for _ in range(3)]
+        for column in columns:
+            column[n // 2:] = column[: n - n // 2]  # repeat rows
+        columns[2][-1000:] = np.nextafter(columns[2][-1000:], np.inf)
+        assert all(len(np.unique(c)) >= 100_000 for c in columns)
+        first, inverse = _factorize(*columns)
+        self.check_groups(first, inverse, *columns)
+
+    def test_key_redensifies_before_overflow(self):
+        """Five columns of 2**14 codes need 70 bits: rows that differ
+        only by 256 in the first column would share a wrapped key."""
+        from repro.model.vector import _factorize
+
+        width = 1 << 14
+        i = np.arange(width)
+        first_col = np.concatenate([i, (i + 256) % width]).astype(np.float64)
+        rest = [np.concatenate([i, i]) for _ in range(4)]
+        first, inverse = _factorize(first_col, *rest)
+        assert len(first) == 2 * width
+        self.check_groups(first, inverse, first_col, *rest)
+
+    def test_empty_columns(self):
+        from repro.model.vector import _factorize
+
+        empty = np.empty(0, dtype=np.int64)
+        first, inverse = _factorize(empty, empty.astype(np.float64))
+        assert first.shape == inverse.shape == (0,)
+
+
 class TestRunBatchEquivalence:
     """`Backend.run_batch` must be indistinguishable from per-point
     `run` — asserted on the serialized result form, which is exactly

@@ -462,29 +462,29 @@ class TestThreadLocalRegistry:
 class TestStreamingMemory:
     def test_iter_rows_memory_bounded_by_segment(self, tmp_path):
         """Many small segments: a full drain must hold O(one segment),
-        not the campaign — materializing every row costs several times
-        the streaming peak."""
+        not the campaign — its traced peak stays under a byte bound
+        built from the index and segment sizes, which materializing
+        every row (about 1.4 MB here) exceeds many times over."""
         grid = parse_grid_spec(wide_spec())
-        store = CampaignStore.create(tmp_path / "camp", grid)
+        root = tmp_path / "camp"
+        store = CampaignStore.create(root, grid)
         run_campaign(store, chunk_points=64)
-        n_segments = len(list((tmp_path / "camp" / "segments").glob("*")))
+        n_segments = len(list((root / "segments").glob("*")))
         assert n_segments >= 64
 
+        sum(1 for _ in store.iter_rows())  # warm imports and caches
         tracemalloc.start()
         count = sum(1 for _ in store.iter_rows())
         _, stream_peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert count == len(grid)
 
-        tracemalloc.start()
-        rows = dict(store.iter_rows())
-        _, materialized_peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert len(rows) == len(grid)
-        del rows
-        assert stream_peak < materialized_peak / 4, (
-            f"streaming drain peaked at {stream_peak} bytes vs "
-            f"{materialized_peak} materialized — not O(one segment)"
+        # The parsed index (under 3x its JSON text) plus 1 KiB for each
+        # row of one 64-point segment: 98,539 B for this store.
+        bound = 3 * (root / "index.json").stat().st_size + 64 * 1024
+        assert stream_peak < bound, (
+            f"streaming drain peaked at {stream_peak} bytes, bound "
+            f"{bound} — not O(one segment)"
         )
 
     def test_compact_streams_and_dedupes(self, tmp_path):

@@ -37,6 +37,19 @@ BENCH_SPEC = {
     },
 }
 
+PATTERN_SPEC = {
+    "kind": "pattern",
+    "backend": "analytic",
+    "base": {"n_ranks": 4},
+    "axes": {
+        "pattern": ["halo3d", "fft"],
+        "approach": ["pt2pt_part", "pt2pt_single"],
+        "msg_bytes": [16384, 32768],
+        "noise": ["none", "gaussian"],
+        "noise_us": [0.0, 25.0],
+    },
+}
+
 SIM_SPEC = {
     "kind": "bench",
     "backend": "sim",
@@ -76,6 +89,18 @@ class TestCampaignInstrumentation:
         assert registry.counters["store.segments_written"] >= 1
         assert registry.counters["store.bytes_written"] > 0
         assert registry.gauges["campaign.fast_path"] == 1
+
+    @pytest.mark.parametrize("spec", [BENCH_SPEC, PATTERN_SPEC],
+                             ids=["bench", "pattern"])
+    def test_one_kernel_span_per_chunk(self, tmp_path, spec):
+        """Both analytic kernels open ``kernel.eval`` once per chunk,
+        so the metrics file's span count is the chunk count."""
+        _, registry, summary = run_with_registry(
+            tmp_path / "camp", spec, chunk_points=5
+        )
+        assert summary["chunks"] > 1
+        totals = registry.snapshot()["span_totals"]
+        assert totals["kernel.eval"]["count"] == summary["chunks"]
 
     def test_disabled_run_records_nothing(self, tmp_path):
         store = CampaignStore.create(
