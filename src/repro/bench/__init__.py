@@ -1,7 +1,13 @@
 """Benchmark harness reproducing the paper's measurement methodology."""
 
 from .approaches import APPROACHES, Approach, ApproachConfig
-from .harness import BenchResult, BenchSpec, build_world, run_benchmark
+from .harness import (
+    BenchResult,
+    BenchSpec,
+    build_world,
+    run_benchmark,
+    simulation_key,
+)
 from .reporting import format_bandwidth_table, format_ratio_line, format_us_table
 from .stats import SampleStats, needs_rerun, summarize
 from .sweep import SweepResult, size_grid, sweep_approaches, sweep_sizes
@@ -14,6 +20,7 @@ __all__ = [
     "BenchResult",
     "run_benchmark",
     "build_world",
+    "simulation_key",
     "SampleStats",
     "summarize",
     "needs_rerun",

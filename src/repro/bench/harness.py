@@ -18,16 +18,24 @@ seed (up to 50 times).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from ..mpi import Cvars, MPIWorld
+from ..mpi.partitioned import negotiate_message_count
 from ..net import MELUXINA, SystemParams
 from ..threads import ComputeModel, FixedDelayModel, NoDelayModel, ThreadTeam
 from .approaches import APPROACHES, Approach, ApproachConfig
 from .stats import CI_FRACTION, MAX_RETRIES, SampleStats, needs_rerun, summarize
 
-__all__ = ["BenchSpec", "BenchResult", "run_benchmark", "build_world"]
+__all__ = [
+    "BenchSpec",
+    "BenchResult",
+    "run_benchmark",
+    "build_world",
+    "simulation_key",
+]
 
 
 @dataclass(frozen=True)
@@ -255,3 +263,40 @@ def run_benchmark(spec: BenchSpec) -> BenchResult:
         result = _single_run(spec, spec.seed + retries)
     result.retries = retries
     return result
+
+
+def simulation_key(scenario: Any) -> str:
+    """The identity of the simulation a scenario runs: two scenarios
+    with equal keys produce bit-identical results, so a batch simulates
+    each distinct key once (:func:`~repro.runner.executor.run_scenarios`).
+
+    For a bench spec the key is the scenario's canonical JSON with
+    ``cvars.part_aggr_size`` set to 0, plus the message count
+    ``negotiate_message_count(n_parts, n_parts, total_bytes,
+    part_aggr_size)``.  The proof obligation, which every change to the
+    simulator must keep true:
+
+    1. ``part_aggr_size`` reaches the simulation only through
+       :func:`~repro.mpi.partitioned.negotiate_message_count` (the
+       receiver's decision and the ``part_skip_first_cts``
+       pre-agreement in :mod:`repro.mpi.partitioned`); no other module
+       of ``sim/``, ``mpi/``, ``net/``, ``threads/`` or ``bench/`` reads
+       it;
+    2. this harness gives both sides the same partition count,
+       ``n_threads * theta``, so the count in the key is the one the
+       simulation negotiates;
+    3. every other field of the scenario is in the key unchanged.
+
+    Every other kind of scenario keys on its canonical JSON, so only
+    exact duplicates share.  Floats compare through their JSON text, so
+    ``0.0`` and ``-0.0`` never merge.
+    """
+    payload = scenario.to_dict()
+    spec = scenario.spec
+    n_parts = spec.n_threads * spec.theta if isinstance(spec, BenchSpec) else 0
+    if n_parts >= 1:
+        payload["spec"]["cvars"]["part_aggr_size"] = 0
+        payload["n_msgs"] = negotiate_message_count(
+            n_parts, n_parts, spec.total_bytes, spec.cvars.part_aggr_size
+        )
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))

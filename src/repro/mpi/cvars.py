@@ -38,6 +38,7 @@ class Cvars:
     vci_method: str = VCI_METHOD_COMM
     #: Aggregation bound in bytes for partitioned messages; 0 disables
     #: aggregation (``MPIR_CVAR_PART_AGGR_SIZE``).
+    #: Any new simulator reader must update ``bench.harness.simulation_key``.
     part_aggr_size: int = 0
     #: Internal tags reserved for partitioned traffic per peer; when a
     #: sender exceeds this, new partitioned requests fall back to AM.

@@ -59,6 +59,7 @@ def negotiate_message_count(
     aggregate stays within ``aggr_size`` bytes (0 disables aggregation).
     The result always divides the gcd, keeping messages uniform.
     """
+    # The only simulator reader of part_aggr_size; a new one must update simulation_key.
     if n_send < 1 or n_recv < 1:
         raise PartitionError("partition counts must be >= 1")
     g = math.gcd(n_send, n_recv)

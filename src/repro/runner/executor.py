@@ -17,6 +17,12 @@ parallel.  :func:`run_scenarios` splits a batch by backend:
   (:func:`~repro.runner.planner.pool_workers`) runs tiny grids and
   single-CPU machines in-process, where a pool cannot pay for itself.
 
+Simulated scenarios with the same
+:func:`~repro.bench.harness.simulation_key` (exact duplicates, and
+Fig. 7's aggregation bounds that negotiate the same message count) are
+simulated once per batch; every submitted point still gets its own copy
+of the result.
+
 Results are reassembled **in submission order**, and the serial and the
 pooled path move results through the same serialized form
 (:func:`~repro.runner.scenario.result_to_dict`), so the output of
@@ -31,6 +37,7 @@ rerun executes only what is missing.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import multiprocessing
 import queue
@@ -336,6 +343,12 @@ def run_scenarios(
 ) -> RunReport:
     """Execute a batch; results come back in submission order.
 
+    Simulated scenarios run once per distinct
+    :func:`~repro.bench.harness.simulation_key`; a point whose key an
+    earlier point of the batch already has gets a copy of that point's
+    result dict (counted as ``executor.shared_points``).  Pool sizing
+    and chunking see only the distinct points.
+
     ``jobs`` caps the worker processes for the simulated portion
     (``1`` is in-process serial); ``chunk_size`` pins the points per
     pooled chunk (default :func:`~repro.runner.planner.auto_chunk_size`);
@@ -344,6 +357,7 @@ def run_scenarios(
     ``"always"`` or ``"never"``).
     """
     from ..backends import get_backend
+    from ..bench.harness import simulation_key
 
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -356,7 +370,11 @@ def run_scenarios(
             inline.setdefault(scenario.backend, []).append(i)
         else:
             pooled.append(i)
-    workers, use_pool = pool_workers(len(pooled), jobs, pool)
+    # One simulation per distinct key, run by the key's first point.
+    owners: Dict[str, int] = {}
+    owner_of = [owners.setdefault(simulation_key(batch[i]), i) for i in pooled]
+    distinct = list(owners.values())
+    workers, use_pool = pool_workers(len(distinct), jobs, pool)
 
     # Inline backends (analytic: the vectorized kernel) run in-process,
     # one run_batch call per backend.  The results still flow through
@@ -376,11 +394,11 @@ def run_scenarios(
             result_dicts[i] = result_to_dict(scenario, result)
 
     size = (
-        auto_chunk_size(len(pooled), workers)
+        auto_chunk_size(len(distinct), workers)
         if chunk_size is None
         else max(1, int(chunk_size))
     )
-    chunks = [pooled[k:k + size] for k in range(0, len(pooled), size)]
+    chunks = [distinct[k:k + size] for k in range(0, len(distinct), size)]
     payloads = ([batch[i].to_dict() for i in chunk] for chunk in chunks)
     for chunk, computed in zip(
         chunks,
@@ -390,6 +408,11 @@ def run_scenarios(
     ):
         for i, result_dict in zip(chunk, computed):
             result_dicts[i] = result_dict
+    for i, owner in zip(pooled, owner_of):
+        if owner != i:
+            result_dicts[i] = copy.deepcopy(result_dicts[owner])
+    if len(distinct) < len(pooled):
+        telemetry.count("executor.shared_points", len(pooled) - len(distinct))
 
     return RunReport(
         results=[

@@ -1,16 +1,21 @@
 """Property-based tests (hypothesis) on core invariants."""
 
 import math
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench import BenchSpec, run_benchmark, simulation_key
 from repro.bench.stats import summarize
+from repro.figures import fig7_aggregation as fig7
+from repro.figures.common import paper_sizes
 from repro.model import eta_large, gamma_theta, t_bulk, t_pipelined
-from repro.mpi import ANY_SOURCE, ANY_TAG, MatchKey, MatchingEngine
+from repro.mpi import ANY_SOURCE, ANY_TAG, Cvars, MatchKey, MatchingEngine
 from repro.mpi.partitioned import negotiate_message_count
 from repro.mpi.matching import PostedRecv, UnexpectedMsg
 from repro.net import MELUXINA
+from repro.runner.scenario import scenario_for
 from repro.sim import Environment
 
 
@@ -231,3 +236,77 @@ def test_clock_monotone_through_arbitrary_timeouts(delays):
     assert seen == sorted(seen)
     if delays:
         assert seen[-1] <= sum(delays) * (1 + 1e-9) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# simulation key: equal keys, bitwise-equal simulations
+# ---------------------------------------------------------------------------
+AGGR_BOUNDS = (0, 16, 512, 1024, 4096, 16384, 1 << 20)
+
+
+def _bench_key(spec):
+    return simulation_key(scenario_for(spec))
+
+
+@given(
+    approach=st.sampled_from(["pt2pt_part", "pt2pt_part_old", "pt2pt_single"]),
+    n_threads=st.sampled_from([1, 2, 4]),
+    theta=st.sampled_from([1, 2, 8, 32]),
+    part_bytes=st.sampled_from([8, 64, 512, 4096, 16384]),
+    skip_first_cts=st.booleans(),
+    aggr_a=st.sampled_from(AGGR_BOUNDS),
+    aggr_b=st.sampled_from(AGGR_BOUNDS),
+)
+@settings(max_examples=40, deadline=None)
+def test_equal_simulation_keys_simulate_identically(
+    approach, n_threads, theta, part_bytes, skip_first_cts, aggr_a, aggr_b
+):
+    def spec(aggr):
+        return BenchSpec(
+            approach=approach,
+            total_bytes=n_threads * theta * part_bytes,
+            n_threads=n_threads,
+            theta=theta,
+            iterations=2,
+            cvars=Cvars(
+                part_aggr_size=aggr, part_skip_first_cts=skip_first_cts
+            ),
+        )
+
+    a, b = spec(aggr_a), spec(aggr_b)
+    if _bench_key(a) != _bench_key(b):
+        return
+    ra, rb = run_benchmark(a), run_benchmark(b)
+    assert list(map(float.hex, ra.times)) == list(map(float.hex, rb.times))
+    assert (ra.verified, ra.retries) == (rb.verified, rb.retries)
+
+
+def test_simulation_key_merges_fig7_where_aggregation_cannot():
+    """fig7.run's full grid: 27 points where aggregation cannot merge,
+    plus 2 sizes where 4096 and 16384 both merge to one message."""
+    base = BenchSpec(
+        approach="pt2pt_single",
+        total_bytes=1,
+        n_threads=fig7.N_THREADS,
+        theta=fig7.THETA,
+        iterations=3,
+    )
+    variants = [replace(base, approach=a) for a in ("pt2pt_single", "pt2pt_many")]
+    variants += [
+        replace(base, approach="pt2pt_part", cvars=Cvars(part_aggr_size=aggr))
+        for aggr in fig7.AGGR_SIZES
+    ]
+    sizes = paper_sizes(fig7.MIN_BYTES, fig7.MAX_BYTES, n_parts=fig7.N_PARTS)
+    specs = [replace(v, total_bytes=size) for v in variants for size in sizes]
+    assert len(specs) == 98
+    assert len(specs) - len({_bench_key(s) for s in specs}) == 29
+
+
+def test_simulation_key_keeps_signed_zeros_apart():
+    spec = BenchSpec(approach="pt2pt_part", total_bytes=4096, n_threads=4)
+    negative = BenchSpec(
+        approach="pt2pt_part", total_bytes=4096, n_threads=4,
+        gamma_us_per_mb=-0.0,
+    )
+    assert spec == negative  # dataclass equality cannot tell them apart
+    assert _bench_key(spec) != _bench_key(negative)
