@@ -367,9 +367,9 @@ def _campaign_parser() -> argparse.ArgumentParser:
                           "it with 'campaign profile'")
     run.add_argument("--trace", action="store_true",
                      help="stream simulator trace records into the "
-                          "metrics file (requires --metrics; forces "
-                          "in-process execution so records reach the "
-                          "sink)")
+                          "metrics file (requires --metrics; runs "
+                          "in-process with one job, overriding --jobs, "
+                          "so records reach the sink)")
     run.add_argument("--shards", type=int, default=None, metavar="N",
                      help="split the missing points across N local "
                           "shard processes and merge their segments "
@@ -514,20 +514,21 @@ def _run_campaign_cli(args) -> int:
                     progress=print,
                 )
         else:
-            jobs = args.jobs if args.jobs > 0 else default_jobs()
-            run_kwargs = dict(
-                jobs=jobs,
-                limit=args.limit,
-                async_write=False if args.sync_write else None,
-                progress=print,
-            )
+            # Trace records reach the sink only from in-process
+            # simulations, so --trace runs (and records) one job.
             if args.trace:
-                # Trace records reach the sink only from in-process
-                # simulations.
-                run_kwargs["pool"] = "never"
+                jobs = 1
+            else:
+                jobs = args.jobs if args.jobs > 0 else default_jobs()
 
             def run():
-                return run_campaign_fn(store, **run_kwargs)
+                return run_campaign_fn(
+                    store,
+                    jobs=jobs,
+                    limit=args.limit,
+                    async_write=False if args.sync_write else None,
+                    progress=print,
+                )
 
         try:
             if args.metrics:

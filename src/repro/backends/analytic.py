@@ -7,12 +7,14 @@ injected-noise mean-shift correction for patterns) and wraps the
 prediction in the same native result object the simulator produces, so
 every consumer — sweeps, figures, stores, reports — works unchanged.
 
-Campaign chunks bypass even :meth:`AnalyticBackend.run_batch`: the
-columns-first entry points
-(:func:`repro.model.vector.bench_times_from_columns` /
-:func:`repro.model.vector.pattern_times_from_columns`) take decoded
-grid-axis columns directly, so no scenario or spec object exists on
-that path at all.
+Each scenario kind has one vectorized kernel entry,
+:func:`repro.model.vector.bench_times_from_columns` /
+:func:`repro.model.vector.pattern_times_from_columns`.
+:meth:`AnalyticBackend.run_batch` reaches it through the spec-batch
+views (:func:`~repro.model.vector.bench_batch_times` /
+:func:`~repro.model.vector.pattern_batch`); campaign chunks call it
+directly with decoded grid-axis columns, so no scenario or spec object
+exists on that path at all.
 
 The model is deterministic, so a point's ``iterations`` samples are all
 identical (zero variance, like a converged simulated run) and the whole
@@ -70,8 +72,9 @@ class AnalyticBackend(Backend):
         """Evaluate the whole batch through the vectorized model kernel.
 
         One :func:`~repro.model.vector.bench_batch_times` /
-        :func:`~repro.model.vector.pattern_batch` call per kind replaces
-        per-point predictor dispatch; results are identical to the
+        :func:`~repro.model.vector.pattern_batch` call per kind (each a
+        view of its column kernel) replaces per-point predictor
+        dispatch; results are identical to the
         per-point :meth:`run` path bit for bit (the kernel mirrors the
         scalar formulas operation-for-operation, and the equivalence
         suite asserts it).  Batches below :data:`VECTOR_MIN_BATCH`

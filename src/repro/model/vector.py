@@ -16,19 +16,21 @@ Batching model
 Points are grouped by the parameters that select *code paths* rather
 than *values* — the approach (each has its own predictor), the frozen
 :class:`~repro.net.params.SystemParams` (so every ``p.*`` cost is a
-scalar inside a group), and the ``vci_method`` string.  Everything else
-(sizes, thread counts, partition counts, VCI counts, compute rates)
-varies per point as an int64/float64 column.  Data-dependent branches of
-the scalar code (protocol ladder, zcopy queue-feedback regimes, pipeline
+scalar inside a group), and the cvar knobs (``num_vcis``,
+``part_aggr_size`` and, for bench, ``vci_method``).  Everything else
+(sizes, thread counts, partition counts, compute rates, noise) varies
+per point as an int64/float64 column.  Data-dependent branches of the
+scalar code (protocol ladder, zcopy queue-feedback regimes, pipeline
 bounds) become boolean masks combined with ``np.where``.
 
-Two entry points per family:
-
-* :func:`bench_batch_times` / :func:`pattern_batch` — take spec
-  dataclasses (the :meth:`~repro.backends.base.Backend.run_batch` path);
-* :func:`bench_times_from_columns` — takes bare column arrays, so the
-  campaign fast path can decode a million grid indices straight into
-  parameter columns without ever constructing a spec object.
+One kernel entry per scenario kind: :func:`bench_times_from_columns`
+and :func:`pattern_times_from_columns` take bare column arrays plus
+the batch constants, so a campaign decodes grid indices straight into
+parameter columns without constructing a spec object.
+:func:`bench_batch_times` / :func:`pattern_batch` (the
+:meth:`~repro.backends.base.Backend.run_batch` path) are views of
+them: they group spec dataclasses by the batch constants and hand each
+group's field columns to the column kernel.
 
 Sizes are assumed to stay below 2**53 bytes (exact int64→float64
 conversion); every grid in the repo is far below that.
@@ -39,7 +41,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -587,8 +589,8 @@ def _delay_columns(total_bytes, n_threads, theta, gamma, gaussian_mu):
 def _approach_codes(approach) -> Tuple[List[str], np.ndarray]:
     """Normalize a categorical column to ``(names, codes)``.
 
-    Accepts a ready-made ``(names, codes)`` pair (the campaign fast
-    path derives codes straight from the grid's axis digits — no string
+    Accepts a ready-made ``(names, codes)`` pair (a campaign chunk
+    derives codes straight from the grid's axis digits — no string
     hashing over the batch), or any array of names (factorized here).
     Shared by every categorical pattern/bench column (approach,
     pattern, noise).
@@ -601,45 +603,6 @@ def _approach_codes(approach) -> Tuple[List[str], np.ndarray]:
     return [str(name) for name in names], np.asarray(
         codes, dtype=np.int64
     ).reshape(-1)
-
-
-def _dispatch_bench(
-    params: SystemParams,
-    vci_method: str,
-    approach,
-    n_threads: np.ndarray,
-    theta: np.ndarray,
-    total_bytes: np.ndarray,
-    num_vcis: np.ndarray,
-    part_aggr_size: np.ndarray,
-    gamma: np.ndarray,
-    gaussian_mu: np.ndarray,
-) -> np.ndarray:
-    """Route column arrays to the per-approach vector predictors."""
-    delay, compute_active = _delay_columns(
-        total_bytes, n_threads, theta, gamma, gaussian_mu
-    )
-    names, codes = _approach_codes(approach)
-    times = np.empty(len(codes), dtype=np.float64)
-    for code, name in enumerate(names):
-        if name not in _VECTOR_PREDICTORS:
-            raise KeyError(f"no analytic predictor for approach {name!r}")
-        idx = np.nonzero(codes == code)[0]
-        if not idx.size:
-            continue
-        cols = _BenchCols(
-            params=params,
-            vci_method=vci_method,
-            n_threads=n_threads[idx],
-            theta=theta[idx],
-            total_bytes=total_bytes[idx],
-            num_vcis=num_vcis[idx],
-            part_aggr_size=part_aggr_size[idx],
-            delay=delay[idx],
-            compute_active=compute_active[idx],
-        )
-        times[idx] = _VECTOR_PREDICTORS[name](cols)
-    return times
 
 
 def bench_times_from_columns(
@@ -657,9 +620,8 @@ def bench_times_from_columns(
     ``BenchSpec`` defaults.  The approach column may also be a
     ``(names, codes)`` pair (see :func:`_approach_codes`).  ``params``
     and the three cvar knobs are batch constants — callers with
-    heterogeneous machine models group first (as
-    :func:`bench_batch_times` does).  This is the campaign fast path:
-    no spec objects are ever constructed.
+    heterogeneous machine models or cvars group first (as
+    :func:`bench_batch_times` does).  No spec object is needed.
     """
     def col(name, dtype, default):
         value = columns.get(name, default)
@@ -671,59 +633,73 @@ def bench_times_from_columns(
     if isinstance(approach, str):
         approach = ([approach], np.zeros(n_points, dtype=np.int64))
     with span("kernel.eval", kind="bench"):
-        return _dispatch_bench(
-            params,
-            vci_method,
-            approach,
-            col("n_threads", np.int64, 1),
-            col("theta", np.int64, 1),
-            col("total_bytes", np.int64, 0),
-            np.full(n_points, num_vcis, dtype=np.int64),
-            np.full(n_points, part_aggr_size, dtype=np.int64),
+        names, codes = _approach_codes(approach)
+        n_threads = col("n_threads", np.int64, 1)
+        theta = col("theta", np.int64, 1)
+        total_bytes = col("total_bytes", np.int64, 0)
+        delay, compute_active = _delay_columns(
+            total_bytes, n_threads, theta,
             col("gamma_us_per_mb", np.float64, 0.0),
             col("gaussian_mu_us_per_mb", np.float64, 0.0),
         )
+        times = np.empty(n_points, dtype=np.float64)
+        for code, name in enumerate(names):
+            if name not in _VECTOR_PREDICTORS:
+                raise KeyError(f"no analytic predictor for approach {name!r}")
+            idx = np.nonzero(codes == code)[0]
+            if not idx.size:
+                continue
+            times[idx] = _VECTOR_PREDICTORS[name](_BenchCols(
+                params=params,
+                vci_method=vci_method,
+                n_threads=n_threads[idx],
+                theta=theta[idx],
+                total_bytes=total_bytes[idx],
+                num_vcis=np.full(idx.size, num_vcis, dtype=np.int64),
+                part_aggr_size=np.full(
+                    idx.size, part_aggr_size, dtype=np.int64
+                ),
+                delay=delay[idx],
+                compute_active=compute_active[idx],
+            ))
+        return times
+
+
+def _spec_groups(
+    specs: Sequence[Any], constants: Sequence[str], fields: Sequence[str]
+) -> Iterator[Tuple[tuple, np.ndarray, Dict[str, list]]]:
+    """Group spec dataclasses by the batch constants a column kernel
+    takes: yields ``(constant values, point indices, {field: values})``
+    per group, in first-appearance order."""
+    key_of = attrgetter(*constants)
+    groups: Dict[tuple, List[int]] = {}
+    for i, spec in enumerate(specs):
+        groups.setdefault(key_of(spec), []).append(i)
+    for key, indices in groups.items():
+        group = [specs[i] for i in indices]
+        yield key, np.array(indices), {
+            field: [getattr(spec, field) for spec in group]
+            for field in fields
+        }
 
 
 def bench_batch_times(specs: Sequence[Any]) -> np.ndarray:
-    """Predicted times for a batch of ``BenchSpec``-shaped objects.
+    """Predicted times for a batch of ``BenchSpec``-shaped objects: one
+    :func:`bench_times_from_columns` call per distinct (``params``,
+    ``cvars.num_vcis``, ``cvars.vci_method``, ``cvars.part_aggr_size``).
 
     Point ``i`` of the result is bitwise-equal to
     ``predict_bench_time(specs[i]).time``.
     """
     times = np.empty(len(specs), dtype=np.float64)
-    groups: Dict[Any, List[int]] = {}
-    for i, spec in enumerate(specs):
-        key = (spec.params, spec.cvars.vci_method)
-        groups.setdefault(key, []).append(i)
-    with span("kernel.eval", kind="bench"):
-        return _bench_batch_grouped(specs, times, groups)
-
-
-def _bench_batch_grouped(
-    specs: Sequence[Any],
-    times: np.ndarray,
-    groups: Dict[Any, List[int]],
-) -> np.ndarray:
-    for (params, vci_method), indices in groups.items():
-        sub = [specs[i] for i in indices]
-        times[np.array(indices)] = _dispatch_bench(
-            params,
-            vci_method,
-            np.array([s.approach for s in sub], dtype=object),
-            np.array([s.n_threads for s in sub], dtype=np.int64),
-            np.array([s.theta for s in sub], dtype=np.int64),
-            np.array([s.total_bytes for s in sub], dtype=np.int64),
-            # cvar knobs can vary per point inside a (params, method)
-            # group (cvar axes), so they are columns too.
-            np.array([s.cvars.num_vcis for s in sub], dtype=np.int64),
-            np.array(
-                [s.cvars.part_aggr_size for s in sub], dtype=np.int64
-            ),
-            np.array([s.gamma_us_per_mb for s in sub], dtype=np.float64),
-            np.array(
-                [s.gaussian_mu_us_per_mb for s in sub], dtype=np.float64
-            ),
+    for (params, num_vcis, vci_method, aggr), idx, columns in _spec_groups(
+        specs,
+        ("params", "cvars.num_vcis", "cvars.vci_method",
+         "cvars.part_aggr_size"),
+        BENCH_COLUMN_FIELDS,
+    ):
+        times[idx] = bench_times_from_columns(
+            params, num_vcis, vci_method, aggr, columns, len(idx)
         )
     return times
 
@@ -960,8 +936,8 @@ def _noise_quantum_column(noise, noise_us, noise_sigma_us) -> np.ndarray:
     *scalar* function once per exact (noise, amplitude, sigma) key —
     floats keyed by bit pattern, so it is bitwise-equal by construction.
 
-    ``noise`` is either a ``(names, codes)`` pair (the campaign fast
-    path) or an array of shape names.
+    ``noise`` is either a ``(names, codes)`` pair (a campaign chunk)
+    or an array of shape names.
     """
     from .patterns import noise_mean_quantum
 
@@ -973,51 +949,31 @@ def _noise_quantum_column(noise, noise_us, noise_sigma_us) -> np.ndarray:
 
 
 def pattern_batch(configs: Sequence[Any]) -> PatternBatch:
-    """Vectorized predictions for a batch of ``PatternConfig`` objects.
+    """Vectorized predictions for a batch of ``PatternConfig`` objects:
+    one :func:`pattern_times_from_columns` call per distinct
+    (``params``, ``cvars.num_vcis``, ``cvars.part_aggr_size``).
 
     Point ``i`` of ``times`` is bitwise-equal to
     ``predict_pattern_time(configs[i]).time``; ``bytes_per_iteration``
     and ``n_links`` match the pattern the scalar backend would build.
     """
-    def column(name, dtype=np.int64):
-        get = attrgetter(name)
-        return np.array([get(c) for c in configs], dtype=dtype)
-
-    times = np.empty(len(configs), dtype=np.float64)
-    groups: Dict[Any, List[int]] = {}
-    for i, config in enumerate(configs):
-        groups.setdefault((config.approach, config.params), []).append(i)
-    n_threads = column("n_threads")
-    with span("kernel.topology", kind="pattern"):
-        topo, bytes_per_iteration = _topology_columns(
-            _approach_codes(column("pattern", object)),
-            column("n_ranks"),
-            n_threads,
-            column("msg_bytes"),
-        )
-    with span("kernel.eval", kind="pattern"):
-        cols = dict(
-            topo,
-            n_threads=n_threads,
-            num_vcis=column("cvars.num_vcis"),
-            aggr=column("cvars.part_aggr_size"),
-            compute_rate=column("compute_us_per_mb", np.float64),
-            noise_q=_noise_quantum_column(
-                column("noise", object),
-                column("noise_us", np.float64),
-                column("noise_sigma_us", np.float64),
-            ),
-        )
-        for (approach, params), indices in groups.items():
-            idx = np.array(indices)
-            times[idx] = _pattern_times_cols(params, approach, _PatternCols(
-                **{field: values[idx] for field, values in cols.items()}
-            ))
-    return PatternBatch(
-        times=times,
-        bytes_per_iteration=bytes_per_iteration,
-        n_links=topo["n_links"],
+    out = PatternBatch(
+        times=np.empty(len(configs), dtype=np.float64),
+        bytes_per_iteration=np.empty(len(configs), dtype=np.int64),
+        n_links=np.empty(len(configs), dtype=np.int64),
     )
+    for (params, num_vcis, aggr), idx, columns in _spec_groups(
+        configs,
+        ("params", "cvars.num_vcis", "cvars.part_aggr_size"),
+        PATTERN_COLUMN_FIELDS,
+    ):
+        batch = pattern_times_from_columns(
+            params, num_vcis, aggr, columns, len(idx)
+        )
+        out.times[idx] = batch.times
+        out.bytes_per_iteration[idx] = batch.bytes_per_iteration
+        out.n_links[idx] = batch.n_links
+    return out
 
 
 def pattern_times_from_columns(
@@ -1029,15 +985,16 @@ def pattern_times_from_columns(
 ) -> PatternBatch:
     """Vectorized pattern predictions for ``n_points`` given bare columns.
 
-    The pattern twin of :func:`bench_times_from_columns` — the campaign
-    fast path never constructs a ``PatternConfig``.  ``columns`` maps
+    The pattern twin of :func:`bench_times_from_columns`: no
+    ``PatternConfig`` is needed.  ``columns`` maps
     :data:`PATTERN_COLUMN_FIELDS` to per-point arrays (or scalars,
     broadcast); absent fields take the ``PatternConfig`` defaults.  The
     categorical columns (``pattern``, ``approach``, ``noise``) may be
     ``(names, codes)`` pairs factorized straight from the grid digits
     (see :meth:`~repro.runner.scenario.ScenarioGrid.kernel_columns`), a
     bare name, or arrays of names.  ``params`` and the cvar knobs are
-    batch constants, as in the bench twin.
+    batch constants, as in the bench twin (:func:`pattern_batch`
+    groups by them).
 
     Link graphs are built once per unique ``(pattern, n_ranks)``
     (process-lifetime cache) and their shapes gathered to per-point

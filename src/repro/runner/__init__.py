@@ -23,7 +23,7 @@ runner options (``--jobs`` / ``--store``) all submit their grids here.
 Campaign-scale grids (10⁵–10⁶ points and beyond) go through
 :mod:`repro.runner.campaign` directly: index-addressed chunks streamed
 into a :class:`~repro.runner.campaign.CampaignStore` — a few hundred
-segment files: binary column blocks for analytic chunks (the fast path
+segment files: binary column blocks for analytic chunks (each chunk
 decodes grid indices straight into vectorized-kernel columns), JSON
 result rows for simulated ones.
 

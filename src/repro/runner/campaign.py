@@ -29,7 +29,8 @@ row-major index)`` — no file and no content hash per point:
 
 :func:`run_campaign` executes the missing ranges chunk by chunk.
 Analytic chunks decode grid indices straight into parameter columns
-for the vectorized model kernel (no spec objects, no content hashes)
+for the vectorized model kernel (no spec objects, no content hashes;
+an axis the kernel cannot read is rejected before the first chunk)
 and hand the output arrays to a bounded-queue **async segment writer**
 (:class:`~repro.runner.executor.AsyncSegmentWriter`), so the write
 overlaps the next chunk's compute.  Simulation chunks flow through a
@@ -240,17 +241,6 @@ def _merge_ranges(ranges: Sequence[Sequence[int]]) -> List[Tuple[int, int]]:
     return merged
 
 
-def _indices_to_ranges(indices: Sequence[int]) -> List[Tuple[int, int]]:
-    """Sorted unique indices -> contiguous [start, stop) runs."""
-    runs: List[Tuple[int, int]] = []
-    for i in indices:
-        if runs and i == runs[-1][1]:
-            runs[-1] = (runs[-1][0], i + 1)
-        else:
-            runs.append((i, i + 1))
-    return runs
-
-
 def _subtract_ranges(
     start: int, stop: int, covered: Sequence[Tuple[int, int]]
 ) -> List[Tuple[int, int]]:
@@ -308,8 +298,7 @@ def _ranges_to_index_array(ranges: Sequence[Sequence[int]]):
 
 def _index_array_to_ranges(indices) -> List[Tuple[int, int]]:
     """Ascending int64 index array -> contiguous [start, stop) runs
-    (the vectorized :func:`_indices_to_ranges`: one ``diff`` over the
-    array instead of a Python loop per point)."""
+    (one ``diff`` over the array, no Python loop per point)."""
     import numpy as np
 
     if not len(indices):
@@ -655,15 +644,7 @@ class CampaignStore:
 
     def missing_ranges(self) -> List[Tuple[int, int]]:
         """Complement of :meth:`completed_ranges` over the grid."""
-        missing: List[Tuple[int, int]] = []
-        cursor = 0
-        for start, stop in self.completed_ranges():
-            if start > cursor:
-                missing.append((cursor, min(start, self.n_points)))
-            cursor = max(cursor, stop)
-        if cursor < self.n_points:
-            missing.append((cursor, self.n_points))
-        return missing
+        return _subtract_ranges(0, self.n_points, self.completed_ranges())
 
     @property
     def n_completed(self) -> int:
@@ -785,8 +766,12 @@ class CampaignStore:
                 f"append_chunk writes {ENC_RESULT!r} rows, not "
                 f"{encoding!r}; analytic chunks go through append_columns"
             )
+        import numpy as np
+
         rows = sorted(rows, key=lambda row: int(row[0]))
-        covered = _indices_to_ranges(sorted({int(row[0]) for row in rows}))
+        covered = _index_array_to_ranges(
+            np.unique(np.array([int(row[0]) for row in rows], dtype=np.int64))
+        )
         claimed = _merge_ranges(ranges)
         if covered != claimed:
             raise ValueError(
@@ -1426,7 +1411,7 @@ def slice_report(
 # ---------------------------------------------------------------------------
 
 #: Spec fields that provably never enter the model arithmetic, per
-#: kind — an axis over one of these cannot break the columns fast path.
+#: kind: an axis over one of these needs no kernel column.
 _IGNORABLE_AXES = {
     KIND_BENCH: {
         "iterations", "warmup", "seed", "verify", "max_retries",
@@ -1436,9 +1421,13 @@ _IGNORABLE_AXES = {
 }
 
 
-def _fast_axes_ok(grid: ScenarioGrid) -> bool:
-    """True when every axis is either a model input the column kernel
-    accepts or a field the model provably ignores."""
+def _check_kernel_axes(grid: ScenarioGrid) -> None:
+    """Raise ``ValueError`` unless every axis of an analytic grid is a
+    model input the column kernel reads or a field the model provably
+    ignores.  ``CampaignStore.create`` admits only JSON-scalar axes,
+    which always pass; a hand-edited ``campaign.json`` (a ``cvars`` or
+    ``params`` axis) would otherwise be silently dropped by the
+    kernel, which takes those as batch constants from the grid base."""
     from ..model.vector import BENCH_COLUMN_FIELDS, PATTERN_COLUMN_FIELDS
 
     fields = (
@@ -1446,14 +1435,20 @@ def _fast_axes_ok(grid: ScenarioGrid) -> bool:
         if grid.kind == KIND_BENCH
         else PATTERN_COLUMN_FIELDS
     )
-    return set(grid.axes) <= set(fields) | _IGNORABLE_AXES[grid.kind]
+    for name in grid.axes:
+        if name not in fields and name not in _IGNORABLE_AXES[grid.kind]:
+            raise ValueError(
+                f"axis {name!r} is not a {grid.kind} kernel column; "
+                f"an analytic campaign can vary only "
+                f"{sorted(set(fields) | _IGNORABLE_AXES[grid.kind])}"
+            )
 
 
-def _bench_fast_columns(
+def _bench_chunk_columns(
     grid: ScenarioGrid, start: int, stop: int
 ) -> List[Any]:
-    """The analytic-bench fast path: grid indices -> parameter columns
-    -> vectorized kernel -> one times column, no spec objects anywhere."""
+    """An analytic bench chunk: grid indices -> parameter columns ->
+    vectorized kernel -> one times column, no spec objects anywhere."""
     import numpy as np
 
     from ..model.vector import BENCH_COLUMN_FIELDS, bench_times_from_columns
@@ -1480,22 +1475,12 @@ def _bench_fast_columns(
     return [times]
 
 
-def _bench_columns(grid: ScenarioGrid, start: int, stop: int) -> List[Any]:
-    """Analytic bench chunk, per-point spec fallback (axes outside the
-    column kernel): specs -> vectorized kernel -> times column."""
-    from ..model.vector import bench_batch_times
-
-    with span("campaign.materialize"):
-        specs = [grid.scenario_at(i).spec for i in range(start, stop)]
-    return [bench_batch_times(specs)]
-
-
-def _pattern_fast_columns(
+def _pattern_chunk_columns(
     grid: ScenarioGrid, start: int, stop: int
 ) -> List[Any]:
-    """The analytic-pattern fast path: grid indices -> decoded axis
-    columns (pattern/approach/noise factorized from the grid digits)
-    -> topology-cached vectorized kernel -> three columns, with no
+    """An analytic pattern chunk: grid indices -> decoded axis columns
+    (pattern/approach/noise factorized from the grid digits) ->
+    topology-cached vectorized kernel -> three columns, with no
     per-point ``scenario_at``/config objects anywhere."""
     import numpy as np
 
@@ -1525,16 +1510,6 @@ def _pattern_fast_columns(
     return batch.store_columns()
 
 
-def _pattern_columns(grid: ScenarioGrid, start: int, stop: int) -> List[Any]:
-    """Analytic pattern chunk, per-point config fallback (axes outside
-    the column kernel): configs -> vectorized kernel -> columns."""
-    from ..model.vector import pattern_batch
-
-    with span("campaign.materialize"):
-        configs = [grid.scenario_at(i).spec for i in range(start, stop)]
-    return pattern_batch(configs).store_columns()
-
-
 def _chunk_ranges(
     todo: Sequence[Tuple[int, int]],
     chunk_points: int,
@@ -1557,8 +1532,6 @@ def run_campaign(
     jobs: int = 1,
     chunk_points: Optional[int] = None,
     limit: Optional[int] = None,
-    pool: str = "auto",
-    submit_ahead: Optional[int] = None,
     async_write: Optional[bool] = None,
     ranges: Optional[Sequence[Tuple[int, int]]] = None,
     progress=None,
@@ -1573,10 +1546,11 @@ def run_campaign(
     segment write overlaps the next chunk's kernel evaluation; the
     writer appends FIFO on one thread, so the segments are
     byte-identical to synchronous execution (``async_write=False``
-    forces the sync path).  Simulation-backed campaigns run their
-    chunks through a bounded **submit-ahead pipeline**: up to
-    ``submit_ahead`` chunks (default ~2x the workers,
-    :func:`~repro.runner.planner.auto_submit_window`) are in flight on
+    forces the sync path).  An analytic grid whose axes the column
+    kernel cannot read raises ``ValueError`` before any chunk runs.
+    Simulation-backed campaigns run their chunks through a bounded
+    **submit-ahead pipeline**: ~2x the workers' worth of chunks
+    (:func:`~repro.runner.planner.auto_submit_window`) are in flight on
     one persistent pool while earlier results stream to the store in
     submission order — the pool stays saturated across chunk
     boundaries, and the store bytes are identical to sequential
@@ -1600,10 +1574,11 @@ def run_campaign(
 
     grid = store.grid
     # Analytic chunks are kernel columns written as binary segments;
-    # every other backend produces result rows.  (The fast-path check
+    # every other backend produces result rows.  (The axis check
     # imports the kernel module: outside the timed root span.)
     columnar = grid.backend == "analytic"
-    fast = columnar and _fast_axes_ok(grid)
+    if columnar:
+        _check_kernel_axes(grid)
     with span("campaign.run", backend=grid.backend, kind=grid.kind):
         if ranges is not None:
             ranges = _merge_ranges(ranges)
@@ -1620,9 +1595,9 @@ def run_campaign(
         n_missing = sum(stop - start for start, stop in missing)
         if limit is not None:
             n_missing = min(n_missing, limit)
-        # One pool decision for the whole campaign (the pipeline spans
-        # every chunk, so the per-batch auto policy cannot re-decide).
-        workers, use_pool = pool_workers(n_missing, jobs, pool)
+        # One pool decision for the whole campaign: the pipeline spans
+        # every chunk.
+        workers, use_pool = pool_workers(n_missing, jobs)
         if chunk_points is None:
             # A simulation chunk is one pool task, so sizing must leave at
             # least a few chunks per worker (auto_chunk_size's rule) or a
@@ -1641,7 +1616,6 @@ def run_campaign(
             telemetry.gauge("planner.workers", workers)
             telemetry.gauge("planner.use_pool", int(use_pool))
             telemetry.gauge("planner.chunk_points", chunk_points)
-            telemetry.gauge("campaign.fast_path", int(fast))
 
         t0 = time.perf_counter()
         executed = 0
@@ -1671,12 +1645,11 @@ def run_campaign(
             telemetry.gauge("store.writer.async", int(use_async))
 
         if columnar:
-            if grid.kind == KIND_BENCH:
-                columns_for = _bench_fast_columns if fast else _bench_columns
-            else:
-                columns_for = (
-                    _pattern_fast_columns if fast else _pattern_columns
-                )
+            columns_for = (
+                _bench_chunk_columns
+                if grid.kind == KIND_BENCH
+                else _pattern_chunk_columns
+            )
             encoding = _KIND_BIN[grid.kind]
             writer_ctx = (
                 AsyncSegmentWriter(depth=auto_writer_depth(chunk_points))
@@ -1696,11 +1669,7 @@ def run_campaign(
                     )
                     note_chunk(stop - start)
         else:
-            window = (
-                auto_submit_window(workers)
-                if submit_ahead is None
-                else max(1, int(submit_ahead))
-            )
+            window = auto_submit_window(workers)
             telemetry.gauge("planner.submit_window", window)
             # Chunk bounds travel beside the payload stream: the
             # generator appends each chunk's range as it is submitted,

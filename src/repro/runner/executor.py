@@ -13,9 +13,9 @@ parallel.  :func:`run_scenarios` splits a batch by backend:
   (:func:`~repro.runner.planner.auto_chunk_size`) and streamed through
   :func:`iter_chunk_results` — the same submit-ahead pipeline campaigns
   use — one pool task per chunk, not per point, so fork/pickle/IPC
-  overhead amortizes.  The default ``pool="auto"`` policy
-  (:func:`~repro.runner.planner.pool_workers`) runs tiny grids and
-  single-CPU machines in-process, where a pool cannot pay for itself.
+  overhead amortizes.  :func:`~repro.runner.planner.pool_workers` runs
+  ``jobs=1``, tiny grids and single-CPU machines in-process, where a
+  pool cannot pay for itself.
 
 Simulated scenarios with the same
 :func:`~repro.bench.harness.simulation_key` (exact duplicates, and
@@ -126,7 +126,7 @@ def _execute_chunk_metered(payloads: List[dict]):
 class AsyncSegmentWriter:
     """A bounded-queue writer thread: store appends overlap compute.
 
-    The campaign profile attributes half the analytic fast path's wall
+    The campaign profile attributes half an analytic campaign's wall
     to ``store.encode`` + ``store.write`` — work that is serial with
     the kernel only because the chunk loop calls the store inline.
     This writer moves those calls onto one FIFO thread behind a bounded
@@ -251,8 +251,8 @@ def iter_chunk_results(
     Ordered delivery means the consumer's store writes are
     byte-identical to sequential execution — results move through
     exactly the serialized form ``_execute_chunk`` produces either
-    way, so ``use_pool=False`` (the auto-serial fallback) differs only
-    in wall-clock.
+    way, so ``use_pool=False`` (the serial fallback) differs only in
+    wall-clock.
 
     ``payload_chunks`` is consumed lazily: a chunk's payloads are only
     materialized when a window slot frees up, so million-point
@@ -338,8 +338,6 @@ class RunReport:
 def run_scenarios(
     scenarios: Iterable[Scenario],
     jobs: int = 1,
-    chunk_size: Optional[int] = None,
-    pool: str = "auto",
 ) -> RunReport:
     """Execute a batch; results come back in submission order.
 
@@ -350,11 +348,9 @@ def run_scenarios(
     and chunking see only the distinct points.
 
     ``jobs`` caps the worker processes for the simulated portion
-    (``1`` is in-process serial); ``chunk_size`` pins the points per
-    pooled chunk (default :func:`~repro.runner.planner.auto_chunk_size`);
-    ``pool`` is the pool policy of
-    :func:`~repro.runner.planner.pool_workers` (``"auto"``,
-    ``"always"`` or ``"never"``).
+    (``1`` is in-process serial); the worker count and the points per
+    pooled chunk come from :func:`~repro.runner.planner.pool_workers`
+    and :func:`~repro.runner.planner.auto_chunk_size`.
     """
     from ..backends import get_backend
     from ..bench.harness import simulation_key
@@ -374,7 +370,7 @@ def run_scenarios(
     owners: Dict[str, int] = {}
     owner_of = [owners.setdefault(simulation_key(batch[i]), i) for i in pooled]
     distinct = list(owners.values())
-    workers, use_pool = pool_workers(len(distinct), jobs, pool)
+    workers, use_pool = pool_workers(len(distinct), jobs)
 
     # Inline backends (analytic: the vectorized kernel) run in-process,
     # one run_batch call per backend.  The results still flow through
@@ -393,11 +389,7 @@ def run_scenarios(
         ):
             result_dicts[i] = result_to_dict(scenario, result)
 
-    size = (
-        auto_chunk_size(len(distinct), workers)
-        if chunk_size is None
-        else max(1, int(chunk_size))
-    )
+    size = auto_chunk_size(len(distinct), workers)
     chunks = [distinct[k:k + size] for k in range(0, len(distinct), size)]
     payloads = ([batch[i].to_dict() for i in chunk] for chunk in chunks)
     for chunk, computed in zip(

@@ -6,8 +6,8 @@ spawning a process:
 
 * :func:`pool_workers` decides the worker count and whether a process
   pool pays for itself at all: fewer pooled points than two per worker
-  shrink the pool, and a grid too small to feed two workers (or a
-  single usable CPU) runs in-process;
+  shrink the pool, and ``jobs=1``, a grid too small to feed two
+  workers or a single usable CPU runs in-process;
 * :func:`auto_chunk_size` cuts pooled points into contiguous chunks, a
   few per worker, so IPC amortizes over many points while stragglers
   still rebalance;
@@ -34,10 +34,6 @@ __all__ = [
     "pool_workers",
     "shard_plan",
 ]
-
-#: Valid pool policies: "auto" (serial fallback for tiny grids / single
-#: CPU), "always" (force the pool whenever workers > 1), "never".
-POOL_POLICIES = ("auto", "always", "never")
 
 #: Upper bound on points per pooled chunk: keeps streaming increments
 #: (store writes, progress) reasonably fine-grained even on huge grids.
@@ -104,7 +100,6 @@ def available_cpus() -> int:
 def pool_workers(
     n_points: int,
     jobs: int,
-    pool: str = "auto",
     cpu_count: Optional[int] = None,
 ) -> Tuple[int, bool]:
     """``(workers, use_pool)`` for a purely pooled workload — the one
@@ -112,25 +107,20 @@ def pool_workers(
 
     :func:`~repro.runner.executor.run_scenarios` applies it to a
     batch's pooled portion; the campaign submit-ahead pipeline pins one
-    decision for every chunk of a run.  ``cpu_count`` is injectable for
-    tests and defaults to :func:`available_cpus`.
+    decision for every chunk of a run.  ``jobs=1`` always runs
+    in-process.  ``cpu_count`` is injectable for tests and defaults to
+    :func:`available_cpus`.
     """
-    if pool not in POOL_POLICIES:
-        raise ValueError(
-            f"unknown pool policy {pool!r}; choose from {POOL_POLICIES}"
-        )
     cpus = available_cpus() if cpu_count is None else cpu_count
     # More workers than cores cannot help a CPU-bound simulation; more
     # workers than points just forks idle processes.
     workers = max(1, min(jobs, cpus, n_points))
-    if pool == "always":
-        workers = max(1, min(jobs, n_points))
-    elif pool == "auto" and n_points < 2 * workers:
+    if n_points < 2 * workers:
         # Fewer than two points per worker: shrink the pool so chunk
         # IPC still amortizes, rather than abandoning parallelism —
         # a grid too small to feed even two workers runs serial.
         workers = max(1, n_points // 2)
-    return workers, workers > 1 and pool != "never"
+    return workers, workers > 1
 
 
 def shard_plan(

@@ -71,8 +71,8 @@ _STAGE_HINTS: Dict[str, str] = {
                    "this is per-point python object cost",
     "compute": "in-process simulation compute dominates; add workers "
                "(--jobs N)",
-    "stall": "ordered-consume stall dominates; raise run_campaign's "
-             "submit_ahead or rebalance chunk sizes",
+    "stall": "ordered-consume stall dominates; chunks finish unevenly, "
+             "so rebalance chunk sizes (run_campaign's chunk_points)",
     "writer-stall": "the async segment writer's queue is the bottleneck; "
                     "the disk cannot keep up with the kernel",
     "read": "store read (range planning + segment loads) dominates; "

@@ -340,7 +340,7 @@ class ScenarioGrid:
     def axis_columns(self, indices) -> Dict[str, Any]:
         """Axis values for many indices at once, as numpy columns.
 
-        The vectorized decode behind the campaign fast path: grid
+        The vectorized decode behind analytic campaign chunks: grid
         indices go straight to per-axis value arrays (``np.take`` over
         the axis value lists) without constructing a single spec object.
         """
@@ -406,11 +406,11 @@ class ScenarioGrid:
     ) -> Dict[str, Any]:
         """Kernel-ready columns for ``fields`` over many grid indices.
 
-        The one decode both campaign fast paths (bench *and* pattern)
-        share: each requested field becomes either a decoded axis
-        column (:meth:`axis_columns`), a broadcastable base scalar, or
-        — for ``categorical`` fields — a ``(values, codes)`` pair with
-        the codes taken straight from the grid digits
+        The one decode both analytic campaign chunk builders (bench
+        *and* pattern) share: each requested field becomes either a
+        decoded axis column (:meth:`axis_columns`), a broadcastable base
+        scalar, or — for ``categorical`` fields — a ``(values, codes)``
+        pair with the codes taken straight from the grid digits
         (:meth:`axis_codes`: no value materialization, no string
         hashing over the batch).  Fields in neither the axes nor the
         base are omitted, so the kernels apply their spec defaults.

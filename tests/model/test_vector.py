@@ -55,6 +55,16 @@ def bench_sweep_specs():
     return specs
 
 
+#: Cvars variations for the mixed-group tests: VCI counts, both VCI
+#: methods, and an aggregation bound that merges 4 KiB partitions.
+MIXED_CVARS = [
+    Cvars(),
+    Cvars(num_vcis=4),
+    Cvars(num_vcis=4, vci_method="tag_rr"),
+    Cvars(part_aggr_size=16384),
+]
+
+
 class TestBenchEquivalence:
     def test_full_sweep_bitwise_equal(self):
         specs = bench_sweep_specs()
@@ -88,18 +98,23 @@ class TestBenchEquivalence:
         assert scalar == list(vector)
 
     def test_mixed_params_grouping(self):
-        """Batches mixing machine models group correctly."""
+        """Batches mixing machine models and cvars group correctly: each
+        (params, num_vcis, vci_method, part_aggr_size) is one kernel
+        call, and the groups interleave in the batch."""
         fast = MELUXINA.with_updates(bandwidth=100e9)
         specs = []
-        for params in (MELUXINA, fast):
+        for params, cvars, size in itertools.product(
+            (MELUXINA, fast), MIXED_CVARS, (1 << 15, 1 << 20)
+        ):
             for approach in ("pt2pt_part", "rma_many_active"):
                 specs.append(
                     BenchSpec(
                         approach=approach,
-                        total_bytes=1 << 20,
+                        total_bytes=size,
                         n_threads=8,
                         iterations=1,
                         params=params,
+                        cvars=cvars,
                     )
                 )
         scalar = [predict_bench_time(s).time for s in specs]
@@ -172,6 +187,30 @@ class TestPatternEquivalence:
         scalar = [predict_pattern_time(c).time for c in configs]
         batch = predict_pattern_times(configs)
         assert scalar == list(batch.times)
+
+    def test_mixed_params_grouping(self):
+        """The pattern twin of the bench test: each (params, num_vcis,
+        part_aggr_size) is one kernel call, groups interleaved."""
+        fast = MELUXINA.with_updates(bandwidth=100e9)
+        configs = [
+            PatternConfig(
+                pattern=pattern,
+                approach=approach,
+                n_ranks=4,
+                n_threads=4,
+                msg_bytes=size,
+                iterations=1,
+                params=params,
+                cvars=cvars,
+            )
+            for params, cvars, size in itertools.product(
+                (MELUXINA, fast), MIXED_CVARS, (16384, 1 << 20)
+            )
+            for pattern in ("halo3d", "fft")
+            for approach in ("pt2pt_part", "rma_many_active")
+        ]
+        scalar = [predict_pattern_time(c).time for c in configs]
+        assert scalar == list(predict_pattern_times(configs).times)
 
     @pytest.mark.parametrize("pattern", ["halo3d", "sweep3d", "fft"])
     def test_noise_modes_bitwise_equal(self, pattern):

@@ -412,10 +412,10 @@ class TestPatternCampaignFastPath:
         """The columns-first pattern campaign must be bit-identical to
         per-point execution — the tentpole invariant, through the
         whole store round-trip."""
-        from repro.runner.campaign import _fast_axes_ok
+        from repro.runner.campaign import _check_kernel_axes
 
         grid = parse_grid_spec(pattern_spec())
-        assert _fast_axes_ok(grid)
+        _check_kernel_axes(grid)  # raises on an axis the kernel cannot read
         store = CampaignStore.create(tmp_path / "camp", grid)
         summary = run_campaign(store, chunk_points=100)
         assert summary["executed"] == len(grid)
@@ -431,44 +431,48 @@ class TestPatternCampaignFastPath:
                 == native.bytes_per_iteration
             )
 
-    def test_fast_and_config_paths_identical(self):
-        """Both analytic pattern chunk builders produce the same
-        columns, so the fast-path gate is purely a speed choice."""
-        import numpy as np
-
-        from repro.runner.campaign import (
-            _pattern_columns,
-            _pattern_fast_columns,
-        )
-
-        grid = parse_grid_spec(pattern_spec())
-        for start, stop in ((0, 97), (len(grid) - 50, len(grid))):
-            fast = _pattern_fast_columns(grid, start, stop)
-            slow = _pattern_columns(grid, start, stop)
-            assert len(fast) == len(slow) == 3
-            for fast_col, slow_col in zip(fast, slow):
-                assert np.array_equal(
-                    np.asarray(fast_col), np.asarray(slow_col)
-                )
-
-    def test_fast_gate_covers_every_scalar_pattern_field(self):
-        """Every PatternConfig field a grid axis can legally carry is
-        either a kernel column or provably ignorable, so the fast path
-        engages for any valid pattern grid (the config-path fallback
-        stays as a safety net only)."""
+    @pytest.mark.parametrize("kind", ["bench", "pattern"])
+    def test_unreadable_axis_rejected(self, tmp_path, kind):
+        """Every JSON-scalar spec field is a kernel column or provably
+        ignored, so no grid ``CampaignStore.create`` admits is refused.
+        A hand-edited ``campaign.json`` with a ``cvars`` axis (which
+        the kernel takes as a batch constant from the base) must raise
+        ``ValueError`` before a segment is written, not store numbers
+        that ignore the axis."""
         import dataclasses
 
         from repro.apps.base import PatternConfig
-        from repro.model.vector import PATTERN_COLUMN_FIELDS
+        from repro.bench import BenchSpec
+        from repro.model.vector import (
+            BENCH_COLUMN_FIELDS,
+            PATTERN_COLUMN_FIELDS,
+        )
         from repro.runner.campaign import _IGNORABLE_AXES
 
+        spec_type, fields, spec = {
+            "bench": (BenchSpec, BENCH_COLUMN_FIELDS, {
+                "kind": "bench", "backend": "analytic",
+                "axes": {"approach": ["pt2pt_part", "pt2pt_many"],
+                         "total_bytes": [4096, 1 << 20]},
+            }),
+            "pattern": (PatternConfig, PATTERN_COLUMN_FIELDS, pattern_spec()),
+        }[kind]
         scalar_fields = {
             f.name
-            for f in dataclasses.fields(PatternConfig)
+            for f in dataclasses.fields(spec_type)
             if f.name not in ("params", "cvars")  # never JSON-scalar axes
         }
-        covered = set(PATTERN_COLUMN_FIELDS) | _IGNORABLE_AXES["pattern"]
-        assert scalar_fields <= covered
+        assert scalar_fields <= set(fields) | _IGNORABLE_AXES[kind]
+
+        root = tmp_path / "camp"
+        CampaignStore.create(root, parse_grid_spec(spec))
+        header = json.loads((root / "campaign.json").read_text())
+        header["grid"]["axes"]["cvars"] = [{"num_vcis": 1}, {"num_vcis": 4}]
+        header["grid"]["axis_order"].append("cvars")
+        (root / "campaign.json").write_text(json.dumps(header))
+        with pytest.raises(ValueError, match="'cvars'"):
+            run_campaign(CampaignStore.open(root))
+        assert not list((root / "segments").glob("*"))
 
     def test_kernel_columns_decode(self):
         import numpy as np
@@ -674,7 +678,9 @@ class TestSubmitAheadPipeline:
         index = json.loads((root / "index.json").read_text())
         return segments, index
 
-    def test_pipelined_store_byte_identical_to_sequential(self, tmp_path):
+    def test_pipelined_store_byte_identical_to_sequential(
+        self, tmp_path, two_cpus
+    ):
         """The acceptance invariant: same segments, same index, byte
         for byte, whether chunks run sequentially in-process or
         through the submit-ahead pool pipeline."""
@@ -682,48 +688,47 @@ class TestSubmitAheadPipeline:
         serial = CampaignStore.create(tmp_path / "serial", grid)
         run_campaign(serial, jobs=1, chunk_points=2)
         piped = CampaignStore.create(tmp_path / "piped", grid)
-        summary = run_campaign(
-            piped, jobs=2, chunk_points=2, pool="always", submit_ahead=3
-        )
+        summary = run_campaign(piped, jobs=2, chunk_points=2)
         assert summary["executed"] == len(grid)
         assert self.store_bytes(tmp_path / "serial") == self.store_bytes(
             tmp_path / "piped"
         )
 
     def test_submit_ahead_serial_fallback_matches(self, tmp_path):
-        """On a single-CPU box the auto policy pipelines serially —
-        still the same bytes."""
+        """On a single-CPU box the planner pipelines serially — still
+        the same bytes."""
         grid = self.sim_grid()
         a = CampaignStore.create(tmp_path / "a", grid)
         run_campaign(a, jobs=1, chunk_points=4)
         b = CampaignStore.create(tmp_path / "b", grid)
-        run_campaign(b, jobs=4, chunk_points=4, pool="auto", submit_ahead=8)
+        run_campaign(b, jobs=4, chunk_points=4)
         assert self.store_bytes(tmp_path / "a") == self.store_bytes(
             tmp_path / "b"
         )
 
-    def test_pipelined_respects_limit(self, tmp_path):
+    def test_pipelined_respects_limit(self, tmp_path, two_cpus):
         grid = self.sim_grid()
         store = CampaignStore.create(tmp_path / "camp", grid)
-        summary = run_campaign(
-            store, jobs=2, chunk_points=2, pool="always",
-            submit_ahead=4, limit=3,
-        )
-        assert summary["executed"] == 3
-        assert store.n_completed == 3
+        # 5 points keep two per worker, so the pool runs; the limit
+        # still cuts the last 2-point chunk.
+        summary = run_campaign(store, jobs=2, chunk_points=2, limit=5)
+        assert summary["executed"] == 5
+        assert store.n_completed == 5
 
-    def test_default_chunking_feeds_every_worker(self, tmp_path):
+    def test_default_chunking_feeds_every_worker(self, tmp_path, two_cpus):
         """A chunk is one pool task, so the default sizing must
         produce several chunks per worker (not one giant chunk that
         would idle the rest of the pool)."""
         grid = self.sim_grid()  # 6 points
         store = CampaignStore.create(tmp_path / "camp", grid)
-        summary = run_campaign(store, jobs=2, pool="always")
+        summary = run_campaign(store, jobs=2)
         # auto_chunk_size(6, 2) == 1 -> one chunk per point
         assert summary["chunks"] == len(grid)
         assert store.n_completed == len(grid)
 
-    def test_fully_warm_campaign_forks_no_pool(self, tmp_path, monkeypatch):
+    def test_fully_warm_campaign_forks_no_pool(
+        self, tmp_path, monkeypatch, two_cpus
+    ):
         """A resume with every point already stored must not pay for
         worker processes."""
         from repro.runner import executor as executor_module
@@ -738,9 +743,7 @@ class TestSubmitAheadPipeline:
         monkeypatch.setattr(
             executor_module.multiprocessing, "Pool", forbidden_pool
         )
-        summary = run_campaign(
-            store, jobs=2, chunk_points=2, pool="always", submit_ahead=4
-        )
+        summary = run_campaign(store, jobs=2, chunk_points=2)
         assert summary["executed"] == 0
         assert store.n_completed == len(grid)
 

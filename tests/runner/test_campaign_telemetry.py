@@ -88,7 +88,6 @@ class TestCampaignInstrumentation:
         assert registry.counters["campaign.points"] == summary["executed"]
         assert registry.counters["store.segments_written"] >= 1
         assert registry.counters["store.bytes_written"] > 0
-        assert registry.gauges["campaign.fast_path"] == 1
 
     @pytest.mark.parametrize("spec", [BENCH_SPEC, PATTERN_SPEC],
                              ids=["bench", "pattern"])
@@ -129,14 +128,15 @@ class TestCampaignInstrumentation:
         )
         assert plain == metered
 
-    def test_pooled_segments_byte_identical_with_metrics(self, tmp_path):
+    def test_pooled_segments_byte_identical_with_metrics(
+        self, tmp_path, two_cpus
+    ):
         plain = CampaignStore.create(
             tmp_path / "plain", parse_grid_spec(SIM_SPEC)
         )
-        run_campaign(plain, jobs=2, pool="always", chunk_points=2)
+        run_campaign(plain, jobs=2, chunk_points=2)
         metered, _, _ = run_with_registry(
-            tmp_path / "metered", SIM_SPEC,
-            jobs=2, pool="always", chunk_points=2,
+            tmp_path / "metered", SIM_SPEC, jobs=2, chunk_points=2,
         )
         read = lambda store: sorted(  # noqa: E731
             (p.name, p.read_bytes())
@@ -144,10 +144,9 @@ class TestCampaignInstrumentation:
         )
         assert read(plain) == read(metered)
 
-    def test_worker_snapshots_merge_into_parent(self, tmp_path):
+    def test_worker_snapshots_merge_into_parent(self, tmp_path, two_cpus):
         store, registry, summary = run_with_registry(
-            tmp_path / "sim-camp", SIM_SPEC,
-            jobs=2, pool="always", chunk_points=2,
+            tmp_path / "sim-camp", SIM_SPEC, jobs=2, chunk_points=2,
         )
         assert summary["executed"] == 4
         # worker-side metrics rode the chunk-result channel home
@@ -277,6 +276,37 @@ class TestCli:
         assert out["header"]["producer"]["backend"] == "sim"
         # the bridge tears down with the run
         assert telemetry.trace_sink() is None
+
+    def test_trace_runs_one_job_whatever_jobs_says(
+        self, tmp_path, capsys, two_cpus
+    ):
+        """Trace records come only from in-process simulations, so
+        ``--trace`` runs one job: the metrics header, the planner
+        gauges and the segment cut all match ``--jobs 1``."""
+        from repro.__main__ import main
+
+        # 8 points: one job cuts 2-point chunks, two would cut 1-point.
+        spec = self.write_spec(tmp_path, dict(
+            SIM_SPEC, axes=dict(SIM_SPEC["axes"], theta=[1, 2])
+        ))
+        segments = {}
+        for jobs in ("1", "2"):
+            root = tmp_path / f"jobs{jobs}"
+            assert main([
+                "campaign", "run", str(spec), "--root", str(root),
+                "--jobs", jobs, "--metrics", "--trace",
+            ]) == 0
+            out = read_metrics_jsonl(root / "metrics.jsonl")
+            assert out["header"]["producer"]["jobs"] == 1
+            assert out["gauges"]["planner.workers"] == 1
+            assert out["gauges"]["planner.use_pool"] == 0
+            segments[jobs] = sorted(
+                (p.name, p.read_bytes())
+                for p in (root / "segments").iterdir()
+            )
+        capsys.readouterr()
+        assert len(segments["1"]) == 4
+        assert segments["2"] == segments["1"]
 
     def test_profile_on_metricless_store_errors(self, tmp_path, capsys):
         from repro.__main__ import main

@@ -1,4 +1,4 @@
-"""Planner and executor: chunk partitioning, pool policies, auto-serial
+"""Planner and executor: chunk partitioning, pool sizing, serial
 fallback."""
 
 import pytest
@@ -100,8 +100,9 @@ class TestPlanning:
 
     def test_pooled_chunks_cover_pending_in_order(self, chunk_log):
         batch = bench_scenarios(10)
-        report = run_scenarios(batch, jobs=1, chunk_size=4)
-        assert [len(chunk) for chunk in chunk_log] == [4, 4, 2]
+        report = run_scenarios(batch, jobs=1)
+        # auto_chunk_size(10, 1) == 3
+        assert [len(chunk) for chunk in chunk_log] == [3, 3, 3, 1]
         assert [r.spec for r in report.results] == [s.spec for s in batch]
 
     def test_mixed_backends_split_into_inline_and_pooled(
@@ -127,33 +128,14 @@ class TestPlanning:
     def test_single_cpu_falls_back_to_serial(self):
         assert pool_workers(64, 4, cpu_count=1) == (1, False)
 
-    def test_always_policy_forces_pool_regardless_of_cpus(self):
-        assert pool_workers(4, 2, "always", cpu_count=1) == (2, True)
-
-    def test_never_policy_disables_pool(self, pool_log):
-        assert not pool_workers(64, 4, "never", cpu_count=8)[1]
-        run_scenarios(bench_scenarios(4), jobs=2, pool="never")
-        assert pool_log == []
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            run_scenarios(bench_scenarios(2), jobs=1, pool="bogus")
 
 
 class TestPoolWorkers:
     """The one owner of the worker-count / pool-fallback policy."""
 
     def test_tiny_workload_serial_fallback(self):
-        workers, use_pool = pool_workers(3, 8, "auto", cpu_count=16)
+        workers, use_pool = pool_workers(3, 8, cpu_count=16)
         assert workers == 1 and not use_pool
-
-    def test_always_ignores_cpu_count(self):
-        workers, use_pool = pool_workers(40, 4, "always", cpu_count=1)
-        assert workers == 4 and use_pool
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            pool_workers(10, 2, "bogus")
 
 
 class TestAutoSubmitWindow:
@@ -176,16 +158,14 @@ class TestChunkedExecution:
             },
         ).expand()
 
-    def test_forced_pool_byte_identical_to_serial(self, pool_log):
+    def test_forced_pool_byte_identical_to_serial(self, pool_log, two_cpus):
         scenarios = self.grid()
         serial = run_scenarios(scenarios, jobs=1)
         assert pool_log == []
-        pooled = run_scenarios(
-            scenarios, jobs=2, chunk_size=2, pool="always"
-        )
+        pooled = run_scenarios(scenarios, jobs=2)
         assert pool_log == [2]
         assert serial.canonical_json() == pooled.canonical_json()
 
     def test_report_counts_chunks(self, chunk_log):
-        run_scenarios(self.grid(), jobs=1, chunk_size=3)
-        assert len(chunk_log) == 2  # 4 points in chunks of 3
+        run_scenarios(self.grid(), jobs=1)
+        assert len(chunk_log) == 4  # auto_chunk_size(4, 1) == 1

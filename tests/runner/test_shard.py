@@ -9,6 +9,7 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.runner import (
@@ -23,7 +24,7 @@ from repro.runner import (
 )
 from repro.runner.campaign import (
     ENC_RESULT,
-    _indices_to_ranges,
+    _index_array_to_ranges,
     _intersect_ranges,
     _merge_ranges,
     _subtract_ranges,
@@ -84,10 +85,10 @@ class TestRangeArithmetic:
         ]
 
     def test_indices_to_ranges_empty(self):
-        assert _indices_to_ranges([]) == []
+        assert _index_array_to_ranges(np.array([], dtype=np.int64)) == []
 
     def test_indices_to_ranges_runs(self):
-        assert _indices_to_ranges([0, 1, 2, 5, 7, 8]) == [
+        assert _index_array_to_ranges(np.array([0, 1, 2, 5, 7, 8])) == [
             (0, 3),
             (5, 6),
             (7, 9),

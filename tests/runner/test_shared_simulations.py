@@ -82,9 +82,9 @@ class TestFanOut:
         assert dicts[0]["times"] == original
         assert dicts[7]["times"] == original
 
-    def test_pooled_identical_to_serial(self):
+    def test_pooled_identical_to_serial(self, two_cpus):
         serial = run_scenarios(batch(), jobs=1)
-        pooled = run_scenarios(batch(), jobs=2, pool="always")
+        pooled = run_scenarios(batch(), jobs=2)
         assert pooled.canonical_json() == serial.canonical_json()
 
     def test_one_environment_per_distinct_point(self):
