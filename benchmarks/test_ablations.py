@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for the simulator's modelling choices.
 
 Each ablation switches one mechanism off (or sweeps it) and reports the
 headline factor it is responsible for:

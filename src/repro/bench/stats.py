@@ -4,6 +4,17 @@
 mean with a 90 % confidence interval assuming a Student's
 t-distribution; a measurement is *rerun* when the CI half-width exceeds
 5 % of the mean, up to 50 retries.
+
+The Student-t critical value needs only the standard library.
+``summarize`` asks for integer degrees of freedom (``df = n - 1``), for
+which the two-sided CDF ``A = P(|T| <= t)`` is a finite series in
+``u = cos²θ``, ``θ = atan(t/√df)`` (Abramowitz & Stegun 26.7.3/26.7.4).
+Newton's method solves ``A = confidence`` in ``v = sin²θ = 1 - u``,
+started from the normal quantile; ``df = 1`` is the closed-form Cauchy
+quantile.  Measured against
+``scipy.stats.t.ppf``: within 2.3e-13 relative for every df in 1–1000
+at confidences 0.5–0.999 (the worst case at 0.999, where ``A`` sits
+next to 1), and within 1e-14 at the paper's 0.90.
 """
 
 from __future__ import annotations
@@ -11,9 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from statistics import NormalDist
 from typing import Sequence
-
-from scipy import stats as _scipy_stats
 
 __all__ = ["SampleStats", "summarize", "needs_rerun"]
 
@@ -46,6 +56,7 @@ class SampleStats:
 
 def summarize(samples: Sequence[float], confidence: float = CONFIDENCE) -> SampleStats:
     """Mean and Student-t confidence half-width of ``samples``."""
+    _check_confidence(confidence)
     n = len(samples)
     if n == 0:
         raise ValueError("no samples")
@@ -60,11 +71,79 @@ def summarize(samples: Sequence[float], confidence: float = CONFIDENCE) -> Sampl
     return SampleStats(n, mean, std, ci_half, min(samples), max(samples))
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024, typed=True)  # typed: 2.0 and True must not hit 2 and 1
 def _t_critical(df: int, confidence: float) -> float:
-    """Cached Student-t critical value (the ppf call dominates
-    ``summarize`` on small sample sets otherwise)."""
-    return float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, df=df))
+    """Two-sided Student-t critical value: ``t`` with
+    ``P(|T| <= t) = confidence`` for ``df`` degrees of freedom (cached:
+    each Newton step sums an O(df) series)."""
+    if isinstance(df, bool) or not isinstance(df, int) or df < 1:
+        raise ValueError(f"degrees of freedom must be an integer >= 1, got {df!r}")
+    _check_confidence(confidence)
+    if df == 1:
+        # Cauchy: t = tan(π·c/2), as a cotangent near c = 1, where 1 - c
+        # is exact and tan(π·c/2) would amplify the rounding of π·c/2.
+        if confidence < 0.5:
+            return math.tan(math.pi * confidence / 2.0)
+        return 1.0 / math.tan(math.pi * (1.0 - confidence) / 2.0)
+    # dA/dv = K·√df·(1 - v)^((df-2)/2) / √v with
+    # K = Γ((df+1)/2) / (√(df·π)·Γ(df/2)).
+    scale = math.exp(math.lgamma((df + 1) / 2) - math.lgamma(df / 2))
+    scale /= math.sqrt(math.pi)
+    z = -NormalDist().inv_cdf((1.0 - confidence) / 2.0)
+    # Newton on v = sin²θ = t²/(df + t²): A is concave in v and the
+    # normal quantile lies below the t quantile, so the iterates rise
+    # monotonically to the root.
+    v = z * z / (df + z * z)
+    for _ in range(100):
+        slope = scale * (1.0 - v) ** ((df - 2) / 2)
+        if slope == 0.0:
+            break
+        step = (confidence - _two_sided_cdf(v, df)) * math.sqrt(v) / slope
+        if step <= 0.0:  # at the root, up to rounding noise
+            break
+        # Stay below 1 where rounding noise in A meets a vanishing slope
+        # (confidences within ~1e-14 of 1).
+        step = min(step, (1.0 - v) / 2.0)
+        v += step
+        if step <= 2.0 * math.ulp(v):
+            break
+    return math.sqrt(df * v / (1.0 - v))
+
+
+def _two_sided_cdf(v: float, df: int) -> float:
+    """``P(|T| <= t)`` for integer ``df >= 2`` at ``v = sin²θ``,
+    ``θ = atan(t/√df)`` (A&S 26.7.3/26.7.4).
+
+    The series multiplies ``u = cos²θ = 1 - v`` into itself up to
+    ``df/2`` times, so the rounding of ``1 - v`` would err ``k``-fold in
+    the ``k``-th term; its exact residual corrects the sum to first
+    order.
+    """
+    u = 1.0 - v
+    u_err = ((1.0 - u) - v) / u  # u's rounding error, relative
+    sin, cos = math.sqrt(v), math.sqrt(u)
+    if df % 2 == 0:
+        term = total = 1.0
+        first = 1
+    else:
+        term = total = cos
+        first = 2
+    powers = 0.0  # Σ (power of u in the term) · term
+    for j, k in enumerate(range(first, df - 1, 2), 1):
+        term *= k / (k + 1) * u
+        total += term
+        powers += j * term
+    total += u_err * powers
+    if df % 2 == 0:
+        return sin * total
+    return (math.atan2(sin, cos) + sin * total) * (2.0 / math.pi)
+
+
+def _check_confidence(confidence: float) -> None:
+    # Outside (0, 1) the half-width would be nan or inf, and a nan
+    # silently passes the rerun rule.
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
 
 
 def needs_rerun(stats: SampleStats, ci_fraction: float = CI_FRACTION) -> bool:

@@ -11,8 +11,8 @@ The CPU frequency is not stated in the paper; F = 3.5 GHz reproduces the
 published FFT γ values exactly (and is a plausible boost clock for the
 EPYC 7H12 testbed).
 
-Known paper inconsistency (documented in DESIGN.md)
-----------------------------------------------------
+Known paper inconsistency
+-------------------------
 The published *stencil* gains (η = 1.1060/1.1718/1.2169) do not follow
 from Eq. (4) with the published γ values; they match Eq. (4) only when
 the ``γ·β`` term is doubled — i.e. as if σ = ε + δ had been used instead

@@ -5,6 +5,10 @@ import math
 import pytest
 
 from repro.bench import needs_rerun, summarize
+from repro.bench.stats import _t_critical
+
+#: Confidences the quantile is checked at (the paper uses 0.90).
+CONFIDENCES = (0.5, 0.8, 0.9, 0.95, 0.99, 0.999)
 
 
 class TestSummarize:
@@ -66,3 +70,53 @@ class TestRerunRule:
         s = summarize([1.0, 1.2, 0.8, 1.1, 0.9])
         assert needs_rerun(s, ci_fraction=0.01)
         assert not needs_rerun(s, ci_fraction=0.5)
+
+
+class TestStudentTQuantile:
+    """The stdlib quantile against scipy and the closed forms."""
+
+    def test_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        worst = 0.0
+        for df in range(1, 1001):
+            for c in CONFIDENCES:
+                expected = float(stats.t.ppf(0.5 + c / 2, df))
+                err = abs(_t_critical(df, c) - expected) / expected
+                worst = max(worst, err)
+                assert err <= 1e-12, (df, c, err)
+        assert worst > 0.0  # the comparison really ran
+
+    @pytest.mark.parametrize("c", CONFIDENCES)
+    def test_closed_forms(self, c):
+        """df = 1 is Cauchy; df = 2 has t = c·√(2/(1−c²))."""
+        cauchy = math.tan(math.pi * c / 2)
+        assert _t_critical(1, c) == pytest.approx(cauchy, rel=1e-12, abs=0)
+        df2 = c * math.sqrt(2 / (1 - c * c))
+        assert _t_critical(2, c) == pytest.approx(df2, rel=1e-12, abs=0)
+
+    def test_rises_with_confidence_and_falls_with_df(self):
+        for df in (1, 2, 3, 10, 149):
+            values = [_t_critical(df, c) for c in CONFIDENCES]
+            assert values == sorted(values) and len(set(values)) == len(values)
+        by_df = [_t_critical(df, 0.9) for df in (1, 2, 3, 10, 149, 1000)]
+        assert by_df == sorted(by_df, reverse=True)
+        assert by_df[-1] > 1.6448536269514722  # above the normal quantile
+
+    @pytest.mark.parametrize("df", [0, -1, 2.0, 2.5, True, None])
+    def test_invalid_df_rejected(self, df):
+        with pytest.raises(ValueError):
+            _t_critical(df, 0.9)
+
+
+class TestConfidenceValidation:
+    @pytest.mark.parametrize("confidence", [1.5, 1.0, 0.0, -0.1, float("nan")])
+    def test_out_of_range_rejected(self, confidence):
+        """A nan half-width would silently pass the 5 % rerun rule."""
+        with pytest.raises(ValueError, match="confidence"):
+            summarize([1.0, 2.0, 3.0], confidence=confidence)
+
+    def test_rejected_even_without_spread(self):
+        with pytest.raises(ValueError, match="confidence"):
+            summarize([2.0] * 4, confidence=1.5)
+        with pytest.raises(ValueError, match="confidence"):
+            summarize([2.0], confidence=0.0)

@@ -28,7 +28,8 @@ class TestFFT:
 
 class TestStencil:
     """A.2.2 — γ values reproduce from Eq. (9); the published η values
-    require the doubled γ·β term (paper inconsistency, see DESIGN.md)."""
+    require the doubled γ·β term (paper inconsistency, see the
+    "Known paper inconsistency" section of ``repro.model.workloads``)."""
 
     @pytest.mark.parametrize("theta", [1, 2, 8])
     def test_published_gammas(self, theta):
