@@ -19,15 +19,19 @@ seed (up to 50 times).
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
+from .. import telemetry
 from ..mpi import Cvars, MPIWorld
 from ..mpi.partitioned import negotiate_message_count
 from ..net import MELUXINA, SystemParams
+from ..sim import StopSimulation
 from ..threads import ComputeModel, FixedDelayModel, NoDelayModel, ThreadTeam
 from .approaches import APPROACHES, Approach, ApproachConfig
 from .stats import CI_FRACTION, MAX_RETRIES, SampleStats, needs_rerun, summarize
+from .steady import same_state, snapshot
 
 __all__ = [
     "BenchSpec",
@@ -128,14 +132,49 @@ class BenchResult:
 
 
 class _Recorder:
-    """Per-iteration timestamps and compute totals."""
+    """Per-iteration timestamps and compute totals.
 
-    def __init__(self, total_iters: int, n_threads: int):
+    Given a world, :meth:`start` also compares the simulation's state at
+    each iteration boundary after the first with the previous boundary's
+    (:mod:`.steady`); when they are equal the rest of the run repeats
+    iteration ``it - 1``, so it stops the run with
+    ``StopSimulation(it)``.
+    """
+
+    def __init__(self, total_iters: int, n_threads: int,
+                 world: Optional[MPIWorld] = None):
         self.t_start = [0.0] * total_iters
         self.t_end = [0.0] * total_iters
         self.compute = [
             [0.0] * n_threads for _ in range(total_iters)
         ]
+        self._world = world
+        self._last = None
+        self._timed = telemetry.active_registry() is not None
+        self.snapshot_s = 0.0
+
+    def stop_watching(self) -> None:
+        """Drop the world and the last snapshot: a run stopped at a
+        boundary leaves suspended generators that keep this recorder
+        alive until the cyclic collector finds them."""
+        self._world = self._last = None
+
+    def start(self, it: int, now: float) -> None:
+        """The sender's master thread starts iteration ``it`` at ``now``."""
+        self.t_start[it] = now
+        if self._world is None or it < 1:
+            return
+        t0 = time.perf_counter() if self._timed else 0.0
+        last, self._last = self._last, snapshot(self._world, _HARNESS_LOCALS)
+        if self._timed:
+            self.snapshot_s += time.perf_counter() - t0
+        if self._last is None:
+            self._world = None  # not canonicalizable: simulate in full
+        elif last is not None and same_state(last, self._last):
+            # The exception's traceback keeps this frame: hold nothing.
+            del last
+            self.stop_watching()
+            raise StopSimulation(it)
 
     def removal(self, it: int) -> float:
         """Compute-time removal: the slowest thread's total compute."""
@@ -173,7 +212,7 @@ def _sender_thread(world, approach: Approach, team: ThreadTeam,
     for it in range(total_iters):
         if tid == 0:
             yield from comm.barrier()  # tik
-            rec.t_start[it] = world.env.now
+            rec.start(it, world.env.now)
             yield from approach.s_start()
         yield from team.barrier()
         for p in cfg.partitions_of(tid):
@@ -203,20 +242,34 @@ def _receiver_thread(world, approach: Approach, team: ThreadTeam,
     yield from team.barrier()
     yield from approach.r_thread_init(tid)
     yield from team.barrier()
-    for it in range(total_iters):
-        if tid == 0:
+    # The receiver runs ahead of the sender's iteration boundary, so the
+    # closing team barrier is the loop's first one: a thread waiting in
+    # it is at the same place whether or not another iteration follows.
+    for it in range(total_iters + 1):
+        if tid == 0 and it < total_iters:
             yield from comm.barrier()  # tik
             yield from approach.r_start()
         yield from team.barrier()
+        if it == total_iters:
+            break
         for p in cfg.partitions_of(tid):
             yield from approach.r_probe(tid, p)
         yield from team.barrier()
         if tid == 0:
             yield from approach.r_wait()
             rec.t_end[it] = world.env.now  # tok
-    yield from team.barrier()
     if tid == 0:
         yield from approach.r_free()
+
+
+#: The thread locals a snapshot compares.  The others are bound once
+#: before the loop (the arguments, ``cfg``, ``comm``) or are bookkeeping
+#: the simulation never reads (``it``, ``rec``, ``dt``); ``p`` fixes the
+#: position of a partition loop suspended in compute or ``ready``.
+_HARNESS_LOCALS = {
+    _sender_thread.__code__: ("tid", "p"),
+    _receiver_thread.__code__: ("tid", "p"),
+}
 
 
 def _single_run(spec: BenchSpec, seed: int) -> BenchResult:
@@ -229,19 +282,38 @@ def _single_run(spec: BenchSpec, seed: int) -> BenchResult:
     approach = APPROACHES[spec.approach](world, cfg)
     compute = spec.compute_model(world)
     total = spec.iterations + spec.warmup
-    rec = _Recorder(total, spec.n_threads)
+    rec = _Recorder(total, spec.n_threads, world)
     barrier_cost = spec.params.barrier_time(spec.n_threads)
     s_team = ThreadTeam(world.env, spec.n_threads, barrier_cost)
     r_team = ThreadTeam(world.env, spec.n_threads, barrier_cost)
+    threads = []
     for tid in range(spec.n_threads):
-        world.launch(
-            0, _sender_thread(world, approach, s_team, compute, rec, tid, total)
+        threads.append(
+            _sender_thread(world, approach, s_team, compute, rec, tid, total)
         )
-        world.launch(
-            1, _receiver_thread(world, approach, r_team, rec, tid, total)
+        threads.append(_receiver_thread(world, approach, r_team, rec, tid, total))
+        world.launch(0, threads[-2])
+        world.launch(1, threads[-1])
+    steady = world.run()
+    if steady is not None:
+        # Release the suspended threads' frames now rather than at the
+        # next cyclic collection.
+        for thread in threads:
+            thread.close()
+    simulated = total if steady is None else steady
+    times = [rec.iteration_time(it) for it in range(spec.warmup, simulated)]
+    if steady is not None:
+        # Iteration steady - 1 repeats to the end; teardown is skipped.
+        times += [rec.iteration_time(steady - 1)] * (
+            total - max(steady, spec.warmup)
         )
-    world.run()
-    times = [rec.iteration_time(it) for it in range(spec.warmup, total)]
+    if telemetry.active_registry() is not None:
+        telemetry.count("bench.iterations.simulated", simulated)
+        telemetry.count("bench.iterations.replicated", total - simulated)
+        telemetry.count(
+            "bench.steady_state", boundary="never" if steady is None else steady
+        )
+        telemetry.count("bench.snapshot_s", rec.snapshot_s)
     return BenchResult(
         spec=spec,
         times=times,

@@ -112,17 +112,21 @@ _PHASES = ("init", "start", "ready", "wait")
 
 
 def _render(table: Dict[str, Dict[str, List[str]]], title: str) -> str:
-    width = 24
-    lines = [title]
-    header = f"{'approach':<22}" + "".join(f"{p:<{width}}" for p in _PHASES)
-    lines.append(header)
-    lines.append("-" * len(header))
-    for name, phases in table.items():
-        cells = "".join(
-            f"{' + '.join(phases[p]) or '-':<{width}}" for p in _PHASES
-        )
-        lines.append(f"{name:<22}" + cells)
-    return "\n".join(lines)
+    """Left-aligned columns, each as wide as its widest cell, two spaces
+    apart; no line ends in a space."""
+    rows = [["approach", *_PHASES]] + [
+        [name, *(" + ".join(phases[p]) or "-" for p in _PHASES)]
+        for name, phases in table.items()
+    ]
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+
+    def line(row: List[str]) -> str:
+        return "  ".join(
+            cell.ljust(width) for cell, width in zip(row, widths)
+        ).rstrip()
+
+    rule = "-" * (sum(widths) + 2 * (len(widths) - 1))
+    return "\n".join([title, line(rows[0]), rule, *map(line, rows[1:])])
 
 
 def table1() -> str:

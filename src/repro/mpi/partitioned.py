@@ -166,7 +166,6 @@ class PartitionedSendRequest(PersistentRequest):
             )
         self._cts_event: Event = rt.env.event()
         self._latches: List[CountdownLatch] = []
-        self._msg_reqs: List[Optional[SendRequest]] = []
         self._early_ready: List[Tuple[int, Optional[int]]] = []
         self._completed_msgs = 0
         # The request's counters share cache lines; concurrent Pready
@@ -215,7 +214,6 @@ class PartitionedSendRequest(PersistentRequest):
         self._latches = [
             CountdownLatch(self.env, per_msg) for _ in range(self.n_msgs)
         ]
-        self._msg_reqs = [None] * self.n_msgs
         self._completed_msgs = 0
 
     def _msg_of(self, partition: int) -> int:
@@ -281,7 +279,6 @@ class PartitionedSendRequest(PersistentRequest):
         # thread), so address that VCI explicitly.
         req.dst_vci = vci_for_partition_message(self.rt.cvars, self.comm.vci, m)
         req.offset = m * msg_bytes
-        self._msg_reqs[m] = req
         req._done.callbacks.append(lambda ev: self._msg_done())
         yield from req.start()
 

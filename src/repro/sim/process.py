@@ -14,7 +14,7 @@ from typing import Any, Generator, Optional
 
 import itertools
 
-from .core import PENDING, URGENT, Environment, Event, SimulationError
+from .core import PENDING, URGENT, Environment, Event, SimulationError, StopSimulation
 
 __all__ = ["Process", "Interrupt"]
 
@@ -118,6 +118,10 @@ class Process(Event):
                 self._value = stop.value
                 env.schedule(self)
                 break
+            except StopSimulation:
+                # Stops the run at once (Environment.run returns its value).
+                env.active_process = None
+                raise
             except BaseException as exc:
                 self._ok = False
                 self._value = exc

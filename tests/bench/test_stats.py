@@ -97,6 +97,34 @@ class TestStudentTQuantile:
             _t_critical(df, 0.9)
 
 
+class TestStudentTTail:
+    """Confidences next to 1: the quantile comes from the tail, whose
+    value the two-sided CDF (summed next to 1) cannot resolve."""
+
+    TAILS = (1e-6, 1e-9, 1e-12, 1e-15)
+    DFS = (1, 2, 5, 30, 1000, 100000)
+
+    @pytest.mark.parametrize("tail", TAILS)
+    def test_matches_scipy_isf(self, tail):
+        stats = pytest.importorskip("scipy.stats")
+        c = 1.0 - tail
+        for df in self.DFS:
+            # 1 - c is exact; the two-sided tail splits evenly.
+            expected = float(stats.t.isf((1.0 - c) / 2, df))
+            err = abs(_t_critical(df, c) - expected) / expected
+            assert err <= 1e-12, (df, tail, err)
+
+    def test_large_df_deep_tail(self):
+        """At df = 100000 the t quantile is nearly the normal one (~8.03
+        at a two-sided 1e-15); summing the CDF gave 317."""
+        assert _t_critical(100000, 1 - 1e-15) == pytest.approx(8.0283, rel=1e-4)
+
+    @pytest.mark.parametrize("df", [2, 7, 40, 5000])
+    def test_continuous_across_the_switch(self, df):
+        below, above = _t_critical(df, 1 - 1.0001e-4), _t_critical(df, 1 - 0.9999e-4)
+        assert 0.0 < above - below < 1e-3 * below
+
+
 class TestConfidenceValidation:
     @pytest.mark.parametrize("confidence", [1.5, 1.0, 0.0, -0.1, float("nan")])
     def test_out_of_range_rejected(self, confidence):

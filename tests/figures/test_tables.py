@@ -52,3 +52,31 @@ def test_every_phase_present():
     for table in (TABLE1_SENDER, TABLE2_RECEIVER):
         for phases in table.values():
             assert set(phases) == {"init", "start", "ready", "wait"}
+
+
+def _rows(text):
+    title, header, rule, *rows = text.split("\n")
+    return header, rule, rows
+
+
+def test_rendered_columns_align():
+    """Every cell starts at its header's column, at least two spaces
+    after the previous cell, however long the operation lists get."""
+    for table, text in ((TABLE1_SENDER, table1()), (TABLE2_RECEIVER, table2())):
+        header, rule, rows = _rows(text)
+        starts = [header.index(p) for p in ("init", "start", "ready", "wait")]
+        assert len(rows) == len(table)
+        for (name, phases), row in zip(table.items(), rows):
+            assert row.startswith(name + "  ")
+            for phase, start in zip(("init", "start", "ready", "wait"), starts):
+                cell = " + ".join(phases[phase]) or "-"
+                assert row[start - 2:start] == "  ", (name, phase)
+                assert row[start:start + len(cell)] == cell, (name, phase)
+        assert set(rule) == {"-"}
+        assert len(rule) == max(len(line) for line in [header, *rows])
+
+
+def test_rendered_lines_have_no_trailing_space():
+    for text in (table1(), table2()):
+        for line in text.split("\n"):
+            assert line == line.rstrip(), repr(line)
