@@ -50,7 +50,7 @@ from .noise import (
     UniformNoise,
     make_noise,
 )
-from .sweep import DEFAULT_JSON_PATH, PatternSweep, sweep_patterns
+from .sweep import DEFAULT_JSON_PATH, PatternSweep
 from .sweep3d import Sweep3D
 
 __all__ = [
@@ -76,6 +76,5 @@ __all__ = [
     "NOISE_MODELS",
     "make_noise",
     "PatternSweep",
-    "sweep_patterns",
     "DEFAULT_JSON_PATH",
 ]

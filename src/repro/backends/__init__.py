@@ -7,7 +7,7 @@ Every grid point in the reproduction executes through a backend:
   model extended to all 8 approaches and every application pattern;
   points cost microseconds, so million-point grids become feasible.
 
-``cross_validate`` runs grids under both and enforces the documented
+``--backend both`` runs a grid under both and enforces the documented
 per-approach agreement tolerances (``TOLERANCES``).
 
 Quick start
@@ -39,8 +39,6 @@ from .crossval import (
     CrossValReport,
     compare_bench_sweeps,
     compare_pattern_sweeps,
-    cross_validate,
-    tolerance_for,
 )
 from .sim import SimBackend
 
@@ -58,8 +56,6 @@ __all__ = [
     "PATTERN_TOLERANCE",
     "CrossPoint",
     "CrossValReport",
-    "cross_validate",
     "compare_bench_sweeps",
     "compare_pattern_sweeps",
-    "tolerance_for",
 ]

@@ -22,9 +22,7 @@ Run it with ``python -m repro figures --backend both`` (or ``apps
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
-
-from .base import BACKEND_ANALYTIC, BACKEND_SIM
+from typing import Any, Dict, List, Optional
 
 __all__ = [
     "TOLERANCES",
@@ -32,8 +30,6 @@ __all__ = [
     "PATTERN_NOISE_TOLERANCE",
     "CrossPoint",
     "CrossValReport",
-    "tolerance_for",
-    "cross_validate",
     "compare_bench_sweeps",
     "compare_pattern_sweeps",
 ]
@@ -64,24 +60,6 @@ PATTERN_TOLERANCE = 1.0
 #: the same factor-two bound, as a separately-named constant so the
 #: two fidelity claims can drift apart if recalibration demands it.
 PATTERN_NOISE_TOLERANCE = 1.0
-
-
-def tolerance_for(scenario: Any) -> float:
-    """The documented tolerance for one scenario."""
-    if scenario.kind == "bench":
-        return TOLERANCES[scenario.spec.approach]
-    if getattr(scenario.spec, "noise", "none") != "none":
-        return PATTERN_NOISE_TOLERANCE
-    return PATTERN_TOLERANCE
-
-
-def _label(kind: str, spec: Any) -> str:
-    if kind == "bench":
-        return (
-            f"{spec.approach}/{spec.total_bytes}B"
-            f"/N{spec.n_threads}/t{spec.theta}"
-        )
-    return f"{spec.pattern}/{spec.approach}/{spec.msg_bytes}B"
 
 
 @dataclass(frozen=True)
@@ -161,26 +139,6 @@ class CrossValReport:
         )
         return "\n".join(lines)
 
-    def to_json(self) -> dict:
-        return {
-            "schema": "repro.backends.crossval/v1",
-            "points": [
-                {
-                    "label": p.label,
-                    "kind": p.kind,
-                    "approach": p.approach,
-                    "sim_mean_s": p.sim_mean,
-                    "analytic_mean_s": p.analytic_mean,
-                    "rel_error": p.rel_error,
-                    "tolerance": p.tolerance,
-                    "ok": p.ok,
-                }
-                for p in self.points
-            ],
-            "max_rel_error": self.max_rel_error,
-            "passed": self.passed,
-        }
-
 
 def compare_bench_sweeps(sim_sweep: Any, analytic_sweep: Any) -> CrossValReport:
     """Cross-validate two :class:`~repro.bench.sweep.SweepResult` runs
@@ -200,9 +158,9 @@ def compare_bench_sweeps(sim_sweep: Any, analytic_sweep: Any) -> CrossValReport:
                     approach=approach,
                     sim_mean=sim_sweep.get(label, size).stats.mean,
                     analytic_mean=analytic_sweep.get(label, size).stats.mean,
-                    # Strict lookup, like tolerance_for(): an approach
-                    # without a documented tolerance must fail loudly,
-                    # not silently inherit the loose pattern bound.
+                    # Strict lookup: an approach without a documented
+                    # tolerance must fail loudly, not silently inherit
+                    # the loose pattern bound.
                     tolerance=TOLERANCES[approach],
                 )
             )
@@ -220,7 +178,7 @@ def compare_pattern_sweeps(
         ana_r = analytic_sweep.get(config)
         report.points.append(
             CrossPoint(
-                label=_label("pattern", config),
+                label=f"{config.pattern}/{config.approach}/{config.msg_bytes}B",
                 kind="pattern",
                 approach=config.approach,
                 sim_mean=sim_r.stats.mean,
@@ -230,46 +188,6 @@ def compare_pattern_sweeps(
                     if getattr(config, "noise", "none") != "none"
                     else PATTERN_TOLERANCE
                 ),
-            )
-        )
-    return report
-
-
-def cross_validate(
-    scenarios: Iterable[Any],
-    jobs: int = 1,
-) -> CrossValReport:
-    """Run every scenario under both backends and compare the means.
-
-    The simulated half goes through the normal executor (so ``jobs``
-    fans it out); the analytic half runs inline.  Incoming scenarios
-    may carry any backend tag — both variants are derived from the
-    spec.
-    """
-    from ..runner.executor import run_scenarios
-    from ..runner.scenario import Scenario
-
-    batch = [
-        Scenario(kind=s.kind, spec=s.spec, backend=BACKEND_SIM)
-        for s in scenarios
-    ]
-    analytic = [
-        Scenario(kind=s.kind, spec=s.spec, backend=BACKEND_ANALYTIC)
-        for s in batch
-    ]
-    sim_results = run_scenarios(batch, jobs=jobs).results
-    ana_results = run_scenarios(analytic).results
-    report = CrossValReport()
-    for scenario, sim_r, ana_r in zip(batch, sim_results, ana_results):
-        spec = scenario.spec
-        report.points.append(
-            CrossPoint(
-                label=_label(scenario.kind, spec),
-                kind=scenario.kind,
-                approach=spec.approach,
-                sim_mean=sim_r.stats.mean,
-                analytic_mean=ana_r.stats.mean,
-                tolerance=tolerance_for(scenario),
             )
         )
     return report

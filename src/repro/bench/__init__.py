@@ -10,7 +10,7 @@ from .harness import (
 )
 from .reporting import format_bandwidth_table, format_ratio_line, format_us_table
 from .stats import SampleStats, needs_rerun, summarize
-from .sweep import SweepResult, size_grid, sweep_approaches, sweep_sizes
+from .sweep import SweepResult, sweep_approaches
 
 __all__ = [
     "APPROACHES",
@@ -24,8 +24,6 @@ __all__ = [
     "SampleStats",
     "summarize",
     "needs_rerun",
-    "size_grid",
-    "sweep_sizes",
     "sweep_approaches",
     "SweepResult",
     "format_us_table",

@@ -24,9 +24,8 @@ isomorphic.
 
 Every attribute of every object reached is classified in
 :data:`FIELDS`.  ``STATE`` is compared.  ``SKIP`` is a counter or stamp
-the simulation never reads (``tx_count``, ``ResourceStats``,
-``started_count``, ``Packet.uid``, ``requested_at``, ``posted_at``,
-``completed_at``, ...) or a constant fixed at construction (names,
+the simulation never reads (``tx_count``, ``started_count``,
+``Packet.uid``, ...) or a constant fixed at construction (names,
 ``params``, ``cvars``, ``env``).  ``RID``/``SEQ``/``SERIAL`` is an
 identifier, compared after renumbering.  The remaining kinds have their
 own walk: the contention window's agents are compared by their age
@@ -180,10 +179,9 @@ FIELDS: Dict[type, Dict[str, str]] = {
     Process: dict(
         _generator=FRAMES, _target=STATE, name=SKIP, serial=SERIAL,
     ),
-    Request: dict(resource=STATE, requested_at=SKIP),
+    Request: dict(resource=STATE),
     Resource: dict(
         env=SKIP, capacity=SKIP, name=SKIP, _users=STATE, _waiting=QUEUE,
-        stats=SKIP,
     ),
     Store: dict(env=SKIP, name=SKIP, _items=QUEUE, _getters=QUEUE),
     # The generation is the waiters' event value; ThreadTeam discards it.
@@ -225,7 +223,7 @@ FIELDS: Dict[type, Dict[str, str]] = {
     ),
     RankRuntime: dict(
         world=SKIP, rank=SKIP, nic=STATE, env=SKIP, params=SKIP, cvars=SKIP,
-        tracer=SKIP, matching=ENGINES, _pending_sends=RID_KEYS,
+        matching=ENGINES, _pending_sends=RID_KEYS,
         # register_*_handler refuses a duplicate op and nothing removes
         # one, so the size fixes the table.
         _pending_recvs=RID_KEYS, _ctrl_handlers=GROW, _am_handlers=GROW,
@@ -238,14 +236,12 @@ FIELDS: Dict[type, Dict[str, str]] = {
         _posted=QUEUE, _unexpected=QUEUE,
         matched_posted=SKIP, matched_unexpected=SKIP,
     ),
-    PostedRecv: dict(key=STATE, request=STATE, posted_at=SKIP),
-    UnexpectedMsg: dict(
-        key=STATE, packet=STATE, arrived_at=SKIP, fields=STATE,
-    ),
+    PostedRecv: dict(key=STATE, request=STATE),
+    UnexpectedMsg: dict(key=STATE, packet=STATE, fields=STATE),
     Comm: dict(
         rt=STATE, context_id=VALUE, group=VALUE, vci=VALUE, _dup_seq=VALUE,
     ),
-    MpiRequest: dict(env=SKIP, rid=RID, _done=STATE, completed_at=SKIP),
+    MpiRequest: dict(env=SKIP, rid=RID, _done=STATE),
     SendRequest: dict(
         rt=STATE, context_id=VALUE, dest=VALUE, tag=VALUE, nbytes=VALUE,
         vci=VALUE, data=STATE, dst_vci=VALUE, offset=VALUE,
@@ -291,7 +287,7 @@ FIELDS: Dict[type, Dict[str, str]] = {
     Window: dict(
         comm=STATE, rt=STATE, env=SKIP, win_id=VALUE, nbytes=VALUE,
         buffer=STATE, vci=VALUE, _lock_epochs=STATE, _lock_grants=STATE,
-        _flush_acks=SEQ_KEYS, _access_group=VALUE, _puts_in_epoch=SKIP,
+        _flush_acks=SEQ_KEYS, _access_group=VALUE,
         _lock_mgr=STATE, _post_tokens=STATE, _post_waiters=STATE,
         _exposure_group=VALUE, _complete_tokens=VALUE,
         _complete_waiter=STATE, puts_received=SKIP,

@@ -1,9 +1,9 @@
 """Parameter sweeps: message-size series for the paper's figures.
 
-Sweeps are thin grid builders over the unified scenario runner
-(:mod:`repro.runner`): each builds one
+:func:`sweep_approaches` is a thin grid builder over the unified scenario
+runner (:mod:`repro.runner`): it builds one
 :class:`~repro.runner.scenario.ScenarioGrid` around a :class:`BenchSpec`
-(axes ``approach`` and/or ``total_bytes``), submits it whole through
+(axes ``approach`` and ``total_bytes``), submits it whole through
 :func:`~repro.runner.executor.run_grids` (so ``jobs > 1`` fans the grid
 out across cores, and ``store=DIR`` keeps it as a resumable campaign
 root), and collects the results into a :class:`SweepResult` keyed for
@@ -12,37 +12,11 @@ the figure reports.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from .harness import BenchResult, BenchSpec
 
-__all__ = ["size_grid", "sweep_sizes", "sweep_approaches", "SweepResult"]
-
-
-def size_grid(
-    min_bytes: int,
-    max_bytes: int,
-    multiple_of: int = 1,
-) -> List[int]:
-    """Logarithmic size grid, each entry rounded to ``multiple_of``.
-
-    Power-of-two based: returns sizes ``multiple_of * 2^k`` covering
-    [min_bytes, max_bytes], matching the paper's log-scale x axes.
-    """
-    if min_bytes < 1 or max_bytes < min_bytes:
-        raise ValueError("need 1 <= min_bytes <= max_bytes")
-    if multiple_of < 1:
-        raise ValueError("multiple_of must be >= 1")
-    sizes: List[int] = []
-    size = multiple_of
-    while size < min_bytes:
-        size *= 2
-    while size <= max_bytes:
-        sizes.append(size)
-        size *= 2
-    if not sizes:
-        raise ValueError("empty size grid")
-    return sizes
+__all__ = ["sweep_approaches", "SweepResult"]
 
 
 class SweepResult:
@@ -71,24 +45,6 @@ class SweepResult:
     def approaches(self) -> List[str]:
         return sorted({a for (a, _) in self._results})
 
-    def series_us(self, approach: str) -> List[tuple]:
-        """(size, mean_us, ci_half_us) series for one approach."""
-        return [
-            (
-                size,
-                self.get(approach, size).mean_us,
-                self.get(approach, size).stats.ci_half * 1e6,
-            )
-            for size in self.sizes(approach)
-        ]
-
-    def series_bandwidth(self, approach: str) -> List[tuple]:
-        """(size, GB/s) series for one approach (Fig. 8's metric)."""
-        return [
-            (size, self.get(approach, size).bandwidth_gbs)
-            for size in self.sizes(approach)
-        ]
-
     def ratio(self, approach: str, baseline: str, total_bytes: int) -> float:
         """Time ratio approach/baseline at one size (penalty factor)."""
         return (
@@ -98,26 +54,6 @@ class SweepResult:
 
     def __len__(self) -> int:
         return len(self._results)
-
-
-def sweep_sizes(
-    base: BenchSpec,
-    sizes: Sequence[int],
-    out: Optional[SweepResult] = None,
-    jobs: int = 1,
-    store=None,
-    backend: str = "sim",
-) -> SweepResult:
-    """Run ``base`` across message sizes (one ``total_bytes`` grid)."""
-    from ..runner import ScenarioGrid, run_grids
-
-    result = out if out is not None else SweepResult()
-    grid = ScenarioGrid.from_spec(
-        base, {"total_bytes": list(sizes)}, backend=backend
-    )
-    for r in run_grids([grid], jobs=jobs, store=store)[0]:
-        result.add(r)
-    return result
 
 
 def sweep_approaches(

@@ -1,9 +1,8 @@
 """Analytic performance models of the paper (§2.2 and Appendix A).
 
 Beyond the paper's closed forms, :mod:`repro.model.approaches` and
-:mod:`repro.model.patterns` extend the single-message predictor into
-full benchmark coverage — every registered approach and application
-pattern — powering the analytic execution backend
+:mod:`repro.model.patterns` cover every registered benchmark approach
+and application pattern, powering the analytic execution backend
 (:class:`repro.backends.AnalyticBackend`).
 """
 
@@ -27,7 +26,6 @@ from .pipeline import (
     t_bulk,
     t_pipelined,
 )
-from .predict import MessagePrediction, predict_eta, predict_message_time
 from .workloads import (
     FFT,
     PAPER_FFT_TABLE,
@@ -53,9 +51,6 @@ __all__ = [
     "STENCIL",
     "PAPER_FFT_TABLE",
     "PAPER_STENCIL_GAMMAS",
-    "MessagePrediction",
-    "predict_message_time",
-    "predict_eta",
     "BenchPrediction",
     "predict_bench_time",
     "predict_bench_times",

@@ -1,7 +1,7 @@
 """Closed-form cost models for every benchmark approach (the analytic backend).
 
-Extends the single-message predictor of :mod:`repro.model.predict` to the
-full two-rank benchmark template of :mod:`repro.bench.harness`: for each
+Models the full two-rank benchmark template of
+:mod:`repro.bench.harness`: for each
 of the eight registered approaches this module composes the simulator's
 calibrated costs (:class:`~repro.net.params.SystemParams`, honoring the
 :class:`~repro.mpi.cvars.Cvars` runtime knobs) into a first-order

@@ -13,7 +13,6 @@ from .cvars import (
     VCI_METHOD_THREAD,
     Cvars,
 )
-from .datatypes import BYTE, FLOAT32, FLOAT64, INT32, INT64, Datatype, vector
 from .errors import (
     MPIError,
     PartitionError,
@@ -31,7 +30,6 @@ from .p2p import (
 )
 from .partitioned import PartitionedRecvRequest, PartitionedSendRequest
 from .partitioned_am import AmPartitionedRecvRequest, AmPartitionedSendRequest
-from .partitioned_coll import PipelinedBcast
 from .request import PersistentRequest, Request
 from .rma import LOCK_EXCLUSIVE, LOCK_SHARED, MODE_NOCHECK, Window
 from .runtime import PART_TAG_BASE, TAG_UB, RankRuntime
@@ -62,18 +60,10 @@ __all__ = [
     "PartitionedRecvRequest",
     "AmPartitionedSendRequest",
     "AmPartitionedRecvRequest",
-    "PipelinedBcast",
     "Window",
     "LOCK_SHARED",
     "LOCK_EXCLUSIVE",
     "MODE_NOCHECK",
-    "Datatype",
-    "vector",
-    "BYTE",
-    "INT32",
-    "INT64",
-    "FLOAT32",
-    "FLOAT64",
     "MatchKey",
     "MatchingEngine",
     "MPIError",

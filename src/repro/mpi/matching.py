@@ -47,7 +47,6 @@ class PostedRecv:
 
     key: MatchKey
     request: Any  # RecvRequest-like; not typed to avoid an import cycle
-    posted_at: float = 0.0
 
 
 @dataclass
@@ -56,7 +55,6 @@ class UnexpectedMsg:
 
     key: MatchKey
     packet: Any
-    arrived_at: float = 0.0
     fields: dict = field(default_factory=dict)
 
 

@@ -29,12 +29,10 @@ class Request:
         self.env = env
         self.rid = next(_request_ids)
         self._done: Event = env.event()
-        self.completed_at: Optional[float] = None
 
     # -- completion (runtime side) ------------------------------------------
     def complete(self, value: Any = None) -> None:
         """Mark complete; idempotence is an error (each op completes once)."""
-        self.completed_at = self.env.now
         self._done.succeed(value)
 
     # -- user side ---------------------------------------------------------------

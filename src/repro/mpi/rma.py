@@ -96,7 +96,6 @@ class Window:
         self._lock_grants: Dict[int, Event] = {}
         self._flush_acks: Dict[int, Event] = {}
         self._access_group: Optional[Tuple[int, ...]] = None  # PSCW start
-        self._puts_in_epoch: Dict[int, int] = {}
         # --- target-side state ---------------------------------------------
         self._lock_mgr = _LockManager()
         self._post_tokens: Dict[int, int] = {}  # origin -> tokens seen
@@ -145,7 +144,6 @@ class Window:
             raise RmaSyncError(f"win {self.win_id}: already locked {target}")
         if assertion & MODE_NOCHECK:
             self._lock_epochs[tw] = lock_type
-            self._puts_in_epoch[tw] = 0
             return
         grant = self.env.event()
         self._lock_grants[tw] = grant
@@ -159,7 +157,6 @@ class Window:
         )
         yield grant
         self._lock_epochs[tw] = lock_type
-        self._puts_in_epoch[tw] = 0
 
     def unlock(self, target: int, assertion: int = 0):
         """Generator: flush and close the passive epoch at ``target``."""
@@ -230,8 +227,6 @@ class Window:
                 yield waiter
             self._post_tokens[t] -= 1
         self._access_group = targets
-        for t in targets:
-            self._puts_in_epoch[t] = 0
 
     def complete(self):
         """Generator (origin side): close the PSCW access epoch.
@@ -249,7 +244,6 @@ class Window:
                 vci=self.vci,
                 kind=PacketKind.RMA_CTRL,
                 origin=self.rt.rank,
-                puts=self._puts_in_epoch.get(t, 0),
             )
         self._access_group = None
 
@@ -301,7 +295,6 @@ class Window:
         )
         self.rt._count_tx(PacketKind.RMA_PUT)
         yield from self.rt.nic.post(self.vci, pkt, self.rt.params.put_overhead)
-        self._puts_in_epoch[tw] = self._puts_in_epoch.get(tw, 0) + 1
 
     # ------------------------------------------------------------------
     # target-side packet handlers (zero sim-time; costs paid in RX loop)

@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, Optional
 import numpy as np
 
 from ..net import Nic, Packet, PacketKind, Protocol
-from ..sim import Environment, Tracer
+from ..sim import Environment
 from .cvars import Cvars
 from .errors import MPIError, TruncationError
 from .matching import MatchKey, MatchingEngine, PostedRecv, UnexpectedMsg
@@ -58,7 +58,6 @@ class RankRuntime:
         self.env: Environment = world.env
         self.params = world.params
         self.cvars: Cvars = world.cvars
-        self.tracer: Tracer = world.tracer
         self.matching = [MatchingEngine() for _ in range(nic.n_vcis)]
         #: Rendezvous sends awaiting CTS, by request id.
         self._pending_sends: Dict[int, Any] = {}
@@ -190,7 +189,7 @@ class RankRuntime:
             yield self.env.timeout(p.recv_post_overhead)
         key = MatchKey(rreq.context_id, rreq.source, rreq.tag)
         engine = self.matching[rreq.vci % len(self.matching)]
-        msg = engine.post_recv(PostedRecv(key, rreq, self.env.now))
+        msg = engine.post_recv(PostedRecv(key, rreq))
         if msg is None:
             return
         pkt: Packet = msg.packet
@@ -310,7 +309,7 @@ class RankRuntime:
         engine = self.matching[pkt.dst_vci % len(self.matching)]
         entry = engine.match_arrival(key)
         if entry is None:
-            engine.add_unexpected(UnexpectedMsg(key, pkt, self.env.now))
+            engine.add_unexpected(UnexpectedMsg(key, pkt))
             return
         rreq = entry.request
         if pkt.nbytes > rreq.nbytes:
@@ -327,7 +326,7 @@ class RankRuntime:
         engine = self.matching[pkt.dst_vci % len(self.matching)]
         entry = engine.match_arrival(key)
         if entry is None:
-            engine.add_unexpected(UnexpectedMsg(key, pkt, self.env.now))
+            engine.add_unexpected(UnexpectedMsg(key, pkt))
             return
         # Matched: the progress engine answers the CTS.
         self.spawn(self._answer_rts(entry.request, pkt))

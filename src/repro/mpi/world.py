@@ -31,14 +31,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 
 from .. import telemetry
 from ..net import MELUXINA, Fabric, Nic, SystemParams
-from ..sim import (
-    Environment,
-    NullTracer,
-    Process,
-    RngRegistry,
-    StreamingTracer,
-    Tracer,
-)
+from ..sim import Environment, NullTracer, Process, RngRegistry, StreamingTracer
 from .communicator import Comm
 from .cvars import Cvars
 from .runtime import RankRuntime
@@ -59,8 +52,11 @@ class MPIWorld:
         Runtime knobs (VCIs, aggregation, AM fallback, ...).
     seed:
         Root seed for all randomness (compute-noise streams).
-    trace:
-        Enable structured tracing (off for benchmark runs).
+
+    Tracing is on while a telemetry trace sink is installed
+    (:func:`repro.telemetry.set_trace_sink`, as ``campaign run --trace``
+    does): every record streams to it, so long simulations trace in
+    O(1) memory.
     """
 
     def __init__(
@@ -69,7 +65,6 @@ class MPIWorld:
         params: SystemParams = MELUXINA,
         cvars: Optional[Cvars] = None,
         seed: int = 0,
-        trace: bool = False,
     ):
         if n_ranks < 1:
             raise ValueError("n_ranks must be >= 1")
@@ -77,18 +72,10 @@ class MPIWorld:
         self.params = params
         self.cvars = cvars if cvars is not None else Cvars()
         self.rng = RngRegistry(seed)
-        # When a telemetry trace sink is registered (``campaign run
-        # --trace``), stream records straight to it instead of
-        # accumulating them in memory — long simulations then trace in
-        # O(1) memory.  An explicit ``trace=True`` without a sink keeps
-        # the classic in-memory Tracer (tests inspect ``.records``).
         sink = telemetry.trace_sink()
-        if sink is not None:
-            self.tracer: Tracer = StreamingTracer(self.env, sink)
-        elif trace:
-            self.tracer = Tracer(self.env)
-        else:
-            self.tracer = NullTracer(self.env)
+        self.tracer = (
+            NullTracer() if sink is None else StreamingTracer(self.env, sink)
+        )
         self.fabric = Fabric(self.env, params, self.tracer)
         self.ranks: List[RankRuntime] = []
         for r in range(n_ranks):

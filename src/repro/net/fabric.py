@@ -13,7 +13,15 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from ..sim import URGENT, Environment, Event, Resource, Timeout, Tracer
+from ..sim import (
+    URGENT,
+    Environment,
+    Event,
+    NullTracer,
+    Resource,
+    StreamingTracer,
+    Timeout,
+)
 from .nic import Nic
 from .packets import Packet
 from .params import SystemParams
@@ -27,7 +35,12 @@ class Fabric:
     #: Time for a loopback (self-send) delivery, bypassing the wire.
     SELF_LATENCY = 0.1e-6
 
-    def __init__(self, env: Environment, params: SystemParams, tracer: Tracer):
+    def __init__(
+        self,
+        env: Environment,
+        params: SystemParams,
+        tracer: NullTracer | StreamingTracer,
+    ):
         self.env = env
         self.params = params
         self.tracer = tracer
@@ -57,10 +70,6 @@ class Fabric:
             wire = Resource(self.env, capacity=1, name=f"wire{src}->{dst}")
             self._wires[key] = wire
         return wire
-
-    def wire_stats(self, src: int, dst: int):
-        """Queueing stats of the (src → dst) wire."""
-        return self._wire(src, dst).stats
 
     # ------------------------------------------------------------------
     def transmit(self, pkt: Packet):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from ..sim import Environment, Lock, Store, Tracer
+from ..sim import Environment, Lock, NullTracer, Store, StreamingTracer
 from .packets import Packet, PacketKind
 from .params import Protocol, SystemParams
 
@@ -85,7 +85,7 @@ class Vci:
         rank: int,
         index: int,
         params: SystemParams,
-        tracer: Tracer,
+        tracer: NullTracer | StreamingTracer,
     ):
         self.env = env
         self.rank = rank
@@ -191,7 +191,7 @@ class Nic:
         env: Environment,
         rank: int,
         params: SystemParams,
-        tracer: Tracer,
+        tracer: NullTracer | StreamingTracer,
         n_vcis: int = 1,
     ):
         if n_vcis < 1:

@@ -16,19 +16,17 @@ from .core import (
     StopSimulation,
     Timeout,
 )
-from .primitives import AllOf, AnyOf, Condition
-from .process import Interrupt, Process
-from .resources import Lock, Request, Resource, ResourceStats, Store
+from .process import Process
+from .resources import Lock, Request, Resource, Store
 from .rng import RngRegistry
-from .sync import CountdownLatch, Semaphore, Signal, SimBarrier
-from .trace import NullTracer, StreamingTracer, TraceRecord, Tracer
+from .sync import CountdownLatch, SimBarrier
+from .trace import NullTracer, StreamingTracer, TraceRecord
 
 __all__ = [
     "Environment",
     "Event",
     "Timeout",
     "Process",
-    "Interrupt",
     "SimulationError",
     "StopSimulation",
     "PENDING",
@@ -36,20 +34,13 @@ __all__ = [
     "HIGH",
     "NORMAL",
     "LOW",
-    "AllOf",
-    "AnyOf",
-    "Condition",
     "Resource",
     "Request",
-    "ResourceStats",
     "Lock",
     "Store",
     "SimBarrier",
-    "Semaphore",
     "CountdownLatch",
-    "Signal",
     "RngRegistry",
-    "Tracer",
     "NullTracer",
     "StreamingTracer",
     "TraceRecord",

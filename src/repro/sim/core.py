@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
 __all__ = [
     "PENDING",
@@ -80,9 +80,10 @@ class StopSimulation(Exception):
 class Event:
     """A happening at a point in simulated time.
 
-    An event is *pending* until it is triggered (via :meth:`succeed` or
-    :meth:`fail`), at which point it is scheduled on the environment's
-    queue; once the queue processes it, its callbacks run and it becomes
+    An event is *pending* until it is triggered (via :meth:`succeed`; a
+    :class:`~repro.sim.process.Process` also fails when its generator
+    raises), at which point it is scheduled on the environment's queue;
+    once the queue processes it, its callbacks run and it becomes
     *processed*.  Processes wait on events by ``yield``-ing them.
 
     Attributes
@@ -135,29 +136,6 @@ class Event:
         self._value = value
         self.env.schedule(self, priority=priority)
         return self
-
-    def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
-        """Trigger the event with an exception.
-
-        The exception is re-raised in every process waiting on this event
-        unless a callback marks the event as *defused*.
-        """
-        if self._value is not PENDING:
-            raise SimulationError(f"{self!r} already triggered")
-        if not isinstance(exception, BaseException):
-            raise TypeError(f"{exception!r} is not an exception")
-        self._ok = False
-        self._value = exception
-        self.env.schedule(self, priority=priority)
-        return self
-
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another (callback helper)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            event._defused = True
-            self.fail(event._value)
 
     def __repr__(self) -> str:  # pragma: no cover - debug repr
         state = (
@@ -232,18 +210,6 @@ class Environment:
         from .process import Process
 
         return Process(self, generator)
-
-    def all_of(self, events: Iterable[Event]) -> Event:
-        """Event that succeeds when all ``events`` have succeeded."""
-        from .primitives import AllOf
-
-        return AllOf(self, list(events))
-
-    def any_of(self, events: Iterable[Event]) -> Event:
-        """Event that succeeds when any of ``events`` has succeeded."""
-        from .primitives import AnyOf
-
-        return AnyOf(self, list(events))
 
     # -- execution ------------------------------------------------------------
     def peek(self) -> float:

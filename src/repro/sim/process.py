@@ -10,24 +10,15 @@ natural.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Generator, Optional
 
 import itertools
 
 from .core import PENDING, URGENT, Environment, Event, SimulationError, StopSimulation
 
-__all__ = ["Process", "Interrupt"]
+__all__ = ["Process"]
 
 _process_serials = itertools.count(1)
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
-
-    @property
-    def cause(self) -> Any:
-        """The value passed to :meth:`Process.interrupt`."""
-        return self.args[0]
 
 
 class Process(Event):
@@ -69,40 +60,11 @@ class Process(Event):
         """True while the generator has not finished."""
         return self._value is PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process as soon as possible.
-
-        Interrupting a completed process is an error; interrupting a
-        process twice queues both interrupts.
-        """
-        if self._value is not PENDING:
-            raise SimulationError(f"{self!r} has terminated; cannot interrupt")
-        if self.env.active_process is self:
-            raise SimulationError("a process cannot interrupt itself")
-        event = Event(self.env)
-        event._ok = False
-        event._value = Interrupt(cause)
-        event._defused = True
-        event.callbacks.append(self._resume)
-        self.env.schedule(event, priority=URGENT)
-
     # ------------------------------------------------------------------
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
         env = self.env
         env.active_process = self
-        # If we were interrupted, unsubscribe from the event we were
-        # genuinely waiting on (it may still fire later; ignore it then).
-        target = self._target
-        if (
-            target is not None
-            and target is not event
-            and target.callbacks is not None
-        ):
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
         self._target = None
 
         generator = self._generator

@@ -3,9 +3,6 @@
 These primitives are how the simulator models *contention*: a VCI's
 command queue is a :class:`Lock`, the wire of a shared link is a
 :class:`Resource`, and mailbox-style queues are :class:`Store` objects.
-Each resource records queueing statistics so experiments can attribute
-time to contention (used heavily by the Fig. 5/6 thread-congestion
-analysis).
 """
 
 from __future__ import annotations
@@ -15,44 +12,13 @@ from typing import Any, Deque, List
 
 from .core import PENDING, Environment, Event, SimulationError
 
-__all__ = ["Request", "Resource", "Lock", "Store", "ResourceStats"]
-
-
-class ResourceStats:
-    """Aggregate queueing statistics for a resource.
-
-    Attributes
-    ----------
-    acquisitions:
-        Number of successful grants.
-    total_wait:
-        Total simulated time requests spent queued before being granted.
-    max_queue:
-        High-water mark of the wait queue length.
-    """
-
-    __slots__ = ("acquisitions", "total_wait", "max_queue")
-
-    def __init__(self) -> None:
-        self.acquisitions = 0
-        self.total_wait = 0.0
-        self.max_queue = 0
-
-    @property
-    def mean_wait(self) -> float:
-        """Mean time a granted request waited in the queue."""
-        return self.total_wait / self.acquisitions if self.acquisitions else 0.0
-
-    def reset(self) -> None:
-        self.acquisitions = 0
-        self.total_wait = 0.0
-        self.max_queue = 0
+__all__ = ["Request", "Resource", "Lock", "Store"]
 
 
 class Request(Event):
     """A pending claim on a :class:`Resource`; yield it to wait for grant."""
 
-    __slots__ = ("resource", "requested_at")
+    __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource"):
         env = resource.env
@@ -62,7 +28,6 @@ class Request(Event):
         self._ok = True
         self._defused = False
         self.resource = resource
-        self.requested_at = env._now
         resource._do_request(self)
 
 
@@ -77,7 +42,7 @@ class Resource:
         resource.release(req)
     """
 
-    __slots__ = ("env", "capacity", "name", "_users", "_waiting", "stats")
+    __slots__ = ("env", "capacity", "name", "_users", "_waiting")
 
     def __init__(self, env: Environment, capacity: int = 1, name: str = ""):
         if capacity < 1:
@@ -87,7 +52,6 @@ class Resource:
         self.name = name
         self._users: List[Request] = []
         self._waiting: Deque[Request] = deque()
-        self.stats = ResourceStats()
 
     # -- introspection -------------------------------------------------------
     @property
@@ -110,13 +74,9 @@ class Resource:
             self._grant(req)
         else:
             self._waiting.append(req)
-            self.stats.max_queue = max(self.stats.max_queue, len(self._waiting))
 
     def _grant(self, req: Request) -> None:
         self._users.append(req)
-        stats = self.stats
-        stats.acquisitions += 1
-        stats.total_wait += self.env._now - req.requested_at
         req._value = req  # the request is pending: trigger it directly
         self.env.schedule(req)
 

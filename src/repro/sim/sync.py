@@ -3,17 +3,14 @@
 The pipelined-communication benchmark (paper Fig. 3) is structured around
 thread barriers; :class:`SimBarrier` is the cyclic barrier used by
 :class:`repro.threads.team.ThreadTeam`.  :class:`CountdownLatch` models
-the atomic partition counters of the MPICH partitioned implementation,
-and :class:`Signal` is a broadcast one-shot/pulse event.
+the atomic partition counters of the MPICH partitioned implementation.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 from .core import Environment, Event, SimulationError
 
-__all__ = ["SimBarrier", "Semaphore", "CountdownLatch", "Signal"]
+__all__ = ["SimBarrier", "CountdownLatch"]
 
 
 class SimBarrier:
@@ -62,41 +59,6 @@ class SimBarrier:
         return event
 
 
-class Semaphore:
-    """A counting semaphore with FIFO wakeup order."""
-
-    __slots__ = ("env", "name", "_value", "_waiters")
-
-    def __init__(self, env: Environment, value: int = 1, name: str = ""):
-        if value < 0:
-            raise ValueError("initial value must be >= 0")
-        self.env = env
-        self.name = name
-        self._value = value
-        self._waiters: List[Event] = []
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    def acquire(self) -> Event:
-        """Event that fires when a unit has been obtained."""
-        ev = self.env.event()
-        if self._value > 0:
-            self._value -= 1
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def release(self) -> None:
-        """Return a unit, waking the oldest waiter if any."""
-        if self._waiters:
-            self._waiters.pop(0).succeed()
-        else:
-            self._value += 1
-
-
 class CountdownLatch:
     """An atomic counter that fires an event on reaching zero.
 
@@ -137,23 +99,3 @@ class CountdownLatch:
             self.done.succeed()
             return True
         return False
-
-
-class Signal:
-    """A broadcast pulse: every current waiter is woken by :meth:`fire`."""
-
-    __slots__ = ("env", "name", "_event")
-
-    def __init__(self, env: Environment, name: str = ""):
-        self.env = env
-        self.name = name
-        self._event: Event = env.event()
-
-    def wait(self) -> Event:
-        """Event that fires at the next :meth:`fire`."""
-        return self._event
-
-    def fire(self, value: Optional[object] = None) -> None:
-        """Wake all current waiters and reset for the next round."""
-        event, self._event = self._event, self.env.event()
-        event.succeed(value)

@@ -1,20 +1,22 @@
 """Structured event tracing.
 
-A :class:`Tracer` collects timestamped records emitted by the runtime
-(message sent, VCI acquired, partition ready, ...).  Traces serve three
-purposes: debugging the simulator, validating mechanism-level behaviour in
-tests (e.g. "the old AM path sends exactly one data message per
-iteration"), and attributing time in the congestion analyses.
+The runtime emits timestamped :class:`TraceRecord` objects (packet
+posted, carried over the wire, received) through its world's tracer.
+With no trace sink installed the tracer is a :class:`NullTracer`, whose
+``enabled`` flag tells the emitters not to format records at all; with
+a sink installed (:func:`repro.telemetry.set_trace_sink`, as
+``campaign run --trace`` does) it is a :class:`StreamingTracer`, which
+hands every record to that sink.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict
 
 from .core import Environment
 
-__all__ = ["TraceRecord", "Tracer", "NullTracer", "StreamingTracer"]
+__all__ = ["TraceRecord", "NullTracer", "StreamingTracer"]
 
 
 @dataclass(frozen=True)
@@ -31,87 +33,31 @@ class TraceRecord:
         return f"[{self.time * 1e6:12.3f}us] {self.category}:{self.event} {kv}"
 
 
-class Tracer:
-    """Collects :class:`TraceRecord` objects with category filtering."""
+class NullTracer:
+    """A tracer that drops everything (the default)."""
 
-    def __init__(self, env: Environment, enabled: bool = True):
-        self.env = env
-        self.enabled = enabled
-        self.records: List[TraceRecord] = []
-        self._filters: Optional[set] = None
-
-    def limit_to(self, *categories: str) -> None:
-        """Record only the given categories (None = all)."""
-        self._filters = set(categories) if categories else None
+    enabled = False
 
     def log(self, category: str, event: str, **fields: Any) -> None:
-        """Append a record at the current simulated time."""
-        if not self.enabled:
-            return
-        if self._filters is not None and category not in self._filters:
-            return
-        self.records.append(TraceRecord(self.env.now, category, event, fields))
-
-    def clear(self) -> None:
-        self.records.clear()
-
-    def select(
-        self,
-        category: Optional[str] = None,
-        event: Optional[str] = None,
-        predicate: Optional[Callable[[TraceRecord], bool]] = None,
-    ) -> List[TraceRecord]:
-        """Filter collected records."""
-        out = []
-        for rec in self.records:
-            if category is not None and rec.category != category:
-                continue
-            if event is not None and rec.event != event:
-                continue
-            if predicate is not None and not predicate(rec):
-                continue
-            out.append(rec)
-        return out
-
-    def count(self, category: Optional[str] = None, event: Optional[str] = None) -> int:
-        """Number of matching records."""
-        return len(self.select(category=category, event=event))
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self.records)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
-class NullTracer(Tracer):
-    """A tracer that drops everything (used for benchmark runs)."""
-
-    def __init__(self, env: Environment):
-        super().__init__(env, enabled=False)
-
-    def log(self, category: str, event: str, **fields: Any) -> None:  # noqa: D102
         return
 
 
-class StreamingTracer(Tracer):
+class StreamingTracer:
     """A tracer that hands each record to a sink instead of storing it.
 
-    ``self.records`` stays empty, so an arbitrarily long simulation
-    traces in O(1) memory — the sink (typically a JSONL metrics file,
-    see :mod:`repro.telemetry`) owns persistence.  Category filters
-    apply before the sink sees a record, same as :class:`Tracer`.
+    An arbitrarily long simulation therefore traces in O(1) memory —
+    the sink (typically a JSONL metrics file, see
+    :mod:`repro.telemetry`) owns persistence.
     """
+
+    enabled = True
 
     def __init__(
         self, env: Environment, sink: Callable[[TraceRecord], None]
     ):
-        super().__init__(env, enabled=True)
+        self.env = env
         self._sink = sink
 
     def log(self, category: str, event: str, **fields: Any) -> None:
-        if not self.enabled:
-            return
-        if self._filters is not None and category not in self._filters:
-            return
+        """Hand a record stamped with the current simulated time to the sink."""
         self._sink(TraceRecord(self.env.now, category, event, fields))

@@ -475,7 +475,7 @@ class MetricsSink:
 
     Streaming matters for the ``--trace`` bridge — a simulator trace
     can be millions of records, so each one goes straight to disk
-    instead of accumulating in a ``Tracer``'s list.
+    instead of accumulating in memory.
     """
 
     def __init__(self, path: str | Path, producer: Optional[dict] = None):

@@ -1,6 +1,5 @@
-"""MPI+threads substrate: simulated thread teams, compute models, binding."""
+"""MPI+threads substrate: simulated thread teams and compute models."""
 
-from .binding import BindingPolicy, close_binding, spread_binding
 from .compute import (
     ComputeModel,
     FixedDelayModel,
@@ -15,7 +14,4 @@ __all__ = [
     "NoDelayModel",
     "FixedDelayModel",
     "GaussianComputeModel",
-    "BindingPolicy",
-    "close_binding",
-    "spread_binding",
 ]

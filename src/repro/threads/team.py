@@ -1,24 +1,22 @@
 """Simulated thread teams (the OpenMP layer of MPI+threads).
 
-A :class:`ThreadTeam` forks ``n_threads`` simulated threads inside one
-rank, mirroring the paper's benchmark structure (Fig. 3): the master
-thread performs ``start``/``wait`` while every thread computes on its
-partitions and calls ``ready``.  Thread barriers pay the tree-barrier
+A :class:`ThreadTeam` synchronizes the ``n_threads`` simulated threads
+of one rank, mirroring the paper's benchmark structure (Fig. 3): the
+master thread performs ``start``/``wait`` while every thread computes on
+its partitions and calls ``ready``.  Thread barriers pay the tree-barrier
 cost of :meth:`SystemParams.barrier_time` — the synchronization penalty
 the paper notes for ``Pt2Pt single`` at 32 threads (§4.2.1).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generator, List
-
-from ..sim import Environment, Process, SimBarrier
+from ..sim import Environment, SimBarrier
 
 __all__ = ["ThreadTeam"]
 
 
 class ThreadTeam:
-    """A fork/join team of simulated threads within one rank.
+    """The barrier shared by a team of simulated threads within one rank.
 
     Parameters
     ----------
@@ -47,25 +45,3 @@ class ThreadTeam:
         if self.barrier_cost > 0.0:
             yield self.env.timeout(self.barrier_cost)
         yield self._barrier.wait()
-
-    def fork(
-        self,
-        body: Callable[[int], Generator],
-    ) -> List[Process]:
-        """Launch ``body(thread_id)`` as one process per thread.
-
-        Returns the processes; join with :meth:`join`.
-        """
-        return [self.env.process(body(tid)) for tid in range(self.n_threads)]
-
-    def join(self, procs: List[Process]):
-        """Generator: wait for all forked threads to finish."""
-        for proc in procs:
-            if proc.is_alive:
-                yield proc
-
-    def run_parallel(self, body: Callable[[int], Generator]):
-        """Generator: fork + join in one call; returns thread results."""
-        procs = self.fork(body)
-        yield from self.join(procs)
-        return [p.value for p in procs]

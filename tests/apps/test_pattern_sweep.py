@@ -1,4 +1,4 @@
-"""PatternSweep collection, persistence round-trip, and the apps CLI."""
+"""PatternSweep collection, JSON persistence, and the apps CLI."""
 
 import json
 import os
@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.apps import PatternConfig, PatternSweep, sweep_patterns
+from repro.apps import PatternConfig, PatternSweep
 from repro.mpi import Cvars
+from repro.runner import run_specs
+from repro.runner.scenario import SCHEMA, Scenario, result_from_dict
 
 #: The package root, absolutized so CLI subprocesses work from any cwd.
 _SRC = str(Path(repro.__file__).resolve().parents[1])
@@ -24,39 +26,59 @@ def small_config(**overrides):
     return PatternConfig(**base)
 
 
+def sweep_of(configs):
+    """Run every config through the runner into one sweep."""
+    sweep = PatternSweep()
+    for result in run_specs(list(configs)):
+        sweep.add(result)
+    return sweep
+
+
+def load_results(path):
+    """Rebuild the results of a saved sweep through the runner's
+    scenario protocol, the format the campaign store's rows share."""
+    payload = json.loads(Path(path).read_text())
+    assert payload["schema"] == "repro.apps.sweep/v1"
+    return [
+        result_from_dict(
+            Scenario.from_dict(
+                {"schema": SCHEMA, "kind": "pattern", "spec": record["config"]}
+            ),
+            record,
+        )
+        for record in payload["results"]
+    ]
+
+
 class TestPatternSweep:
     def test_collect_and_query(self):
         config = small_config()
-        sweep = sweep_patterns(
-            [config, small_config(approach="pt2pt_single")]
-        )
-        assert len(sweep) == 2
-        assert sweep.patterns() == ["halo3d"]
-        assert sweep.approaches() == ["pt2pt_part", "pt2pt_single"]
-        assert sweep.speedup(config, baseline="pt2pt_single") > 0
+        baseline = small_config(approach="pt2pt_single")
+        sweep = sweep_of([config, baseline])
+        assert [r.config for r in sweep.results()] == [config, baseline]
         assert sweep.get(config).config == config
-        assert len(sweep.find(pattern="halo3d")) == 2
-        assert sweep.find(approach="pt2pt_many") == []
+        assert sweep.get(baseline).mean > 0
+        with pytest.raises(KeyError):
+            sweep.get(small_config(approach="pt2pt_many"))
 
     def test_rerun_overwrites(self):
         sweep = PatternSweep()
         sweep.run(small_config())
         sweep.run(small_config())
-        assert len(sweep) == 1
+        assert len(sweep.results()) == 1
 
     def test_full_config_is_identity(self):
         """Points differing only in noise amplitude stay distinct."""
-        sweep = sweep_patterns(
+        sweep = sweep_of(
             [
                 small_config(noise="uniform", noise_us=1.0),
                 small_config(noise="uniform", noise_us=10.0),
             ]
         )
-        assert len(sweep) == 2
-        assert len(sweep.find(noise="uniform")) == 2
+        assert [r.config.noise_us for r in sweep.results()] == [1.0, 10.0]
 
     def test_json_roundtrip(self, tmp_path):
-        sweep = sweep_patterns(
+        sweep = sweep_of(
             [
                 small_config(noise="uniform", noise_us=2.0,
                              cvars=Cvars(num_vcis=2)),
@@ -64,21 +86,17 @@ class TestPatternSweep:
             ]
         )
         path = sweep.save(tmp_path / "BENCH_apps.json")
-        loaded = PatternSweep.load(path)
-        assert len(loaded) == len(sweep)
-        for before, after in zip(sweep.results(), loaded.results()):
+        loaded = load_results(path)
+        assert len(loaded) == len(sweep.results())
+        for before, after in zip(sweep.results(), loaded):
             assert after.config == before.config
             assert after.times == before.times
             assert after.stats == before.stats
             assert after.bytes_per_iteration == before.bytes_per_iteration
             assert after.n_links == before.n_links
 
-    def test_schema_guard(self):
-        with pytest.raises(ValueError):
-            PatternSweep.from_json({"schema": "something/else", "results": []})
-
     def test_json_is_plain(self, tmp_path):
-        sweep = sweep_patterns([small_config()])
+        sweep = sweep_of([small_config()])
         path = sweep.save(tmp_path / "out.json")
         payload = json.loads(path.read_text())
         assert payload["schema"] == "repro.apps.sweep/v1"
@@ -122,8 +140,8 @@ class TestAppsCli:
         assert proc.returncode == 0, proc.stderr[-2000:]
         target = tmp_path / "BENCH_apps.json"
         assert target.exists()
-        loaded = PatternSweep.load(target)
-        assert loaded.patterns() == ["fft"]
+        loaded = load_results(target)
+        assert {r.config.pattern for r in loaded} == {"fft"}
 
     def test_noise_flags(self, tmp_path):
         proc = self.run_cli(

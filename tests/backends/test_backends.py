@@ -244,20 +244,20 @@ class TestAppsJsonBackendTag:
     def test_pattern_sweep_save_tags_backend(self, tmp_path):
         import json
 
-        from repro.apps.sweep import sweep_patterns
+        from repro.apps.sweep import PatternSweep
+        from repro.runner import run_specs
 
         config = PatternConfig(
             pattern="halo3d", n_ranks=4, n_threads=1, msg_bytes=256,
             iterations=1,
         )
-        sweep = sweep_patterns([config], backend="analytic")
+        sweep = PatternSweep()
+        for result in run_specs([config], backend="analytic"):
+            sweep.add(result)
         target = sweep.save(tmp_path / "s.json", backend="analytic")
         payload = json.loads(target.read_text())
         assert payload["backend"] == "analytic"
-        # Round trip still works with the tag present.
-        from repro.apps.sweep import PatternSweep
-
-        assert len(PatternSweep.from_json(payload)) == 1
+        assert len(payload["results"]) == 1
 
     def test_apps_cli_analytic_does_not_touch_default_feed(
         self, tmp_path, monkeypatch

@@ -15,12 +15,10 @@ from repro.backends import (
     TOLERANCES,
     CrossValReport,
     compare_bench_sweeps,
-    cross_validate,
-    tolerance_for,
+    compare_pattern_sweeps,
 )
 from repro.bench import APPROACHES, BenchSpec
 from repro.model import predict_bench_time, predict_pattern_time
-from repro.runner import scenario_for
 
 #: (label, size) probes: one latency-dominated, one bandwidth-dominated.
 SMALL_BYTES = 1 << 10
@@ -49,13 +47,6 @@ class TestToleranceTable:
         # constraint (< 50 % relative error).
         for name, tol in TOLERANCES.items():
             assert 0 < tol < 0.5, name
-
-    def test_tolerance_for_dispatches_by_kind(self):
-        bench = scenario_for(BenchSpec(approach="pt2pt_part", total_bytes=64))
-        pattern = scenario_for(PatternConfig(pattern="halo3d"))
-        assert tolerance_for(bench) == TOLERANCES["pt2pt_part"]
-        assert tolerance_for(pattern) == PATTERN_TOLERANCE
-
 
 class TestBenchAgreement:
     @pytest.mark.parametrize("approach", sorted(APPROACHES))
@@ -188,36 +179,22 @@ class TestPatternNoiseAgreement:
         )
 
     def test_noisy_scenarios_use_noise_tolerance(self):
+        from repro.apps import PatternSweep
         from repro.backends.crossval import PATTERN_NOISE_TOLERANCE
+        from repro.runner import run_specs
 
-        noisy = scenario_for(
-            PatternConfig(
-                pattern="halo3d", noise="single", noise_us=10.0
-            )
-        )
-        quiet = scenario_for(PatternConfig(pattern="halo3d"))
-        assert tolerance_for(noisy) == PATTERN_NOISE_TOLERANCE
-        assert tolerance_for(quiet) == PATTERN_TOLERANCE
+        noisy = PatternConfig(pattern="halo3d", noise="single", noise_us=10.0)
+        quiet = PatternConfig(pattern="halo3d")
+        sweep = PatternSweep()
+        for result in run_specs([noisy, quiet], backend="analytic"):
+            sweep.add(result)
+        report = compare_pattern_sweeps(sweep, sweep)
+        assert [p.tolerance for p in report.points] == [
+            PATTERN_NOISE_TOLERANCE, PATTERN_TOLERANCE,
+        ]
 
 
 class TestCrossValReport:
-    def test_cross_validate_runs_both_backends(self):
-        scenarios = [
-            scenario_for(
-                BenchSpec(
-                    approach=a, total_bytes=4096, n_threads=2, iterations=2
-                )
-            )
-            for a in ("pt2pt_single", "pt2pt_part")
-        ]
-        report = cross_validate(scenarios)
-        assert len(report.points) == 2
-        assert report.passed, report.to_text()
-        assert report.worst is not None
-        text = report.to_text()
-        assert "max relative error" in text
-        assert "PASS" in text
-
     def test_report_flags_failures(self):
         from repro.backends.crossval import CrossPoint
 
@@ -232,8 +209,6 @@ class TestCrossValReport:
         assert not report.passed
         assert report.max_rel_error == pytest.approx(1.0)
         assert "FAIL" in report.to_text()
-        payload = report.to_json()
-        assert payload["passed"] is False
 
     def test_compare_bench_sweeps(self):
         from repro.bench import sweep_approaches
@@ -248,3 +223,7 @@ class TestCrossValReport:
         report = compare_bench_sweeps(sim_sweep, ana_sweep)
         assert len(report.points) == 4
         assert report.passed, report.to_text()
+        assert report.worst is not None
+        text = report.to_text()
+        assert "max relative error" in text
+        assert "PASS" in text

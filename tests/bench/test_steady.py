@@ -187,7 +187,11 @@ def test_unknown_callback_or_tracing_is_not_canonicalized():
     event.callbacks.append(lambda _: None)
     world.ranks[0].matching[0]._posted.append(event)
     assert steady.snapshot(world) is None
-    traced = MPIWorld(n_ranks=2, trace=True)
+    previous = telemetry.set_trace_sink([].append)
+    try:
+        traced = MPIWorld(n_ranks=2)
+    finally:
+        telemetry.set_trace_sink(previous)
     assert steady.snapshot(traced) is None
 
 

@@ -4,50 +4,11 @@ import pytest
 
 from repro.bench import (
     BenchSpec,
-    SweepResult,
     format_bandwidth_table,
     format_ratio_line,
     format_us_table,
-    size_grid,
     sweep_approaches,
-    sweep_sizes,
 )
-
-
-class TestSizeGrid:
-    def test_powers_of_two(self):
-        assert size_grid(16, 128) == [16, 32, 64, 128]
-
-    def test_multiple_of_respected(self):
-        grid = size_grid(100, 1000, multiple_of=24)
-        assert all(s % 24 == 0 for s in grid)
-        assert all(100 <= s <= 1000 for s in grid)
-
-    def test_validation(self):
-        # Both bounds-validation branches: min_bytes < 1, and
-        # max_bytes < min_bytes with a valid lower bound.
-        with pytest.raises(ValueError):
-            size_grid(0, 100)
-        with pytest.raises(ValueError):
-            size_grid(100, 10)
-        with pytest.raises(ValueError):
-            size_grid(100, 1000, multiple_of=0)
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            size_grid(3, 3, multiple_of=1024)
-
-    def test_points_per_decade_removed(self):
-        # The deprecated no-op parameter is gone (removed as announced).
-        with pytest.raises(TypeError):
-            size_grid(16, 128, points_per_decade=5)
-
-    def test_no_warning(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert size_grid(16, 64) == [16, 32, 64]
 
 
 @pytest.fixture(scope="module")
@@ -60,29 +21,28 @@ def small_sweep():
 
 class TestSweep:
     def test_all_points_present(self, small_sweep):
-        assert len(small_sweep) == 6
         assert small_sweep.approaches() == ["pt2pt_part", "pt2pt_single"]
         assert small_sweep.sizes("pt2pt_single") == [64, 1024, 16384]
+        assert small_sweep.sizes("pt2pt_part") == [64, 1024, 16384]
 
     def test_series_us_monotone_in_size(self, small_sweep):
-        series = small_sweep.series_us("pt2pt_single")
-        times = [t for _, t, _ in series]
+        times = [
+            small_sweep.get("pt2pt_single", size).mean_us
+            for size in small_sweep.sizes("pt2pt_single")
+        ]
         assert times == sorted(times)
 
     def test_bandwidth_series(self, small_sweep):
-        series = small_sweep.series_bandwidth("pt2pt_single")
-        assert series[-1][1] > series[0][1]  # large msgs → more GB/s
+        sizes = small_sweep.sizes("pt2pt_single")
+        first, last = (
+            small_sweep.get("pt2pt_single", size).bandwidth_gbs
+            for size in (sizes[0], sizes[-1])
+        )
+        assert last > first  # large msgs → more GB/s
 
     def test_ratio(self, small_sweep):
         r = small_sweep.ratio("pt2pt_part", "pt2pt_single", 64)
         assert r > 0
-
-    def test_sweep_sizes_accumulates(self):
-        base = BenchSpec(approach="pt2pt_single", total_bytes=64, iterations=1)
-        out = SweepResult()
-        sweep_sizes(base, [64], out=out)
-        sweep_sizes(base, [128], out=out)
-        assert out.sizes("pt2pt_single") == [64, 128]
 
 
 class TestReporting:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.bench import BenchSpec, run_benchmark
 from repro.mpi import Cvars, MPIWorld, VCI_METHOD_TAG_RR
 
@@ -36,7 +37,12 @@ def test_all_approaches_reproducible():
 
 def test_trace_is_reproducible():
     def run_world():
-        world = MPIWorld(n_ranks=2, trace=True, seed=9)
+        records = []
+        previous = telemetry.set_trace_sink(records.append)
+        try:
+            world = MPIWorld(n_ranks=2, seed=9)
+        finally:
+            telemetry.set_trace_sink(previous)
 
         def sender(world):
             comm = world.comm_world(0)
@@ -51,7 +57,7 @@ def test_trace_is_reproducible():
         world.launch(0, sender(world))
         world.launch(1, receiver(world))
         world.run()
-        return [(r.time, r.category, r.event) for r in world.tracer]
+        return [(r.time, r.category, r.event) for r in records]
 
     assert run_world() == run_world()
 

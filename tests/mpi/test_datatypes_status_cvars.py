@@ -1,50 +1,15 @@
-"""Unit tests for datatypes, Status, Cvars, and VCI policies."""
+"""Unit tests for Status, Cvars, and VCI policies."""
 
 import pytest
 
 from repro.mpi import (
-    BYTE,
-    FLOAT64,
-    INT32,
     Cvars,
-    Datatype,
     Status,
     VCI_METHOD_COMM,
     VCI_METHOD_TAG_RR,
     VCI_METHOD_THREAD,
-    vector,
 )
 from repro.mpi.vci import vci_for_comm, vci_for_partition_message
-
-
-class TestDatatypes:
-    def test_base_types_contiguous(self):
-        assert BYTE.contiguous and INT32.contiguous and FLOAT64.contiguous
-
-    def test_packed_and_span(self):
-        assert INT32.packed_bytes(10) == 40
-        assert INT32.span_bytes(10) == 40
-        assert INT32.span_bytes(0) == 0
-
-    def test_vector_is_noncontiguous(self):
-        v = vector(FLOAT64, blocklength=2, stride=4, count=3)
-        assert not v.contiguous
-        assert v.size == 8 * 2 * 3
-        assert v.extent == 8 * (4 * 2 + 2)
-
-    def test_vector_with_stride_equal_block_is_contiguous(self):
-        v = vector(BYTE, blocklength=4, stride=4, count=4)
-        assert v.contiguous
-
-    def test_vector_validation(self):
-        with pytest.raises(ValueError):
-            vector(BYTE, blocklength=0, stride=1, count=1)
-        with pytest.raises(ValueError):
-            vector(BYTE, blocklength=4, stride=2, count=2)
-
-    def test_datatype_validation(self):
-        with pytest.raises(ValueError):
-            Datatype("bad", size=8, extent=4)
 
 
 class TestStatus:

@@ -32,7 +32,7 @@ class TestRequest:
 
         def proc(env):
             result = yield from req.wait()
-            return result
+            return result, env.now
 
         p = env.process(proc(env))
 
@@ -42,8 +42,7 @@ class TestRequest:
 
         env.process(completer(env))
         env.run()
-        assert p.value == "payload"
-        assert req.completed_at == 2.0
+        assert p.value == ("payload", 2.0)
 
     def test_test_before_and_after(self):
         env = Environment()

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.net import MELUXINA, Fabric, Nic, Packet, PacketKind
-from repro.sim import Environment, Tracer
+from repro.sim import Environment, NullTracer
 
 
 def make_pair(n_vcis=1, params=MELUXINA):
     env = Environment()
-    tracer = Tracer(env)
+    tracer = NullTracer()
     fabric = Fabric(env, params, tracer)
     nics = [Nic(env, r, params, tracer, n_vcis=n_vcis) for r in (0, 1)]
     for nic in nics:
@@ -139,7 +139,7 @@ def test_multiple_vcis_remove_lock_contention():
 
 def test_self_send_bypasses_wire():
     env = Environment()
-    tracer = Tracer(env)
+    tracer = NullTracer()
     fabric = Fabric(env, MELUXINA, tracer)
     nic = Nic(env, 0, MELUXINA, tracer)
     fabric.register(nic)
@@ -158,7 +158,7 @@ def test_self_send_bypasses_wire():
 
 def test_unregistered_destination_raises():
     env = Environment()
-    tracer = Tracer(env)
+    tracer = NullTracer()
     fabric = Fabric(env, MELUXINA, tracer)
     nic = Nic(env, 0, MELUXINA, tracer)
     fabric.register(nic)
@@ -175,7 +175,7 @@ def test_unregistered_destination_raises():
 
 def test_duplicate_rank_registration_rejected():
     env = Environment()
-    tracer = Tracer(env)
+    tracer = NullTracer()
     fabric = Fabric(env, MELUXINA, tracer)
     fabric.register(Nic(env, 0, MELUXINA, tracer))
     with pytest.raises(ValueError):
@@ -184,7 +184,7 @@ def test_duplicate_rank_registration_rejected():
 
 def test_vci_wraps_modulo():
     env = Environment()
-    tracer = Tracer(env)
+    tracer = NullTracer()
     nic = Nic(env, 0, MELUXINA, tracer, n_vcis=4)
     assert nic.vci(5) is nic.vcis[1]
     assert nic.vci(4) is nic.vcis[0]
@@ -193,7 +193,7 @@ def test_vci_wraps_modulo():
 def test_invalid_vci_count():
     env = Environment()
     with pytest.raises(ValueError):
-        Nic(env, 0, MELUXINA, Tracer(env), n_vcis=0)
+        Nic(env, 0, MELUXINA, NullTracer(), n_vcis=0)
 
 
 def test_fabric_counters():
@@ -213,7 +213,7 @@ def test_fabric_counters():
 def test_rx_cost_orders_protocols():
     """bcopy receive (with unpack copy) costs more than short receive."""
     env = Environment()
-    tracer = Tracer(env)
+    tracer = NullTracer()
     nic = Nic(env, 0, MELUXINA, tracer)
     vci = nic.vcis[0]
     short_cost = vci._rx_cost(Packet(kind=PacketKind.EAGER, src=0, dst=0, nbytes=512))

@@ -149,6 +149,5 @@ class TestInterop:
         for loaded in run_grids([grid], store=store)[0]:
             sweep.add(loaded)
         # The stored pattern grid reads back as a BENCH_apps-style sweep.
-        assert len(sweep) == 1
-        assert sweep.patterns() == ["halo3d"]
+        assert [r.config.pattern for r in sweep.results()] == ["halo3d"]
         assert sweep.get(result.config).times == result.times

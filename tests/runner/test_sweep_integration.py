@@ -3,10 +3,10 @@ with and without a store."""
 
 import pytest
 
-from repro.apps import PatternConfig, PatternSweep, sweep_patterns
+from repro.apps import PatternConfig, PatternSweep
 from repro.bench import BenchSpec, sweep_approaches
 from repro.figures import fig4_improvement, fig7_aggregation
-from repro.runner import ScenarioGrid, run_grids
+from repro.runner import ScenarioGrid, run_grids, run_specs
 from repro.sim import Environment
 
 
@@ -38,7 +38,8 @@ class TestBenchSweep:
         parallel = sweep_approaches(
             base, ["pt2pt_single", "pt2pt_part"], [64, 4096], jobs=2
         )
-        assert len(serial) == len(parallel) == 4
+        assert sweep_means(serial).keys() == sweep_means(parallel).keys()
+        assert len(sweep_means(serial)) == 4
         for approach in serial.approaches():
             for size in serial.sizes(approach):
                 assert (
@@ -61,13 +62,13 @@ class TestPatternSweep:
             base, {"approach": ["pt2pt_part", "pt2pt_single"]}
         )
         configs = [scenario.spec for scenario in grid.expand()]
-        plain = sweep_patterns(configs, jobs=1)
+        plain = run_specs(configs, jobs=1)
         stored = PatternSweep()
         for result in run_grids([grid], jobs=1, store=tmp_path / "s")[0]:
             stored.add(result)
-        assert len(stored) == len(plain) == 2
-        for config in configs:
-            assert stored.get(config).times == plain.get(config).times
+        assert len(stored.results()) == len(plain) == 2
+        for result in plain:
+            assert stored.get(result.config).times == result.times
         # The warm rerun reloads the same points without simulating.
         envs = Environment.instances_created
         again = run_grids([grid], jobs=1, store=tmp_path / "s")[0]

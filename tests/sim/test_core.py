@@ -102,30 +102,6 @@ def test_event_double_trigger_raises():
         ev.succeed(2)
 
 
-def test_event_fail_raises_in_waiter():
-    env = Environment()
-    ev = env.event()
-
-    def waiter(env):
-        try:
-            yield ev
-        except ValueError as exc:
-            return f"caught {exc}"
-
-    p = env.process(waiter(env))
-    ev.fail(ValueError("boom"))
-    env.run()
-    assert p.value == "caught boom"
-
-
-def test_unhandled_failure_propagates_to_run():
-    env = Environment()
-    ev = env.event()
-    ev.fail(RuntimeError("unhandled"))
-    with pytest.raises(RuntimeError, match="unhandled"):
-        env.run()
-
-
 def test_event_value_before_trigger_raises():
     env = Environment()
     ev = env.event()

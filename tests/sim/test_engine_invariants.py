@@ -11,7 +11,7 @@ import re
 from repro import telemetry
 from repro.bench import BenchSpec, run_benchmark
 from repro.net import MELUXINA, Fabric, Nic, Packet, PacketKind
-from repro.sim import Environment, Resource, Tracer
+from repro.sim import Environment, NullTracer, Resource
 
 
 def _queued(env):
@@ -58,7 +58,7 @@ def test_yielding_processed_event_continues_synchronously():
 
 def _three_nics():
     env = Environment()
-    tracer = Tracer(env)
+    tracer = NullTracer()
     fabric = Fabric(env, MELUXINA, tracer)
     nics = [Nic(env, r, MELUXINA, tracer) for r in range(3)]
     for nic in nics:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Interrupt, SimulationError
+from repro.sim import Environment, SimulationError
 
 
 def test_process_return_value():
@@ -120,75 +120,6 @@ def test_process_exception_caught_by_waiter():
     p = env.process(parent(env))
     env.run()
     assert p.value == "handled"
-
-
-def test_interrupt_wakes_sleeping_process():
-    env = Environment()
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100.0)
-            return ("overslept", env.now)
-        except Interrupt as i:
-            return (f"interrupted:{i.cause}", env.now)
-
-    def interrupter(env, victim):
-        yield env.timeout(1.0)
-        victim.interrupt("wakeup")
-
-    p = env.process(sleeper(env))
-    env.process(interrupter(env, p))
-    env.run()
-    # The process resumed at t=1.0 even though its timeout was at t=100.
-    assert p.value == ("interrupted:wakeup", 1.0)
-
-
-def test_interrupt_completed_process_raises():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1.0)
-
-    p = env.process(quick(env))
-    env.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
-
-
-def test_self_interrupt_rejected():
-    env = Environment()
-
-    def proc(env):
-        me = env.active_process
-        with pytest.raises(SimulationError):
-            me.interrupt()
-        yield env.timeout(0.0)
-
-    env.process(proc(env))
-    env.run()
-
-
-def test_interrupted_process_can_rewait_original_event():
-    env = Environment()
-    done = []
-
-    def sleeper(env):
-        to = env.timeout(10.0)
-        try:
-            yield to
-        except Interrupt:
-            pass
-        yield to  # wait for the original timeout anyway
-        done.append(env.now)
-
-    def interrupter(env, victim):
-        yield env.timeout(1.0)
-        victim.interrupt()
-
-    p = env.process(sleeper(env))
-    env.process(interrupter(env, p))
-    env.run()
-    assert done == [10.0]
 
 
 def test_process_name_default_and_custom():

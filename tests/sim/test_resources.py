@@ -72,43 +72,6 @@ def test_resource_invalid_capacity():
         Resource(env, capacity=0)
 
 
-def test_lock_stats_record_waiting():
-    env = Environment()
-    lock = Lock(env)
-
-    def proc(env, hold):
-        req = lock.request()
-        yield req
-        yield env.timeout(hold)
-        lock.release(req)
-
-    env.process(proc(env, 2.0))
-    env.process(proc(env, 2.0))
-    env.process(proc(env, 2.0))
-    env.run()
-    assert lock.stats.acquisitions == 3
-    # Second waiter waits 2, third waits 4.
-    assert lock.stats.total_wait == pytest.approx(6.0)
-    assert lock.stats.max_queue == 2
-    assert lock.stats.mean_wait == pytest.approx(2.0)
-
-
-def test_stats_reset():
-    env = Environment()
-    lock = Lock(env)
-
-    def proc(env):
-        req = lock.request()
-        yield req
-        lock.release(req)
-
-    env.process(proc(env))
-    env.run()
-    lock.stats.reset()
-    assert lock.stats.acquisitions == 0
-    assert lock.stats.mean_wait == 0.0
-
-
 def test_store_put_then_get():
     env = Environment()
     store = Store(env)

@@ -1,6 +1,6 @@
 """Unit tests for RNG streams and the tracer."""
 
-from repro.sim import Environment, NullTracer, RngRegistry, Tracer
+from repro.sim import Environment, NullTracer, RngRegistry, StreamingTracer
 
 
 def test_rng_streams_are_reproducible():
@@ -47,7 +47,8 @@ def test_rng_reset_rederives():
 
 def test_tracer_records_time_and_fields():
     env = Environment()
-    tracer = Tracer(env)
+    records = []
+    tracer = StreamingTracer(env, records.append)
 
     def proc(env):
         yield env.timeout(1.5)
@@ -55,60 +56,24 @@ def test_tracer_records_time_and_fields():
 
     env.process(proc(env))
     env.run()
-    assert len(tracer) == 1
-    rec = tracer.records[0]
+    assert tracer.enabled
+    assert len(records) == 1
+    rec = records[0]
     assert rec.time == 1.5
     assert rec.category == "net"
     assert rec.event == "send"
     assert rec.fields == {"nbytes": 100}
 
 
-def test_tracer_select_and_count():
-    env = Environment()
-    tracer = Tracer(env)
-    tracer.log("net", "send", n=1)
-    tracer.log("net", "recv", n=2)
-    tracer.log("mpi", "send", n=3)
-    assert tracer.count(category="net") == 2
-    assert tracer.count(event="send") == 2
-    assert tracer.count(category="mpi", event="send") == 1
-    assert tracer.select(predicate=lambda r: r.fields["n"] > 1)[0].event == "recv"
-
-
-def test_tracer_category_filter():
-    env = Environment()
-    tracer = Tracer(env)
-    tracer.limit_to("mpi")
-    tracer.log("net", "send")
-    tracer.log("mpi", "send")
-    assert tracer.count() == 1
-
-
-def test_tracer_disabled_drops_records():
-    env = Environment()
-    tracer = Tracer(env, enabled=False)
-    tracer.log("net", "send")
-    assert len(tracer) == 0
-
-
 def test_null_tracer_drops_everything():
-    env = Environment()
-    tracer = NullTracer(env)
-    tracer.log("net", "send")
-    assert len(tracer) == 0
-
-
-def test_tracer_clear():
-    env = Environment()
-    tracer = Tracer(env)
-    tracer.log("a", "b")
-    tracer.clear()
-    assert len(tracer) == 0
+    tracer = NullTracer()
+    assert not tracer.enabled
+    assert tracer.log("net", "send") is None
 
 
 def test_trace_record_str():
     env = Environment()
-    tracer = Tracer(env)
-    tracer.log("net", "send", nbytes=8)
-    s = str(tracer.records[0])
+    records = []
+    StreamingTracer(env, records.append).log("net", "send", nbytes=8)
+    s = str(records[0])
     assert "net:send" in s and "nbytes=8" in s

@@ -1,12 +1,10 @@
-"""Unit tests for barriers, semaphores, latches, and signals."""
+"""Unit tests for barriers and latches."""
 
 import pytest
 
 from repro.sim import (
     CountdownLatch,
     Environment,
-    Semaphore,
-    Signal,
     SimBarrier,
     SimulationError,
 )
@@ -64,38 +62,6 @@ def test_barrier_invalid_parties():
         SimBarrier(Environment(), 0)
 
 
-def test_semaphore_limits_concurrency():
-    env = Environment()
-    sem = Semaphore(env, value=2)
-    active = []
-    peak = []
-
-    def proc(env):
-        yield sem.acquire()
-        active.append(1)
-        peak.append(len(active))
-        yield env.timeout(1.0)
-        active.pop()
-        sem.release()
-
-    for _ in range(5):
-        env.process(proc(env))
-    env.run()
-    assert max(peak) == 2
-
-
-def test_semaphore_initial_value_validation():
-    with pytest.raises(ValueError):
-        Semaphore(Environment(), value=-1)
-
-
-def test_semaphore_release_without_waiters_increments():
-    env = Environment()
-    sem = Semaphore(env, value=0)
-    sem.release()
-    assert sem.value == 1
-
-
 def test_latch_fires_at_zero():
     env = Environment()
     latch = CountdownLatch(env, 3)
@@ -150,47 +116,3 @@ def test_latch_bulk_overdecrement_raises():
     latch = CountdownLatch(env, 2)
     with pytest.raises(SimulationError):
         latch.count_down(3)
-
-
-def test_signal_broadcast():
-    env = Environment()
-    sig = Signal(env)
-    got = []
-
-    def waiter(env, tag):
-        val = yield sig.wait()
-        got.append((tag, val))
-
-    env.process(waiter(env, "a"))
-    env.process(waiter(env, "b"))
-
-    def firer(env):
-        yield env.timeout(1.0)
-        sig.fire("go")
-
-    env.process(firer(env))
-    env.run()
-    assert sorted(got) == [("a", "go"), ("b", "go")]
-
-
-def test_signal_resets_after_fire():
-    env = Environment()
-    sig = Signal(env)
-    rounds = []
-
-    def waiter(env):
-        yield sig.wait()
-        rounds.append(1)
-        yield sig.wait()
-        rounds.append(2)
-
-    def firer(env):
-        yield env.timeout(1.0)
-        sig.fire()
-        yield env.timeout(1.0)
-        sig.fire()
-
-    env.process(waiter(env))
-    env.process(firer(env))
-    env.run()
-    assert rounds == [1, 2]

@@ -6,21 +6,9 @@ from repro.sim import Environment
 from repro.threads import ThreadTeam
 
 
-def test_fork_join_returns_results():
-    env = Environment()
-    team = ThreadTeam(env, 4)
-
-    def body(tid):
-        yield env.timeout(tid * 1.0)
-        return tid * 10
-
-    def master(env):
-        results = yield from team.run_parallel(body)
-        return results
-
-    p = env.process(master(env))
-    env.run()
-    assert p.value == [0, 10, 20, 30]
+def launch(env, team, body):
+    """One process per team thread, as the benchmark approaches start them."""
+    return [env.process(body(tid)) for tid in range(team.n_threads)]
 
 
 def test_barrier_synchronizes_team():
@@ -33,7 +21,7 @@ def test_barrier_synchronizes_team():
         yield from team.barrier()
         exits.append(env.now)
 
-    team.fork(body)
+    launch(env, team, body)
     env.run()
     assert exits == [10.0, 10.0, 10.0]
 
@@ -46,7 +34,7 @@ def test_barrier_cost_is_charged():
         yield from team.barrier()
         return env.now
 
-    procs = team.fork(body)
+    procs = launch(env, team, body)
     env.run()
     assert all(p.value == 1.5 for p in procs)
 
@@ -63,7 +51,7 @@ def test_repeated_barriers_across_iterations():
                 log.append(it)
             yield from team.barrier()
 
-    team.fork(body)
+    launch(env, team, body)
     env.run()
     assert log == [0, 1, 2]
     assert team.barrier_count == 12  # 2 threads x 3 iters x 2 barriers
@@ -77,7 +65,7 @@ def test_single_thread_team():
         yield from team.barrier()
         return "done"
 
-    procs = team.fork(body)
+    procs = launch(env, team, body)
     env.run()
     assert procs[0].value == "done"
 
@@ -85,21 +73,3 @@ def test_single_thread_team():
 def test_invalid_team_size():
     with pytest.raises(ValueError):
         ThreadTeam(Environment(), 0)
-
-
-def test_join_waits_for_slowest():
-    env = Environment()
-    team = ThreadTeam(env, 3)
-
-    def body(tid):
-        yield env.timeout(tid * 2.0)
-        return tid
-
-    def master(env):
-        procs = team.fork(body)
-        yield from team.join(procs)
-        return env.now
-
-    p = env.process(master(env))
-    env.run()
-    assert p.value == 4.0
