@@ -22,7 +22,7 @@ slowest thread's total compute+noise time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Dict, List, Tuple, Type
 
 from ..bench.approaches import APPROACHES, Approach, ApproachConfig
 from ..bench.stats import SampleStats, summarize

@@ -1,11 +1,16 @@
-"""Pluggable execution backends behind one :class:`Backend` protocol.
+"""The two execution backends and their cross-validation.
 
-Every grid point in the reproduction executes through a backend:
+Every grid point in the reproduction runs under one of the backends
+named in :data:`repro.runner.scenario.BACKENDS`;
+:func:`repro.runner.scenario.execute` dispatches on the name:
 
-* ``sim`` (:class:`SimBackend`) — the full discrete-event simulator;
-* ``analytic`` (:class:`AnalyticBackend`) — the paper's closed-form
-  model extended to all 8 approaches and every application pattern;
-  points cost microseconds, so million-point grids become feasible.
+* ``sim`` — the full discrete-event simulator
+  (:func:`repro.bench.harness.run_benchmark` /
+  :func:`repro.apps.base.run_pattern`);
+* ``analytic`` — the paper's closed-form model extended to all 8
+  approaches and every application pattern
+  (:mod:`repro.backends.analytic`); points cost microseconds, so
+  million-point grids become feasible.
 
 ``--backend both`` runs a grid under both and enforces the documented
 per-approach agreement tolerances (``TOLERANCES``).
@@ -22,16 +27,6 @@ Quick start
 46.63
 """
 
-from .analytic import AnalyticBackend
-from .base import (
-    BACKEND_ANALYTIC,
-    BACKEND_SIM,
-    BACKENDS,
-    Backend,
-    backend_names,
-    get_backend,
-    register_backend,
-)
 from .crossval import (
     PATTERN_TOLERANCE,
     TOLERANCES,
@@ -40,18 +35,8 @@ from .crossval import (
     compare_bench_sweeps,
     compare_pattern_sweeps,
 )
-from .sim import SimBackend
 
 __all__ = [
-    "Backend",
-    "BACKENDS",
-    "BACKEND_SIM",
-    "BACKEND_ANALYTIC",
-    "register_backend",
-    "get_backend",
-    "backend_names",
-    "SimBackend",
-    "AnalyticBackend",
     "TOLERANCES",
     "PATTERN_TOLERANCE",
     "CrossPoint",

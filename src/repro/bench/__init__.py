@@ -8,7 +8,7 @@ from .harness import (
     run_benchmark,
     simulation_key,
 )
-from .reporting import format_bandwidth_table, format_ratio_line, format_us_table
+from .reporting import format_bandwidth_table, format_us_table
 from .stats import SampleStats, needs_rerun, summarize
 from .sweep import SweepResult, sweep_approaches
 
@@ -28,5 +28,4 @@ __all__ = [
     "SweepResult",
     "format_us_table",
     "format_bandwidth_table",
-    "format_ratio_line",
 ]

@@ -6,7 +6,7 @@ from typing import List, Optional, Sequence
 
 from .sweep import SweepResult
 
-__all__ = ["format_us_table", "format_bandwidth_table", "format_ratio_line"]
+__all__ = ["format_us_table", "format_bandwidth_table"]
 
 
 def _fmt_size(nbytes: int) -> str:
@@ -71,16 +71,3 @@ def format_bandwidth_table(
         lines.append(f"{_fmt_size(size):>10} | " + " | ".join(cells))
     return "\n".join(lines)
 
-
-def format_ratio_line(
-    sweep: SweepResult,
-    approach: str,
-    baseline: str,
-    total_bytes: int,
-    note: str = "",
-) -> str:
-    """One-line penalty/gain factor report (the paper's ×N annotations)."""
-    ratio = sweep.ratio(approach, baseline, total_bytes)
-    label = f"{approach}/{baseline} @ {_fmt_size(total_bytes)}"
-    suffix = f"  ({note})" if note else ""
-    return f"{label}: x{ratio:.2f}{suffix}"

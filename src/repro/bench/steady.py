@@ -290,7 +290,7 @@ FIELDS: Dict[type, Dict[str, str]] = {
         _flush_acks=SEQ_KEYS, _access_group=VALUE,
         _lock_mgr=STATE, _post_tokens=STATE, _post_waiters=STATE,
         _exposure_group=VALUE, _complete_tokens=VALUE,
-        _complete_waiter=STATE, puts_received=SKIP,
+        _complete_waiter=STATE,
     ),
     _LockManager: dict(holders=STATE, queue=STATE),
     # -- threads ------------------------------------------------------------

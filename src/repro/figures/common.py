@@ -16,8 +16,8 @@ Every driver describes its data as grids
 labeled sizes-grid per series) and submits them through :func:`~repro.runner.executor.run_grids`.  Without
 a store all points go to :func:`repro.runner.run_specs` as one batch:
 simulated points fan out across cores in chunks (``jobs > 1``; tiny
-grids auto-fall back to serial) and analytic points evaluate through
-the vectorized model kernel in one ``run_batch`` call.  With
+grids auto-fall back to serial) and analytic points evaluate
+in-process through the scalar model.  With
 ``store=DIR`` each grid is a campaign root ``DIR/<grid hash>/`` that a
 rerun resumes, executing only missing points.  The drivers never see
 the difference: results come back in grid order either way.

@@ -3,20 +3,14 @@
 Beyond the paper's closed forms, :mod:`repro.model.approaches` and
 :mod:`repro.model.patterns` cover every registered benchmark approach
 and application pattern, powering the analytic execution backend
-(:class:`repro.backends.AnalyticBackend`).
+(:mod:`repro.backends.analytic`).  :mod:`repro.model.vector`
+re-expresses the two scalar predictors over columns for campaign
+chunks, bit for bit.
 """
 
-from .approaches import (
-    BenchPrediction,
-    predict_bench_time,
-    predict_bench_times,
-)
+from .approaches import BenchPrediction, predict_bench_time
 from .delay import delay_time, gamma_theta, mu_rate, sigma_noise
-from .patterns import (
-    PatternPrediction,
-    predict_pattern_time,
-    predict_pattern_times,
-)
+from .patterns import PatternPrediction, predict_pattern_time
 from .pipeline import (
     crossover_bytes,
     eta_large,
@@ -53,8 +47,6 @@ __all__ = [
     "PAPER_STENCIL_GAMMAS",
     "BenchPrediction",
     "predict_bench_time",
-    "predict_bench_times",
     "PatternPrediction",
     "predict_pattern_time",
-    "predict_pattern_times",
 ]

@@ -44,7 +44,6 @@ from ..net import Protocol, SystemParams
 __all__ = [
     "BenchPrediction",
     "predict_bench_time",
-    "predict_bench_times",
     "APPROACH_PREDICTORS",
 ]
 
@@ -589,17 +588,3 @@ def predict_bench_time(spec) -> BenchPrediction:
         compute_active=compute_active,
     )
     return APPROACH_PREDICTORS[spec.approach](geo)
-
-
-def predict_bench_times(specs):
-    """Vectorized :func:`predict_bench_time` over a whole batch.
-
-    Returns a float64 numpy array; point ``i`` is bitwise-equal to
-    ``predict_bench_time(specs[i]).time``.  The formulas stay here (the
-    scalar path is the single source of truth); the numpy re-expression
-    lives in :mod:`repro.model.vector` and is held point-identical by
-    the batch-equivalence test suite.
-    """
-    from .vector import bench_batch_times
-
-    return bench_batch_times(specs)

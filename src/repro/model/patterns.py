@@ -63,7 +63,6 @@ __all__ = [
     "STREAMING_APPROACHES",
     "noise_mean_quantum",
     "predict_pattern_time",
-    "predict_pattern_times",
 ]
 
 #: Approaches whose partitions leave as each ``ready`` lands, so
@@ -338,18 +337,3 @@ def predict_pattern_time(config, pattern=None) -> PatternPrediction:
             "depth": float(max(depth, 1)),
         },
     )
-
-
-def predict_pattern_times(configs):
-    """Vectorized :func:`predict_pattern_time` over a whole batch.
-
-    Returns a :class:`repro.model.vector.PatternBatch` whose ``times``
-    entry ``i`` is bitwise-equal to
-    ``predict_pattern_time(configs[i]).time`` (plus the per-point
-    ``bytes_per_iteration``/``n_links`` topology facts).  Link graphs
-    are summarized once per unique topology instead of rebuilt per
-    point.
-    """
-    from .vector import pattern_batch
-
-    return pattern_batch(configs)

@@ -26,11 +26,9 @@ bounds) become boolean masks combined with ``np.where``.
 One kernel entry per scenario kind: :func:`bench_times_from_columns`
 and :func:`pattern_times_from_columns` take bare column arrays plus
 the batch constants, so a campaign decodes grid indices straight into
-parameter columns without constructing a spec object.
-:func:`bench_batch_times` / :func:`pattern_batch` (the
-:meth:`~repro.backends.base.Backend.run_batch` path) are views of
-them: they group spec dataclasses by the batch constants and hand each
-group's field columns to the column kernel.
+parameter columns without constructing a spec object.  Campaign chunks
+are their only product caller; a single spec goes through the scalar
+predictor (:mod:`repro.backends.analytic`).
 
 Sizes are assumed to stay below 2**53 bytes (exact int64→float64
 conversion); every grid in the repo is far below that.
@@ -40,8 +38,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Any, Dict, Iterator, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 import numpy as np
 
@@ -56,9 +53,7 @@ from .approaches import (
 )
 
 __all__ = [
-    "bench_batch_times",
     "bench_times_from_columns",
-    "pattern_batch",
     "pattern_times_from_columns",
     "PatternBatch",
     "BENCH_COLUMN_FIELDS",
@@ -620,8 +615,8 @@ def bench_times_from_columns(
     ``BenchSpec`` defaults.  The approach column may also be a
     ``(names, codes)`` pair (see :func:`_approach_codes`).  ``params``
     and the three cvar knobs are batch constants — callers with
-    heterogeneous machine models or cvars group first (as
-    :func:`bench_batch_times` does).  No spec object is needed.
+    heterogeneous machine models or cvars group first.  No spec object
+    is needed.
     """
     def col(name, dtype, default):
         value = columns.get(name, default)
@@ -663,45 +658,6 @@ def bench_times_from_columns(
                 compute_active=compute_active[idx],
             ))
         return times
-
-
-def _spec_groups(
-    specs: Sequence[Any], constants: Sequence[str], fields: Sequence[str]
-) -> Iterator[Tuple[tuple, np.ndarray, Dict[str, list]]]:
-    """Group spec dataclasses by the batch constants a column kernel
-    takes: yields ``(constant values, point indices, {field: values})``
-    per group, in first-appearance order."""
-    key_of = attrgetter(*constants)
-    groups: Dict[tuple, List[int]] = {}
-    for i, spec in enumerate(specs):
-        groups.setdefault(key_of(spec), []).append(i)
-    for key, indices in groups.items():
-        group = [specs[i] for i in indices]
-        yield key, np.array(indices), {
-            field: [getattr(spec, field) for spec in group]
-            for field in fields
-        }
-
-
-def bench_batch_times(specs: Sequence[Any]) -> np.ndarray:
-    """Predicted times for a batch of ``BenchSpec``-shaped objects: one
-    :func:`bench_times_from_columns` call per distinct (``params``,
-    ``cvars.num_vcis``, ``cvars.vci_method``, ``cvars.part_aggr_size``).
-
-    Point ``i`` of the result is bitwise-equal to
-    ``predict_bench_time(specs[i]).time``.
-    """
-    times = np.empty(len(specs), dtype=np.float64)
-    for (params, num_vcis, vci_method, aggr), idx, columns in _spec_groups(
-        specs,
-        ("params", "cvars.num_vcis", "cvars.vci_method",
-         "cvars.part_aggr_size"),
-        BENCH_COLUMN_FIELDS,
-    ):
-        times[idx] = bench_times_from_columns(
-            params, num_vcis, vci_method, aggr, columns, len(idx)
-        )
-    return times
 
 
 # ---------------------------------------------------------------------------
@@ -948,34 +904,6 @@ def _noise_quantum_column(noise, noise_us, noise_sigma_us) -> np.ndarray:
     )
 
 
-def pattern_batch(configs: Sequence[Any]) -> PatternBatch:
-    """Vectorized predictions for a batch of ``PatternConfig`` objects:
-    one :func:`pattern_times_from_columns` call per distinct
-    (``params``, ``cvars.num_vcis``, ``cvars.part_aggr_size``).
-
-    Point ``i`` of ``times`` is bitwise-equal to
-    ``predict_pattern_time(configs[i]).time``; ``bytes_per_iteration``
-    and ``n_links`` match the pattern the scalar backend would build.
-    """
-    out = PatternBatch(
-        times=np.empty(len(configs), dtype=np.float64),
-        bytes_per_iteration=np.empty(len(configs), dtype=np.int64),
-        n_links=np.empty(len(configs), dtype=np.int64),
-    )
-    for (params, num_vcis, aggr), idx, columns in _spec_groups(
-        configs,
-        ("params", "cvars.num_vcis", "cvars.part_aggr_size"),
-        PATTERN_COLUMN_FIELDS,
-    ):
-        batch = pattern_times_from_columns(
-            params, num_vcis, aggr, columns, len(idx)
-        )
-        out.times[idx] = batch.times
-        out.bytes_per_iteration[idx] = batch.bytes_per_iteration
-        out.n_links[idx] = batch.n_links
-    return out
-
-
 def pattern_times_from_columns(
     params: SystemParams,
     num_vcis: int,
@@ -993,8 +921,7 @@ def pattern_times_from_columns(
     ``(names, codes)`` pairs factorized straight from the grid digits
     (see :meth:`~repro.runner.scenario.ScenarioGrid.kernel_columns`), a
     bare name, or arrays of names.  ``params`` and the cvar knobs are
-    batch constants, as in the bench twin (:func:`pattern_batch`
-    groups by them).
+    batch constants, as in the bench twin.
 
     Link graphs are built once per unique ``(pattern, n_ranks)``
     (process-lifetime cache) and their shapes gathered to per-point

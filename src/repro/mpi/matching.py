@@ -92,14 +92,6 @@ class MatchingEngine:
         self._posted.append(entry)
         return None
 
-    def cancel_recv(self, request: Any) -> bool:
-        """Remove a posted receive; True if found."""
-        for i, entry in enumerate(self._posted):
-            if entry.request is request:
-                del self._posted[i]
-                return True
-        return False
-
     # -- arrival side ------------------------------------------------------------------
     def match_arrival(self, key: MatchKey) -> Optional[PostedRecv]:
         """Try to satisfy an incoming envelope from the posted queue.

@@ -103,7 +103,6 @@ class Window:
         self._exposure_group: Optional[Tuple[int, ...]] = None
         self._complete_tokens = 0
         self._complete_waiter: Optional[Event] = None
-        self.puts_received = 0
         self._register_handlers()
 
     # ------------------------------------------------------------------
@@ -300,7 +299,6 @@ class Window:
     # target-side packet handlers (zero sim-time; costs paid in RX loop)
     # ------------------------------------------------------------------
     def _on_put(self, pkt: Packet) -> None:
-        self.puts_received += 1
         if pkt.payload is not None and self.buffer is not None:
             off = pkt.header["offset"]
             flat = self.buffer.reshape(-1).view(np.uint8)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .cvars import VCI_METHOD_COMM, VCI_METHOD_TAG_RR, VCI_METHOD_THREAD, Cvars
+from .cvars import VCI_METHOD_TAG_RR, VCI_METHOD_THREAD, Cvars
 
 __all__ = ["vci_for_comm", "vci_for_partition_message"]
 

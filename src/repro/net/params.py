@@ -24,7 +24,7 @@ Calibration notes
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict
 
 __all__ = ["Protocol", "SystemParams", "MELUXINA"]
@@ -180,10 +180,6 @@ class SystemParams:
         """VCI-lock cost multiplier for ``contenders`` competing threads."""
         n = max(0, contenders)
         return 1.0 + self.vci_contention_coeff * n + self.vci_contention_quad * n * n
-
-    def min_message_time(self) -> float:
-        """Lower bound for any remote message (post + wire + latency)."""
-        return self.post_overhead + self.wire_gap + self.latency
 
     def with_updates(self, **kwargs: float) -> "SystemParams":
         """Return a copy with the given fields replaced."""

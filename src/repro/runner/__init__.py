@@ -8,8 +8,8 @@ for every execution path in the repo:
   ``pattern`` N-rank application points), expanded in a deterministic
   order;
 * :func:`~repro.runner.executor.run_scenarios` — backend-aware batch
-  execution: inline (analytic) points in one vectorized ``run_batch``
-  call, simulated points chunked across a ``multiprocessing`` pool
+  execution: analytic points in-process through the scalar model,
+  simulated points chunked across a ``multiprocessing`` pool
   (``jobs=N``; ``jobs=1`` is plain in-process serial) and reassembled
   in submission order, so parallel output is byte-identical to serial;
 * :func:`~repro.runner.executor.run_grids` — runs a list of grids,
@@ -52,6 +52,7 @@ from .executor import (
 from .planner import available_cpus, shard_plan
 from .profile import Attribution, build_attribution, render_profile
 from .scenario import (
+    BACKENDS,
     DEFAULT_BACKEND,
     SCHEMA,
     Scenario,
@@ -65,6 +66,7 @@ from .shard import merge_shards, run_shard, run_sharded, shard_token
 
 __all__ = [
     "SCHEMA",
+    "BACKENDS",
     "DEFAULT_BACKEND",
     "Scenario",
     "ScenarioGrid",

@@ -85,6 +85,7 @@ from .scenario import (
     KIND_PATTERN,
     Scenario,
     ScenarioGrid,
+    check_backend,
 )
 
 __all__ = [
@@ -413,9 +414,7 @@ class CampaignStore:
         shard-owned root so status and merge tooling can tell shard
         stores from full campaigns.
         """
-        from ..backends import get_backend
-
-        get_backend(grid.backend)  # unknown backend -> KeyError now
+        check_backend(grid.backend)  # unknown backend -> KeyError now
         grid.validate()  # bad axis/base values fail before any I/O
         if compression not in COMPRESSIONS:
             raise ValueError(

@@ -4,12 +4,10 @@ Every scenario builds its own :class:`~repro.mpi.world.MPIWorld` and
 shares no state with its neighbours, so a grid is embarrassingly
 parallel.  :func:`run_scenarios` splits a batch by backend:
 
-* scenarios whose backend is *inline* (the analytic model —
-  microseconds per point) never go to a pool; each inline backend's
-  whole sub-batch is handed to
-  :meth:`~repro.backends.base.Backend.run_batch` in one call, which the
-  analytic backend evaluates through the vectorized model kernel;
-* simulation-backed scenarios are cut into chunks
+* ``analytic`` scenarios (the closed-form model — microseconds per
+  point) never go to a pool; each runs in-process through
+  :func:`~repro.runner.scenario.execute`;
+* simulated scenarios are cut into chunks
   (:func:`~repro.runner.planner.auto_chunk_size`) and streamed through
   :func:`iter_chunk_results` — the same submit-ahead pipeline campaigns
   use — one pool task per chunk, not per point, so fork/pickle/IPC
@@ -56,6 +54,7 @@ from .planner import (
 from .scenario import (
     DEFAULT_BACKEND,
     Scenario,
+    check_backend,
     execute,
     result_from_dict,
     result_to_dict,
@@ -352,42 +351,27 @@ def run_scenarios(
     pooled chunk come from :func:`~repro.runner.planner.pool_workers`
     and :func:`~repro.runner.planner.auto_chunk_size`.
     """
-    from ..backends import get_backend
     from ..bench.harness import simulation_key
 
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     batch: Sequence[Scenario] = list(scenarios)
     result_dicts: List[Optional[dict]] = [None] * len(batch)
-    inline: Dict[str, List[int]] = {}
     pooled: List[int] = []
+    # Analytic points run in-process, one scalar prediction each.  The
+    # results still flow through result_to_dict, so the reported form
+    # is identical to the pooled path's.
     for i, scenario in enumerate(batch):
-        if get_backend(scenario.backend).inline:
-            inline.setdefault(scenario.backend, []).append(i)
+        if scenario.backend == "analytic":
+            result_dicts[i] = result_to_dict(scenario, execute(scenario))
         else:
+            check_backend(scenario.backend)
             pooled.append(i)
     # One simulation per distinct key, run by the key's first point.
     owners: Dict[str, int] = {}
     owner_of = [owners.setdefault(simulation_key(batch[i]), i) for i in pooled]
     distinct = list(owners.values())
     workers, use_pool = pool_workers(len(distinct), jobs)
-
-    # Inline backends (analytic: the vectorized kernel) run in-process,
-    # one run_batch call per backend.  The results still flow through
-    # result_to_dict, so the reported form is identical to the pooled
-    # path's.
-    for name, indices in inline.items():
-        backend = get_backend(name)
-        sub_batch = [batch[i] for i in indices]
-        for scenario in sub_batch:
-            if not backend.supports(scenario):
-                raise ValueError(
-                    f"backend {name!r} does not support {scenario!r}"
-                )
-        for i, scenario, result in zip(
-            indices, sub_batch, backend.run_batch(sub_batch)
-        ):
-            result_dicts[i] = result_to_dict(scenario, result)
 
     size = auto_chunk_size(len(distinct), workers)
     chunks = [distinct[k:k + size] for k in range(0, len(distinct), size)]

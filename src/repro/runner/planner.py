@@ -16,9 +16,8 @@ spawning a process:
 * :func:`shard_plan` splits a campaign's missing coverage into shard
   slabs.
 
-Inline backends (the analytic model) need none of this: the executor
-hands their whole sub-batch to
-:meth:`~repro.backends.base.Backend.run_batch` in one call.
+Analytic points need none of this: the executor runs them in-process,
+one scalar prediction each.
 """
 
 from __future__ import annotations

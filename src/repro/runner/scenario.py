@@ -15,8 +15,8 @@ protocol:
 * ``content_hash()`` is a stable SHA-256 over the canonical JSON form
   (an analytic result can never be confused with a simulated one: the
   backend tag is inside the hash);
-* :func:`execute` runs the point through its backend
-  (:mod:`repro.backends`); :func:`result_to_dict` /
+* :func:`execute` runs the point under its backend (the simulator or
+  :mod:`repro.backends.analytic`); :func:`result_to_dict` /
   :func:`result_from_dict` serialize the outcome (statistics are
   recomputed on load, never trusted from the file).
 
@@ -44,6 +44,8 @@ from typing import Any, Dict, Iterator, List, Mapping, Sequence, Tuple
 __all__ = [
     "SCHEMA",
     "GRID_SCHEMA",
+    "BACKENDS",
+    "check_backend",
     "Scenario",
     "ScenarioGrid",
     "scenario_for",
@@ -73,6 +75,10 @@ GRID_SCHEMA = "repro.runner.grid/v2"
 #: correct only when that order survived serialization, which is why
 #: v2 exists.
 _GRID_SCHEMAS = (None, "repro.runner.grid/v1", GRID_SCHEMA)
+
+#: The execution backends: the closed-form model and the full
+#: discrete-event simulator (see :mod:`repro.backends`).
+BACKENDS = ("analytic", "sim")
 
 #: The default execution backend (the full discrete-event simulator).
 DEFAULT_BACKEND = "sim"
@@ -159,17 +165,37 @@ def scenario_for(spec: Any, backend: str = DEFAULT_BACKEND) -> Scenario:
 
 # -- execution ---------------------------------------------------------------
 
-def execute(scenario: Scenario):
-    """Run one scenario through its backend, returning its native
-    result object (see :mod:`repro.backends`)."""
-    from ..backends import get_backend
-
-    backend = get_backend(scenario.backend)
-    if not backend.supports(scenario):
-        raise ValueError(
-            f"backend {scenario.backend!r} does not support {scenario!r}"
+def check_backend(name: str) -> None:
+    """Raise ``KeyError`` unless ``name`` is one of :data:`BACKENDS`."""
+    if name not in BACKENDS:
+        raise KeyError(
+            f"unknown backend {name!r}; choose from {list(BACKENDS)}"
         )
-    return backend.run(scenario)
+
+
+def execute(scenario: Scenario):
+    """Run one scenario under its backend, returning its native result
+    object: the simulator's ``run_benchmark`` / ``run_pattern`` for
+    ``sim``, the scalar model (:mod:`repro.backends.analytic`) for
+    ``analytic``."""
+    check_backend(scenario.backend)
+    if scenario.backend == "sim":
+        if scenario.kind == KIND_BENCH:
+            from ..bench.harness import run_benchmark
+
+            return run_benchmark(scenario.spec)
+        if scenario.kind == KIND_PATTERN:
+            from ..apps.base import run_pattern
+
+            return run_pattern(scenario.spec)
+    else:
+        from ..backends.analytic import bench_result, pattern_result
+
+        if scenario.kind == KIND_BENCH:
+            return bench_result(scenario.spec)
+        if scenario.kind == KIND_PATTERN:
+            return pattern_result(scenario.spec)
+    raise ValueError(f"unknown scenario kind {scenario.kind!r}")
 
 
 def result_to_dict(scenario: Scenario, result: Any) -> dict:
@@ -337,27 +363,6 @@ class ScenarioGrid:
         spec = spec_type(**{**self.base, **self.assignment_at(index)})
         return Scenario(kind=self.kind, spec=spec, backend=self.backend)
 
-    def axis_columns(self, indices) -> Dict[str, Any]:
-        """Axis values for many indices at once, as numpy columns.
-
-        The vectorized decode behind analytic campaign chunks: grid
-        indices go straight to per-axis value arrays (``np.take`` over
-        the axis value lists) without constructing a single spec object.
-        """
-        import numpy as np
-
-        indices = np.asarray(indices, dtype=np.int64)
-        if len(indices) and (
-            indices.min() < 0 or indices.max() >= len(self)
-        ):
-            raise IndexError("grid indices out of range")
-        strides = self._strides()
-        columns: Dict[str, Any] = {}
-        for name, values in self.axes.items():
-            digits = (indices // strides[name]) % len(values)
-            columns[name] = np.take(np.asarray(values), digits)
-        return columns
-
     def validate(self) -> None:
         """Fail fast on bad axis/base values: build one spec per axis
         value (holding the other axes at their first value), so every
@@ -372,8 +377,8 @@ class ScenarioGrid:
 
     def axis_codes(self, name: str, indices) -> Any:
         """Positions into ``axes[name]`` for many indices at once — the
-        factorized form of :meth:`axis_columns` for categorical axes
-        (no value materialization, no string hashing)."""
+        factorized form of an axis for categorical columns (no value
+        materialization, no string hashing)."""
         import numpy as np
 
         indices = np.asarray(indices, dtype=np.int64)
@@ -408,11 +413,11 @@ class ScenarioGrid:
 
         The one decode both analytic campaign chunk builders (bench
         *and* pattern) share: each requested field becomes either a
-        decoded axis column (:meth:`axis_columns`), a broadcastable base
-        scalar, or — for ``categorical`` fields — a ``(values, codes)``
-        pair with the codes taken straight from the grid digits
-        (:meth:`axis_codes`: no value materialization, no string
-        hashing over the batch).  Fields in neither the axes nor the
+        decoded axis column (the axis value at each index's digit), a
+        broadcastable base scalar, or — for ``categorical`` fields — a
+        ``(values, codes)`` pair with the codes taken straight from the
+        grid digits (:meth:`axis_codes`: no value materialization, no
+        string hashing over the batch).  Fields in neither the axes nor the
         base are omitted, so the kernels apply their spec defaults.
         """
         import numpy as np

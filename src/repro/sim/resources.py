@@ -152,9 +152,5 @@ class Store:
             self._getters.append(ev)
         return ev
 
-    def peek_all(self) -> List[Any]:
-        """Snapshot of buffered items (for inspection/tests)."""
-        return list(self._items)
-
     def __repr__(self) -> str:  # pragma: no cover - debug repr
         return f"<Store {self.name!r} items={len(self._items)} waiting={len(self._getters)}>"

@@ -40,13 +40,12 @@ import platform
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, IO, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, IO, List, Mapping, Optional, Tuple
 
 __all__ = [
     "TELEMETRY_SCHEMA",
     "Histogram",
     "MetricsRegistry",
-    "Stopwatch",
     "active_registry",
     "count",
     "environment_provenance",
@@ -57,7 +56,6 @@ __all__ = [
     "set_thread_registry",
     "set_trace_sink",
     "span",
-    "stopwatch",
     "trace_sink",
     "using_registry",
     "write_metrics_jsonl",
@@ -415,40 +413,6 @@ def trace_sink() -> Optional[Any]:
     return _TRACE_SINK
 
 
-# ---------------------------------------------------------------------------
-# timing helper (the t0/wall idiom, consolidated)
-# ---------------------------------------------------------------------------
-
-class Stopwatch:
-    """``with stopwatch() as sw: ... ; sw.wall`` — one wall-clock region.
-
-    Replaces the hand-rolled ``t0 = time.perf_counter() / wall = ...``
-    pairs; ``sw.wall`` reads live inside the block and freezes on exit.
-    """
-
-    __slots__ = ("t0", "_wall")
-
-    def __enter__(self) -> "Stopwatch":
-        self._wall = None
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: Any) -> bool:
-        self._wall = time.perf_counter() - self.t0
-        return False
-
-    @property
-    def wall(self) -> float:
-        if self._wall is not None:
-            return self._wall
-        return time.perf_counter() - self.t0
-
-
-def stopwatch() -> Stopwatch:
-    """A fresh :class:`Stopwatch` (context manager)."""
-    return Stopwatch()
-
-
 def environment_provenance() -> dict:
     """Uniform environment stamp for benchmark payloads and metrics
     headers: interpreter, platform, and CPU count."""
@@ -606,18 +570,3 @@ def read_metrics_jsonl(path: str | Path) -> dict:
         raise ValueError(f"{path}: not a metrics JSONL file (no header)")
     return out
 
-
-def iter_span_tree(spans: List[dict]) -> Iterator[Tuple[int, dict]]:
-    """Yield ``(depth, span)`` in tree order (pre-order by start time)."""
-    children: Dict[Optional[int], List[dict]] = {}
-    for record in spans:
-        children.setdefault(record.get("parent"), []).append(record)
-    for siblings in children.values():
-        siblings.sort(key=lambda r: r["t0"])
-
-    def walk(parent: Optional[int], depth: int) -> Iterator[Tuple[int, dict]]:
-        for record in children.get(parent, []):
-            yield depth, record
-            yield from walk(record["id"], depth + 1)
-
-    yield from walk(None, 0)

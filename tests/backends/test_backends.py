@@ -1,20 +1,15 @@
-"""Backend protocol: registry, dispatch, identity, zero-sim guarantee."""
+"""Execution backends: dispatch by name, identity, zero-sim guarantee."""
 
 import pytest
 
 from repro.apps import PatternConfig
-from repro.backends import (
-    BACKENDS,
-    AnalyticBackend,
-    SimBackend,
-    backend_names,
-    get_backend,
-)
 from repro.bench import BenchSpec
 from repro.runner import (
+    BACKENDS,
     CampaignStore,
     Scenario,
     ScenarioGrid,
+    execute,
     run_grids,
     run_scenarios,
     run_specs,
@@ -25,31 +20,33 @@ from repro.sim import Environment
 
 class TestRegistry:
     def test_both_backends_registered(self):
-        assert backend_names() == ["analytic", "sim"]
-        assert isinstance(get_backend("sim"), SimBackend)
-        assert isinstance(get_backend("analytic"), AnalyticBackend)
+        assert BACKENDS == ("analytic", "sim")
 
-    def test_instances_are_shared(self):
-        assert get_backend("analytic") is get_backend("analytic")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(KeyError):
-            get_backend("quantum")
-
-    def test_inline_flags(self):
-        assert get_backend("analytic").inline
-        assert not get_backend("sim").inline
+    def test_unknown_backend_rejected(self, tmp_path):
+        spec = BenchSpec(approach="pt2pt_single", total_bytes=64)
+        with pytest.raises(KeyError, match="choose from"):
+            execute(scenario_for(spec, backend="quantum"))
+        with pytest.raises(KeyError, match="choose from"):
+            run_scenarios([scenario_for(spec, backend="quantum")])
+        grid = ScenarioGrid.from_spec(
+            spec, {"total_bytes": [64]}, backend="quantum"
+        )
+        with pytest.raises(KeyError, match="choose from"):
+            CampaignStore.create(tmp_path / "root", grid)
+        assert not (tmp_path / "root").exists()
 
     def test_analytic_supports_all_registered_approaches(self):
         from repro.bench import APPROACHES
 
-        backend = get_backend("analytic")
+        before = Environment.instances_created
         for name in APPROACHES:
-            scenario = scenario_for(
-                BenchSpec(approach=name, total_bytes=1024),
+            result = execute(scenario_for(
+                BenchSpec(approach=name, total_bytes=1024, iterations=2),
                 backend="analytic",
-            )
-            assert backend.supports(scenario)
+            ))
+            assert result.spec.approach == name
+            assert result.times[0] > 0
+        assert Environment.instances_created == before
 
 
 class TestScenarioBackendIdentity:

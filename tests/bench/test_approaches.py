@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import APPROACHES, BenchSpec, run_benchmark
+from repro.bench import APPROACHES, BenchSpec
 from repro.bench.approaches import ApproachConfig
 from repro.figures.tables import TABLE1_SENDER, TABLE2_RECEIVER
 from repro.net import PacketKind
@@ -56,8 +56,6 @@ def _wire_counts(name, **kw):
     kw.setdefault("n_threads", 2)
     kw.setdefault("iterations", 2)
     spec = BenchSpec(approach=name, **kw)
-    from repro.bench.harness import _single_run
-
     # Reach into a single run's world to inspect traffic.
     from repro.bench import build_world
     from repro.bench.approaches import ApproachConfig

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bench import APPROACHES, BenchSpec, run_benchmark
-from repro.mpi import Cvars
 from repro.net import MELUXINA
 
 

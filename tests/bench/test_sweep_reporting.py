@@ -5,7 +5,6 @@ import pytest
 from repro.bench import (
     BenchSpec,
     format_bandwidth_table,
-    format_ratio_line,
     format_us_table,
     sweep_approaches,
 )
@@ -55,13 +54,6 @@ class TestReporting:
     def test_bandwidth_table(self, small_sweep):
         table = format_bandwidth_table(small_sweep)
         assert "pt2pt_single" in table
-
-    def test_ratio_line(self, small_sweep):
-        line = format_ratio_line(
-            small_sweep, "pt2pt_part", "pt2pt_single", 64, note="smallest"
-        )
-        assert line.startswith("pt2pt_part/pt2pt_single @ 64B: x")
-        assert "smallest" in line
 
     def test_table_column_subset(self, small_sweep):
         table = format_us_table(small_sweep, approaches=["pt2pt_single"])

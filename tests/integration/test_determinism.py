@@ -1,8 +1,5 @@
 """Whole-system determinism: identical seeds produce identical runs."""
 
-import numpy as np
-import pytest
-
 from repro import telemetry
 from repro.bench import BenchSpec, run_benchmark
 from repro.mpi import Cvars, MPIWorld, VCI_METHOD_TAG_RR

@@ -16,16 +16,61 @@ import pytest
 from repro.apps.base import PatternConfig
 from repro.bench.harness import BenchSpec
 from repro.mpi import Cvars
-from repro.model.approaches import (
-    APPROACH_PREDICTORS,
-    predict_bench_time,
-    predict_bench_times,
+from repro.model.approaches import APPROACH_PREDICTORS, predict_bench_time
+from repro.model.patterns import predict_pattern_time
+from repro.model.vector import (
+    BENCH_COLUMN_FIELDS,
+    PATTERN_COLUMN_FIELDS,
+    bench_times_from_columns,
+    pattern_times_from_columns,
 )
-from repro.model.patterns import predict_pattern_time, predict_pattern_times
-from repro.model.vector import BENCH_COLUMN_FIELDS, bench_times_from_columns
 from repro.net import MELUXINA
 
 ALL_APPROACHES = sorted(APPROACH_PREDICTORS)
+
+
+def _groups(specs):
+    """Point indices per ``(params, cvars)``: the column kernels take
+    the machine model and the cvar knobs as batch constants."""
+    groups = {}
+    for i, spec in enumerate(specs):
+        groups.setdefault((spec.params, spec.cvars), []).append(i)
+    return groups.items()
+
+
+def _columns(specs, indices, fields):
+    return {
+        name: np.array([getattr(specs[i], name) for i in indices])
+        for name in fields
+    }
+
+
+def kernel_bench_times(specs):
+    """Each ``BenchSpec``'s fields as columns through
+    :func:`bench_times_from_columns`, one call per group."""
+    times = np.empty(len(specs))
+    for (params, cvars), idx in _groups(specs):
+        times[idx] = bench_times_from_columns(
+            params, cvars.num_vcis, cvars.vci_method, cvars.part_aggr_size,
+            _columns(specs, idx, BENCH_COLUMN_FIELDS), len(idx),
+        )
+    return times
+
+
+def kernel_pattern_batch(configs):
+    """Each ``PatternConfig``'s fields as columns through
+    :func:`pattern_times_from_columns`, one call per group; returns
+    ``(times, bytes_per_iteration, n_links)``."""
+    out = [np.empty(len(configs), dtype=dtype)
+           for dtype in (np.float64, np.int64, np.int64)]
+    for (params, cvars), idx in _groups(configs):
+        batch = pattern_times_from_columns(
+            params, cvars.num_vcis, cvars.part_aggr_size,
+            _columns(configs, idx, PATTERN_COLUMN_FIELDS), len(idx),
+        )
+        for column, values in zip(out, batch.store_columns()):
+            column[idx] = values
+    return out
 
 #: Sizes straddling the short/bcopy/zcopy protocol thresholds plus the
 #: large-message regime where the zcopy queue-feedback branches fire.
@@ -69,7 +114,7 @@ class TestBenchEquivalence:
     def test_full_sweep_bitwise_equal(self):
         specs = bench_sweep_specs()
         scalar = np.array([predict_bench_time(s).time for s in specs])
-        vector = predict_bench_times(specs)
+        vector = kernel_bench_times(specs)
         mismatch = np.nonzero(scalar != vector)[0]
         assert mismatch.size == 0, (
             f"{mismatch.size} of {len(specs)} points diverge; first: "
@@ -94,7 +139,7 @@ class TestBenchEquivalence:
                               (400.0, 150.0)]
         ]
         scalar = [predict_bench_time(s).time for s in specs]
-        vector = predict_bench_times(specs)
+        vector = kernel_bench_times(specs)
         assert scalar == list(vector)
 
     def test_mixed_params_grouping(self):
@@ -118,10 +163,11 @@ class TestBenchEquivalence:
                     )
                 )
         scalar = [predict_bench_time(s).time for s in specs]
-        assert scalar == list(predict_bench_times(specs))
+        assert scalar == list(kernel_bench_times(specs))
 
     def test_columns_api_matches_spec_api(self):
-        """The campaign fast path (bare columns, no spec objects)."""
+        """The campaign fast path (bare columns, no spec objects), with
+        an object-dtype approach column."""
         specs = [
             BenchSpec(
                 approach=approach,
@@ -149,18 +195,19 @@ class TestBenchEquivalence:
             MELUXINA, cvars.num_vcis, cvars.vci_method,
             cvars.part_aggr_size, columns, len(specs),
         )
-        assert list(predict_bench_times(specs)) == list(from_columns)
+        scalar = [predict_bench_time(s).time for s in specs]
+        assert scalar == list(from_columns)
 
     def test_unknown_approach_rejected(self):
-        spec = BenchSpec(
-            approach="pt2pt_single", total_bytes=1024, iterations=1
-        )
         with pytest.raises(KeyError):
             bench_times_from_columns(
                 MELUXINA, 1, "comm", 0,
                 {"approach": "no_such_approach", "total_bytes": 1024}, 1,
             )
-        assert predict_bench_times([spec]).shape == (1,)
+        assert bench_times_from_columns(
+            MELUXINA, 1, "comm", 0,
+            {"approach": "pt2pt_single", "total_bytes": 1024}, 1,
+        ).shape == (1,)
 
 
 class TestPatternEquivalence:
@@ -185,8 +232,8 @@ class TestPatternEquivalence:
             for comp in (0.0, 200.0)
         ]
         scalar = [predict_pattern_time(c).time for c in configs]
-        batch = predict_pattern_times(configs)
-        assert scalar == list(batch.times)
+        times, _, _ = kernel_pattern_batch(configs)
+        assert scalar == list(times)
 
     def test_mixed_params_grouping(self):
         """The pattern twin of the bench test: each (params, num_vcis,
@@ -210,7 +257,7 @@ class TestPatternEquivalence:
             for approach in ("pt2pt_part", "rma_many_active")
         ]
         scalar = [predict_pattern_time(c).time for c in configs]
-        assert scalar == list(predict_pattern_times(configs).times)
+        assert scalar == list(kernel_pattern_batch(configs)[0])
 
     @pytest.mark.parametrize("pattern", ["halo3d", "sweep3d", "fft"])
     def test_noise_modes_bitwise_equal(self, pattern):
@@ -240,15 +287,15 @@ class TestPatternEquivalence:
             ]
         ]
         scalar = [predict_pattern_time(c).time for c in configs]
-        batch = predict_pattern_times(configs)
-        assert scalar == list(batch.times)
+        times, _, _ = kernel_pattern_batch(configs)
+        assert scalar == list(times)
 
     @pytest.mark.parametrize("pattern", ["halo3d", "sweep3d", "fft"])
     def test_columns_api_matches_scalar(self, pattern):
         """The campaign fast path (bare columns, no config objects):
         all 8 approaches x noise modes, bitwise-equal to the scalar
-        predictor — the tentpole invariant."""
-        from repro.model.vector import pattern_times_from_columns
+        predictor, with the topology facts of the analytic result."""
+        from repro.backends.analytic import pattern_result
 
         configs = [
             PatternConfig(
@@ -290,16 +337,14 @@ class TestPatternEquivalence:
         )
         scalar = [predict_pattern_time(c).time for c in configs]
         assert scalar == list(batch.times)
-        native = predict_pattern_times(configs)
-        assert list(batch.bytes_per_iteration) == list(
-            native.bytes_per_iteration
-        )
-        assert list(batch.n_links) == list(native.n_links)
+        native = [pattern_result(c) for c in configs]
+        assert list(batch.bytes_per_iteration) == [
+            r.bytes_per_iteration for r in native
+        ]
+        assert list(batch.n_links) == [r.n_links for r in native]
 
     def test_columns_api_defaults_and_scalars(self):
         """Scalar/broadcast columns and spec-default fallbacks."""
-        from repro.model.vector import pattern_times_from_columns
-
         config = PatternConfig(pattern="halo3d")  # all defaults
         batch = pattern_times_from_columns(
             MELUXINA, 1, Cvars().part_aggr_size,
@@ -309,16 +354,12 @@ class TestPatternEquivalence:
         assert list(batch.times) == [expected] * 3
 
     def test_columns_api_requires_pattern(self):
-        from repro.model.vector import pattern_times_from_columns
-
         with pytest.raises(KeyError):
             pattern_times_from_columns(
                 MELUXINA, 1, 512, {"msg_bytes": 1024}, 1
             )
 
     def test_columns_api_rejects_unknown_approach(self):
-        from repro.model.vector import pattern_times_from_columns
-
         with pytest.raises(KeyError, match="no analytic predictor"):
             pattern_times_from_columns(
                 MELUXINA, 1, 512,
@@ -371,11 +412,11 @@ class TestPatternEquivalence:
             for threads in (2, 3)
             for size in (16384, 16385)
         ]
-        batch = predict_pattern_times(configs)
+        _, bytes_per_iteration, n_links = kernel_pattern_batch(configs)
         for j, config in enumerate(configs):
             built = build_pattern(config)
-            assert batch.bytes_per_iteration[j] == built.bytes_per_iteration()
-            assert batch.n_links[j] == len(built.links())
+            assert bytes_per_iteration[j] == built.bytes_per_iteration()
+            assert n_links[j] == len(built.links())
 
 
 class TestTopologyColumns:
@@ -430,15 +471,11 @@ class TestTopologyColumns:
         ("n_ranks", 1, "n_ranks"),
     ])
     def test_columns_api_rejects_bad_geometry(self, field, bad, match):
-        from repro.model.vector import pattern_times_from_columns
-
         columns = {"pattern": "halo3d", field: np.array([4, bad])}
         with np.errstate(all="raise"), pytest.raises(ValueError, match=match):
             pattern_times_from_columns(MELUXINA, 1, 512, columns, 2)
 
     def test_columns_api_rejects_unknown_pattern(self):
-        from repro.model.vector import pattern_times_from_columns
-
         with pytest.raises(KeyError, match="unknown pattern"):
             pattern_times_from_columns(MELUXINA, 1, 512, {"pattern": "ring"}, 1)
 
@@ -610,137 +647,6 @@ class TestFactorize:
         empty = np.empty(0, dtype=np.int64)
         first, inverse = _factorize(empty, empty.astype(np.float64))
         assert first.shape == inverse.shape == (0,)
-
-
-class TestRunBatchEquivalence:
-    """`Backend.run_batch` must be indistinguishable from per-point
-    `run` — asserted on the serialized result form, which is exactly
-    what stores and reports consume."""
-
-    def _assert_batch_equals_run(self, scenarios):
-        from repro.backends import get_backend
-        from repro.runner.scenario import result_to_dict
-
-        backend = get_backend("analytic")
-        batched = backend.run_batch(scenarios)
-        for scenario, batch_result in zip(scenarios, batched):
-            single = backend.run(scenario)
-            assert result_to_dict(scenario, batch_result) == result_to_dict(
-                scenario, single
-            )
-
-    def test_bench_all_approaches(self):
-        from repro.runner.scenario import scenario_for
-
-        self._assert_batch_equals_run([
-            scenario_for(
-                BenchSpec(
-                    approach=approach,
-                    total_bytes=size,
-                    n_threads=4,
-                    theta=2,
-                    iterations=3,
-                ),
-                backend="analytic",
-            )
-            for approach in ALL_APPROACHES
-            for size in (1024, 16384, 1 << 20)
-        ])
-
-    def test_large_batch_takes_vector_path(self):
-        """Above VECTOR_MIN_BATCH the kernel path runs — same bits."""
-        from repro.backends.analytic import AnalyticBackend
-        from repro.runner.scenario import scenario_for
-
-        scenarios = [
-            scenario_for(
-                BenchSpec(
-                    approach=approach,
-                    total_bytes=1024 * (j + 1),
-                    n_threads=2,
-                    iterations=1,
-                ),
-                backend="analytic",
-            )
-            for approach in ALL_APPROACHES
-            for j in range(10)
-        ]
-        assert len(scenarios) >= AnalyticBackend.VECTOR_MIN_BATCH
-        self._assert_batch_equals_run(scenarios)
-
-    def test_patterns_all_three(self):
-        from repro.runner.scenario import scenario_for
-
-        self._assert_batch_equals_run([
-            scenario_for(
-                PatternConfig(
-                    pattern=pattern,
-                    approach=approach,
-                    n_ranks=4,
-                    n_threads=2,
-                    msg_bytes=size,
-                    iterations=2,
-                ),
-                backend="analytic",
-            )
-            for pattern in ("halo3d", "sweep3d", "fft")
-            for approach in ("pt2pt_single", "pt2pt_part", "rma_many_active")
-            for size in (4096, 1 << 20)
-        ])
-
-    def test_mixed_kind_batch_preserves_order(self):
-        from repro.runner.scenario import scenario_for
-
-        scenarios = [
-            scenario_for(
-                BenchSpec(
-                    approach="pt2pt_part", total_bytes=65536, iterations=1
-                ),
-                backend="analytic",
-            ),
-            scenario_for(
-                PatternConfig(
-                    pattern="halo3d", n_ranks=4, n_threads=1,
-                    msg_bytes=4096, iterations=1,
-                ),
-                backend="analytic",
-            ),
-            scenario_for(
-                BenchSpec(
-                    approach="pt2pt_single", total_bytes=1024, iterations=1
-                ),
-                backend="analytic",
-            ),
-        ]
-        from repro.backends import get_backend
-
-        results = get_backend("analytic").run_batch(scenarios)
-        assert results[0].spec.approach == "pt2pt_part"
-        assert results[1].config.pattern == "halo3d"
-        assert results[2].spec.approach == "pt2pt_single"
-
-    def test_default_run_batch_is_run_loop(self):
-        """The base-class default (the simulator path) loops run()."""
-        from repro.backends import get_backend
-        from repro.runner.scenario import result_to_dict, scenario_for
-
-        scenarios = [
-            scenario_for(
-                BenchSpec(
-                    approach="pt2pt_single",
-                    total_bytes=size,
-                    iterations=1,
-                    n_threads=2,
-                ),
-            )
-            for size in (1024, 65536)
-        ]
-        backend = get_backend("sim")
-        batched = backend.run_batch(scenarios)
-        for scenario, result in zip(scenarios, batched):
-            assert result_to_dict(scenario, result) == result_to_dict(
-                scenario, backend.run(scenario)
-            )
 
 
 class TestNegotiationVector:

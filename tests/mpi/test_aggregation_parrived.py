@@ -6,9 +6,6 @@ only once its whole aggregated message landed.  These tests pin that
 semantic.
 """
 
-import numpy as np
-import pytest
-
 from repro.mpi import Cvars, MPIWorld
 
 

@@ -1,7 +1,5 @@
 """Unit tests for the tag-matching engine."""
 
-import pytest
-
 from repro.mpi import ANY_SOURCE, ANY_TAG, MatchKey, MatchingEngine
 from repro.mpi.matching import PostedRecv, UnexpectedMsg
 
@@ -74,16 +72,6 @@ class TestPostedQueue:
         eng.post_recv(posted(key(tag=2), req="two"))
         assert eng.match_arrival(key(tag=2)).request == "two"
         assert eng.posted_count == 1
-
-    def test_cancel_recv(self):
-        eng = MatchingEngine()
-        eng.post_recv(posted(key(tag=5), req="victim"))
-        assert eng.cancel_recv("victim")
-        assert eng.match_arrival(key(tag=5)) is None
-
-    def test_cancel_missing_recv_returns_false(self):
-        eng = MatchingEngine()
-        assert not eng.cancel_recv("ghost")
 
 
 class TestUnexpectedQueue:

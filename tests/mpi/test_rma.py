@@ -6,7 +6,6 @@ import pytest
 from repro.mpi import (
     Cvars,
     LOCK_EXCLUSIVE,
-    LOCK_SHARED,
     MODE_NOCHECK,
     MPIWorld,
     RmaSyncError,
@@ -68,14 +67,15 @@ class TestPassive:
 
         def target(world):
             comm = world.comm_world(1)
-            win = yield from win_create(comm, 64, target_buf)
+            yield from win_create(comm, 64, target_buf)
             yield from comm.recv(source=0, tag=1, nbytes=0)
-            return win.puts_received
+            # The flushed put has landed by the time the notice arrives.
+            return target_buf.copy()
 
         world.launch(0, origin(world))
         p = world.launch(1, target(world))
         world.run()
-        assert p.value == 1
+        assert (p.value == data).all()
         assert (target_buf == data).all()
 
     def test_put_at_offset(self):

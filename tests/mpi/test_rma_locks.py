@@ -1,7 +1,6 @@
 """Concurrency semantics of real (non-NOCHECK) RMA locks."""
 
 import numpy as np
-import pytest
 
 from repro.mpi import (
     Cvars,

@@ -6,7 +6,7 @@ import pytest
 
 from repro import telemetry
 from repro.mpi import Cvars, MPIError, MPIWorld, PART_TAG_BASE
-from repro.net import Packet, PacketKind
+from repro.net import PacketKind
 from repro.sim import NullTracer
 
 

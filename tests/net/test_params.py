@@ -84,7 +84,3 @@ def test_describe_contains_all_fields():
     d = MELUXINA.describe()
     assert d["bandwidth"] == 25e9
     assert "vci_contention_coeff" in d
-
-
-def test_min_message_time_positive():
-    assert MELUXINA.min_message_time() > 1e-6  # latency floor

@@ -64,17 +64,6 @@ class TestGridAddressing:
             assert grid.assignment_at(index) == assignment
             assert grid.scenario_at(index) == scenario
 
-    def test_axis_columns_decode(self):
-        import numpy as np
-
-        grid = parse_grid_spec(analytic_spec())
-        indices = np.array([0, 5, 17, len(grid) - 1])
-        columns = grid.axis_columns(indices)
-        for j, i in enumerate(indices):
-            assignment = grid.assignment_at(int(i))
-            for name, values in columns.items():
-                assert values[j] == assignment[name]
-
     def test_out_of_range_rejected(self):
         grid = parse_grid_spec(analytic_spec())
         with pytest.raises(IndexError):

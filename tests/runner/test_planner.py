@@ -3,8 +3,8 @@ fallback."""
 
 import pytest
 
+import repro.backends.analytic as analytic_module
 import repro.runner.executor as executor_module
-from repro.backends import AnalyticBackend
 from repro.bench import BenchSpec
 from repro.runner import (
     ScenarioGrid,
@@ -35,15 +35,15 @@ def chunk_log(monkeypatch):
 
 @pytest.fixture()
 def batch_log(monkeypatch):
-    """Every sub-batch handed to the analytic backend's run_batch."""
+    """Every bench spec the analytic backend evaluates, in order."""
     log = []
-    run_batch = AnalyticBackend.run_batch
+    bench_result = analytic_module.bench_result
 
-    def logged(self, scenarios):
-        log.append(list(scenarios))
-        return run_batch(self, scenarios)
+    def logged(spec):
+        log.append(spec)
+        return bench_result(spec)
 
-    monkeypatch.setattr(AnalyticBackend, "run_batch", logged)
+    monkeypatch.setattr(analytic_module, "bench_result", logged)
     return log
 
 
@@ -88,14 +88,14 @@ class TestAutoChunkSize:
 
 
 class TestPlanning:
-    """How run_scenarios splits a batch: inline backends in one
-    run_batch call, pooled points in contiguous chunks, and the
+    """How run_scenarios splits a batch: analytic points in-process in
+    submission order, pooled points in contiguous chunks, and the
     pool_workers policy deciding whether a pool runs at all."""
 
     def test_inline_backend_is_one_chunk(self, batch_log, chunk_log, pool_log):
         batch = bench_scenarios(10, backend="analytic")
         run_scenarios(batch, jobs=4)
-        assert batch_log == [batch]
+        assert batch_log == [s.spec for s in batch]
         assert chunk_log == [] and pool_log == []
 
     def test_pooled_chunks_cover_pending_in_order(self, chunk_log):
@@ -110,7 +110,7 @@ class TestPlanning:
     ):
         batch = bench_scenarios(4) + bench_scenarios(4, backend="analytic")
         report = run_scenarios(batch, jobs=1)
-        assert batch_log == [batch[4:]]
+        assert batch_log == [s.spec for s in batch[4:]]
         assert sum(chunk_log, []) == ["sim"] * 4
         assert len(report.results) == 8
 

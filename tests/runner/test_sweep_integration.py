@@ -5,7 +5,13 @@ import pytest
 
 from repro.apps import PatternConfig, PatternSweep
 from repro.bench import BenchSpec, sweep_approaches
-from repro.figures import fig4_improvement, fig7_aggregation
+from repro.figures import (
+    fig4_improvement,
+    fig5_congestion,
+    fig6_vcis,
+    fig7_aggregation,
+    fig8_earlybird,
+)
 from repro.runner import ScenarioGrid, run_grids, run_specs
 from repro.sim import Environment
 
@@ -95,12 +101,29 @@ class TestFigureDrivers:
         assert warm.headline == cold.headline
         assert sweep_means(warm.sweep) == sweep_means(cold.sweep)
 
-    @pytest.mark.parametrize("backend", ["sim", "analytic"])
-    @pytest.mark.parametrize("driver", [fig4_improvement, fig7_aggregation])
-    def test_store_matches_store_less_run(self, tmp_path, driver, backend):
-        plain = driver.run(iterations=2, quick=True, backend=backend)
+    @pytest.mark.parametrize(
+        "driver, backend, quick",
+        [
+            pytest.param(driver, backend, quick,
+                         id=f"{driver.__name__}-{backend}")
+            for driver, backend, quick in [
+                (fig4_improvement, "sim", True),
+                (fig7_aggregation, "sim", True),
+            ] + [
+                # The full paper grids: the scalar model (store-less)
+                # against the column kernel (campaign chunks), bit for bit.
+                (driver, "analytic", False)
+                for driver in (fig4_improvement, fig5_congestion, fig6_vcis,
+                               fig7_aggregation, fig8_earlybird)
+            ]
+        ],
+    )
+    def test_store_matches_store_less_run(
+        self, tmp_path, driver, backend, quick
+    ):
+        plain = driver.run(iterations=2, quick=quick, backend=backend)
         stored = driver.run(
-            iterations=2, quick=True, backend=backend, store=tmp_path / "s"
+            iterations=2, quick=quick, backend=backend, store=tmp_path / "s"
         )
         assert stored.headline == plain.headline
         assert stored.sweep.approaches() == plain.sweep.approaches()

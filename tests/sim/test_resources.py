@@ -134,7 +134,6 @@ def test_store_size_and_peek():
     assert store.size == 0
     store.put("x")
     assert store.size == 1
-    assert store.peek_all() == ["x"]
 
 
 def test_queue_length_visible_during_contention():

@@ -12,7 +12,6 @@ from repro.telemetry import (
     MetricsRegistry,
     environment_provenance,
     read_metrics_jsonl,
-    stopwatch,
     using_registry,
     write_metrics_jsonl,
 )
@@ -246,14 +245,6 @@ class TestJsonlRoundTrip:
 
 
 class TestHelpers:
-    def test_stopwatch_freezes_on_exit(self):
-        with stopwatch() as sw:
-            live = sw.wall
-            assert live >= 0.0
-        frozen = sw.wall
-        assert frozen >= live
-        assert sw.wall == frozen
-
     def test_environment_provenance_fields(self):
         env = environment_provenance()
         assert set(env) == {
