@@ -43,11 +43,11 @@ def main(argv=None):
                         help="runner worker processes (0 = one per CPU)")
     args = parser.parse_args(argv)
 
-    from repro.runner import default_jobs
+    from repro.runner import available_cpus
 
     if args.jobs < 0:
         parser.error("--jobs must be >= 0")
-    jobs = args.jobs if args.jobs > 0 else default_jobs()
+    jobs = args.jobs if args.jobs > 0 else available_cpus()
     print(tables.table1())
     print()
     print(tables.table2())

@@ -126,12 +126,12 @@ def _add_runner_options(parser: argparse.ArgumentParser) -> None:
 
 def _runner_kwargs(args, parser: argparse.ArgumentParser) -> dict:
     """Resolve --jobs/--store into driver keyword arguments."""
-    from .runner import default_jobs
+    from .runner import available_cpus
 
     if args.jobs < 0:
         parser.error("--jobs must be >= 0")
     return {
-        "jobs": args.jobs if args.jobs > 0 else default_jobs(),
+        "jobs": args.jobs if args.jobs > 0 else available_cpus(),
         "store": args.store,
     }
 
@@ -486,7 +486,7 @@ def _run_campaign_cli(args) -> int:
             message = exc.args[0] if exc.args else exc
             print(f"error: {message}", file=sys.stderr)
             return 2
-        from .runner import default_jobs
+        from .runner import available_cpus
         from .runner.profile import run_metered
 
         sharded = args.shards is not None
@@ -519,7 +519,7 @@ def _run_campaign_cli(args) -> int:
             if args.trace:
                 jobs = 1
             else:
-                jobs = args.jobs if args.jobs > 0 else default_jobs()
+                jobs = args.jobs if args.jobs > 0 else available_cpus()
 
             def run():
                 return run_campaign_fn(

@@ -160,12 +160,6 @@ def _lanes(geo: _Geometry, actors: int) -> int:
     return max(1, min(actors, geo.num_vcis))
 
 
-def _post_mult(geo: _Geometry, actors: int) -> float:
-    """Contention multiplier for ``actors`` threads over the VCIs."""
-    per_vci = math.ceil(actors / _lanes(geo, actors))
-    return geo.params.contention_multiplier(per_vci - 1)
-
-
 def _zcopy_queue_contenders(p: SystemParams) -> float:
     """Steady-state VCI-lock contender count of a saturated rendezvous
     pipeline on a single VCI.

@@ -67,15 +67,6 @@ class MatchingEngine:
         self.matched_posted = 0
         self.matched_unexpected = 0
 
-    # -- introspection ----------------------------------------------------------
-    @property
-    def posted_count(self) -> int:
-        return len(self._posted)
-
-    @property
-    def unexpected_count(self) -> int:
-        return len(self._unexpected)
-
     # -- receive side ---------------------------------------------------------------
     def post_recv(self, entry: PostedRecv) -> Optional[UnexpectedMsg]:
         """Try to satisfy ``entry`` from the unexpected queue.

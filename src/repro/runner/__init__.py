@@ -44,7 +44,6 @@ Quick start
 from .campaign import CampaignStore, parse_grid_spec, run_campaign
 from .executor import (
     RunReport,
-    default_jobs,
     run_grids,
     run_scenarios,
     run_specs,
@@ -90,5 +89,4 @@ __all__ = [
     "run_grids",
     "run_scenarios",
     "run_specs",
-    "default_jobs",
 ]

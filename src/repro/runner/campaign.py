@@ -21,11 +21,11 @@ row-major index)`` — no file and no content hash per point:
   point (the ``result`` encoding);
 * ``index.json`` — covered index ranges per segment.  It is a pure
   accelerator: if it is missing or stale it is rebuilt by scanning the
-  segment headers, so resume works from the segments alone.  A file
-  that fails validation — another campaign's, a truncated one, or one
-  in a format this version does not read (``.jsonl.gz``, ``loose/``
-  rows, row encodings other than ``result``) — is listed under
-  ``ignored`` and never counts as coverage, so resume recomputes it.
+  segment headers, so resume works from the segments alone.  A
+  ``segments/*.jsonl``/``*.bin`` file that fails validation — another
+  campaign's, a truncated one, or a row encoding other than
+  ``result`` — is listed under ``ignored`` and never counts as
+  coverage, so resume recomputes it.  Other files are not the store's.
 
 :func:`run_campaign` executes the missing ranges chunk by chunk.
 Analytic chunks decode grid indices straight into parameter columns
@@ -41,11 +41,14 @@ results stream to the store in submission order.  Each completed
 chunk is appended before the next result is consumed, so an
 interrupted campaign resumes from its segments.
 
-Every read goes through one **latest-append-wins merge decided at the
-index-range level** (:meth:`CampaignStore._survivor_plan`), computed
-from ``index.json`` alone: disjoint ``(start, stop, segment)`` pieces.
-:meth:`~CampaignStore.iter_columns` slices binary pieces straight off
-memmapped column blocks; :meth:`~CampaignStore.iter_rows`,
+Coverage is ``[start, stop)`` range arithmetic, kept here and only
+here: :func:`_merge_ranges` (union), :func:`_subtract_ranges`
+(difference) and :func:`_intersect_ranges` (intersection).  Every read
+goes through one **latest-append-wins merge decided at the index-range
+level** (:meth:`CampaignStore._survivor_plan`), computed from
+``index.json`` alone: disjoint ``(start, stop, segment)`` pieces.
+:meth:`~CampaignStore.iter_columns` yields each binary piece as array
+slices straight off memmapped column blocks; :meth:`~CampaignStore.iter_rows`,
 :meth:`~CampaignStore.query`, :meth:`~CampaignStore.export_jsonl` and
 :meth:`~CampaignStore.compact` walk the same pieces, loading each
 segment once and dropping it after its last piece.
@@ -83,14 +86,12 @@ from .scenario import (
     GRID_SCHEMA,
     KIND_BENCH,
     KIND_PATTERN,
-    Scenario,
     ScenarioGrid,
     check_backend,
 )
 
 __all__ = [
     "CAMPAIGN_SCHEMA",
-    "DEFAULT_READ_CHUNK",
     "SEGMENT_SCHEMA",
     "CampaignStore",
     "parse_grid_spec",
@@ -149,24 +150,13 @@ _SUFFIX = {
     ENC_PATTERN_BIN: ".bin",
 }
 
-#: Every file the index accounts for, as directory -> name suffixes.
-#: ``.jsonl.gz`` segments and ``loose/`` rows are forms older versions
-#: wrote: they are listed only so they land under ``ignored``.
-_STORE_FILES = {
-    "segments": (".jsonl", ".jsonl.gz", ".bin"),
-    "loose": (".jsonl", ".jsonl.gz"),
-}
+#: Name suffixes of the ``segments/`` files the index accounts for.
+_SEGMENT_SUFFIXES = (".jsonl", ".bin")
 
 #: Values :meth:`CampaignStore.create` accepts for ``compression``.
 #: Both build the same store: analytic chunks are always binary
 #: columns, simulation chunks always ``result`` rows.
 COMPRESSIONS = ("none", "binary")
-
-#: Points per :meth:`CampaignStore.iter_columns` chunk when the caller
-#: does not pin one.  Large enough that per-chunk overhead (concat,
-#: telemetry) amortizes to nothing; small enough that a chunk of all
-#: columns stays a few MB.
-DEFAULT_READ_CHUNK = 65536
 
 #: Points per analytic campaign chunk when the caller does not pin
 #: one; simulation chunks are sized by the planner's
@@ -243,25 +233,25 @@ def _merge_ranges(ranges: Sequence[Sequence[int]]) -> List[Tuple[int, int]]:
 
 
 def _subtract_ranges(
-    start: int, stop: int, covered: Sequence[Tuple[int, int]]
+    ranges: Sequence[Sequence[int]], covered: Sequence[Sequence[int]]
 ) -> List[Tuple[int, int]]:
-    """Parts of [start, stop) not covered by the merged, sorted
-    ``covered`` ranges — the survivor arithmetic of the range-level
+    """Parts of ``ranges`` (any [start, stop) list) not covered by the
+    merged, sorted ``covered`` ranges — missing coverage, a shard's
+    remaining work, and the survivor arithmetic of the range-level
     latest-wins merge."""
     out: List[Tuple[int, int]] = []
-    cursor = start
-    for c_start, c_stop in covered:
-        if c_stop <= cursor:
-            continue
-        if c_start >= stop:
-            break
-        if c_start > cursor:
-            out.append((cursor, min(c_start, stop)))
-        cursor = max(cursor, c_stop)
-        if cursor >= stop:
-            break
-    if cursor < stop:
-        out.append((cursor, stop))
+    first = 0
+    for start, stop in _merge_ranges(ranges):
+        while first < len(covered) and covered[first][1] <= start:
+            first += 1
+        cursor, k = start, first
+        while k < len(covered) and covered[k][0] < stop:
+            if covered[k][0] > cursor:
+                out.append((cursor, covered[k][0]))
+            cursor = max(cursor, covered[k][1])
+            k += 1
+        if cursor < stop:
+            out.append((cursor, stop))
     return out
 
 
@@ -427,27 +417,10 @@ class CampaignStore:
         if header_path.is_file():
             existing = json.loads(header_path.read_text())
             if existing.get("grid_hash") != grid_hash:
-                # Grid-schema drift (v1 headers hashed the axis-order-
-                # less form): if the stored grid re-hashes to the same
-                # v2 identity as the requested one, it IS the same
-                # campaign — resume under the root's original hash (the
-                # segments are tagged with it).  Anything else is a
-                # genuinely different grid.
-                try:
-                    legacy_hash = ScenarioGrid.from_dict(
-                        existing["grid"]
-                    ).content_hash()
-                except (KeyError, TypeError, ValueError):
-                    legacy_hash = None
-                if legacy_hash != grid_hash:
-                    raise ValueError(
-                        f"campaign root {store.root} already holds a "
-                        f"different grid ({existing.get('grid_hash')!r}; "
-                        f"note: grids serialized before "
-                        f"{GRID_SCHEMA!r} hash differently — a root "
-                        f"whose axis order cannot be recovered must be "
-                        f"re-run)"
-                    )
+                raise ValueError(
+                    f"campaign root {store.root} already holds a "
+                    f"different grid ({existing.get('grid_hash')!r})"
+                )
             return cls.open(root, writer_token=writer_token)
         header = {
             "schema": CAMPAIGN_SCHEMA,
@@ -525,17 +498,14 @@ class CampaignStore:
     def _files_on_disk(self) -> set:
         """Root-relative names of every file the index accounts for
         (plain ``listdir`` names: this runs on every index read)."""
-        files = set()
-        for folder, suffixes in _STORE_FILES.items():
-            try:
-                names = os.listdir(self.root / folder)
-            except FileNotFoundError:
-                continue
-            files.update(
-                f"{folder}/{name}" for name in names
-                if name.endswith(suffixes) and not name.startswith(".")
-            )
-        return files
+        try:
+            names = os.listdir(self.root / "segments")
+        except FileNotFoundError:
+            return set()
+        return {
+            f"segments/{name}" for name in names
+            if name.endswith(_SEGMENT_SUFFIXES) and not name.startswith(".")
+        }
 
     def _read_index(self) -> Optional[dict]:
         """The on-disk index, or None when it is missing or stale."""
@@ -617,8 +587,9 @@ class CampaignStore:
         :func:`~repro.runner.io.read_segment_header`), and whose schema
         and campaign hash match.
         """
-        if path.parent.name != "segments" or path.suffix not in (
-            ".jsonl", ".bin"
+        if (
+            path.parent.name != "segments"
+            or path.suffix not in _SEGMENT_SUFFIXES
         ):
             return None
         try:
@@ -643,7 +614,7 @@ class CampaignStore:
 
     def missing_ranges(self) -> List[Tuple[int, int]]:
         """Complement of :meth:`completed_ranges` over the grid."""
-        return _subtract_ranges(0, self.n_points, self.completed_ranges())
+        return _subtract_ranges([(0, self.n_points)], self.completed_ranges())
 
     @property
     def n_completed(self) -> int:
@@ -671,7 +642,7 @@ class CampaignStore:
         seq = n_existing
         while any(
             (self.root / f"{stem}{seq:06d}{s}").exists()
-            for s in (".jsonl", ".bin")
+            for s in _SEGMENT_SUFFIXES
         ):
             seq += 1
         return f"{stem}{seq:06d}{suffix}"
@@ -681,7 +652,6 @@ class CampaignStore:
         encoding: str,
         ranges: Sequence[Tuple[int, int]],
         count: int,
-        backend: Optional[str],
         n_existing: int,
         body: bytes,
     ) -> dict:
@@ -693,8 +663,7 @@ class CampaignStore:
             "schema": SEGMENT_SCHEMA,
             "campaign": self.header["grid_hash"],
             "kind": self.header["kind"],
-            "backend": backend if backend is not None
-            else self.header["backend"],
+            "backend": self.header["backend"],
             "encoding": encoding,
             "ranges": [[int(s), int(e)] for s, e in ranges],
             "count": int(count),
@@ -729,14 +698,13 @@ class CampaignStore:
         encoding: str,
         ranges: Sequence[Tuple[int, int]],
         count: int,
-        backend: Optional[str],
         body: bytes,
     ) -> Path:
         """Write one segment and record it in the index."""
         index = self._index()
         segments = list(index["segments"])
         entry = self._write_segment(
-            encoding, ranges, count, backend, len(segments), body
+            encoding, ranges, count, len(segments), body
         )
         segments.append(entry)
         self._write_index(segments, index["ignored"])
@@ -745,9 +713,7 @@ class CampaignStore:
     def append_chunk(
         self,
         rows: List[list],
-        encoding: str,
         ranges: Sequence[Tuple[int, int]],
-        backend: Optional[str] = None,
     ) -> Path:
         """Append one completed chunk of ``result`` rows as a new
         segment (atomic).
@@ -760,11 +726,6 @@ class CampaignStore:
         index-sorted (stable: a same-index duplicate keeps submission
         order, and the later one wins on read).
         """
-        if encoding != ENC_RESULT:
-            raise ValueError(
-                f"append_chunk writes {ENC_RESULT!r} rows, not "
-                f"{encoding!r}; analytic chunks go through append_columns"
-            )
         import numpy as np
 
         rows = sorted(rows, key=lambda row: int(row[0]))
@@ -780,7 +741,7 @@ class CampaignStore:
             )
         with span("store.encode"):
             body = _encode_rows(rows)
-        return self._append(ENC_RESULT, ranges, len(rows), backend, body)
+        return self._append(ENC_RESULT, ranges, len(rows), body)
 
     def append_columns(
         self,
@@ -788,7 +749,6 @@ class CampaignStore:
         stop: int,
         columns: Sequence[Sequence],
         encoding: str,
-        backend: Optional[str] = None,
     ) -> Path:
         """Append one *contiguous* chunk as a binary segment (hot path).
 
@@ -797,25 +757,29 @@ class CampaignStore:
         or plain lists; point ``i`` of every column belongs to grid
         index ``start + i``.  Each column lands as one raw
         little-endian block (``ndarray.tobytes()``), with no per-point
-        formatting.  ``encoding`` names the kind's binary encoding or
-        its ``*-cols`` alias.
+        formatting.  ``encoding`` names the store kind's binary
+        encoding or its ``*-cols`` alias; any other raises
+        ``ValueError``.
         """
-        bin_encoding = _BIN_FOR_APPEND.get(encoding)
-        if bin_encoding is None:
-            raise ValueError(f"not a columnar encoding: {encoding!r}")
+        bin_encoding = _KIND_BIN[self.header["kind"]]
+        if _BIN_FOR_APPEND.get(encoding) != bin_encoding:
+            raise ValueError(
+                f"{encoding!r} is not the column encoding of a "
+                f"{self.header['kind']} store ({bin_encoding!r})"
+            )
         count = int(stop) - int(start)
         with span("store.encode"):
             body = _encode_columns(bin_encoding, columns, count)
-        return self._append(
-            bin_encoding, [(start, stop)], count, backend, body
-        )
+        return self._append(bin_encoding, [(start, stop)], count, body)
 
     # -- reading -------------------------------------------------------------
     def _piece_results(self, encoding: str, indices, payload) -> Iterator[dict]:
         """The result dicts of one :meth:`_pieces` piece: a ``result``
         piece carries its dicts; a binary piece expands to the
         deterministic analytic result (every iteration sample
-        identical), its iteration counts decoded once for the piece."""
+        identical), its iteration counts decoded once for the piece —
+        from the grid's own scenario when no axis varies them, so the
+        spec defaults live only in the spec."""
         if encoding == ENC_RESULT:
             return (row[1] for row in payload)
         grid = self.grid
@@ -824,8 +788,7 @@ class CampaignStore:
             codes = grid.axis_codes("iterations", indices).tolist()
             iterations = [int(values[c]) for c in codes]
         else:
-            default = 30 if grid.kind == KIND_BENCH else 10
-            iterations = [int(grid.base.get("iterations", default))] * len(indices)
+            iterations = [int(grid.scenario_at(0).spec.iterations)] * len(indices)
         times = payload["times"].tolist()
         if encoding == ENC_BENCH_BIN:
             return (
@@ -884,16 +847,11 @@ class CampaignStore:
         covered: List[Tuple[int, int]] = []
         pieces: List[Tuple[int, int, int]] = []
         for seq in range(len(entries) - 1, -1, -1):
-            ranges = [
-                (int(s), int(e)) for s, e in entries[seq]["ranges"]
-            ]
-            for start, stop in ranges:
-                pieces.extend(
-                    (p_start, p_stop, seq)
-                    for p_start, p_stop in _subtract_ranges(
-                        start, stop, covered
-                    )
-                )
+            ranges = entries[seq]["ranges"]
+            pieces.extend(
+                (start, stop, seq)
+                for start, stop in _subtract_ranges(ranges, covered)
+            )
             covered = _merge_ranges(covered + ranges)
         pieces.sort()
         return pieces
@@ -961,12 +919,6 @@ class CampaignStore:
                 self._piece_results(encoding, indices, payload),
             )
 
-    def scenario_at(self, index: int) -> Scenario:
-        return self.grid.scenario_at(index)
-
-    def assignment_at(self, index: int) -> Dict[str, Any]:
-        return self.grid.assignment_at(index)
-
     # -- columnar reads ------------------------------------------------------
     def column_names(self) -> Tuple[str, ...]:
         """The store's columnar schema for its kind: ``("times",)`` for
@@ -1016,28 +968,23 @@ class CampaignStore:
         return mask
 
     def iter_columns(
-        self,
-        chunk_size: int = DEFAULT_READ_CHUNK,
-        where: Optional[Mapping[str, Any]] = None,
+        self, where: Optional[Mapping[str, Any]] = None
     ) -> Iterator[Tuple[Any, Dict[str, Any]]]:
         """Yield ``(index_array, {name: column array})`` chunks,
         ascending, one value per covered point, latest-append-wins —
         the columnar twin of :meth:`iter_rows`, with ndarrays
         end-to-end and no per-point Python objects anywhere.
 
-        Each surviving piece of the plan is one array slice off its
-        segment's memmapped columns, so a full drain never materializes
-        more than one chunk.  Chunks hold at most ``chunk_size``
-        points; the final chunk holds the remainder.  ``where`` applies
-        the :meth:`query` filter semantics vectorized.
+        One chunk per surviving piece of the plan (:meth:`_pieces`):
+        array slices off its segment's memmapped columns, never re-cut
+        or concatenated, so a chunk holds at most one segment's points.
+        ``where`` applies the :meth:`query` filter semantics
+        vectorized (a filtered piece copies only its matches).
 
         Requires every segment to be binary (an analytic campaign): a
         store holding ``result`` rows raises ``ValueError`` — those
         points have no fixed column schema; use :meth:`iter_rows`.
         """
-        import numpy as np
-
-        chunk_size = max(1, int(chunk_size))
         foreign = {
             entry["encoding"] for entry in self._index()["segments"]
         } - set(_BIN_COLUMNS)
@@ -1047,54 +994,10 @@ class CampaignStore:
                 f"{sorted(foreign)}; only analytic campaigns "
                 f"support columnar reads — use iter_rows()"
             )
-        names = self.column_names()
-        buf_idx: List[Any] = []
-        buf_cols: Dict[str, List[Any]] = {name: [] for name in names}
-        buffered = 0
-
-        def assembled() -> Tuple[Any, Dict[str, Any]]:
-            indices = (
-                buf_idx[0]
-                if len(buf_idx) == 1
-                else np.concatenate(buf_idx)
-            )
-            columns = {
-                name: (
-                    parts[0]
-                    if len(parts) == 1
-                    else np.concatenate(parts)
-                )
-                for name, parts in buf_cols.items()
-            }
-            return indices, columns
-
-        def emit(indices, columns):
+        for _, indices, columns in self._pieces(where):
             telemetry.count("store.read.chunks")
             telemetry.count("store.read.points", len(indices))
-            return indices, columns
-
-        for _, piece_idx, piece_cols in self._pieces(where):
-            buf_idx.append(piece_idx)
-            for name in names:
-                buf_cols[name].append(piece_cols[name])
-            buffered += len(piece_idx)
-            while buffered >= chunk_size:
-                indices, columns = assembled()
-                yield emit(
-                    indices[:chunk_size],
-                    {
-                        name: column[:chunk_size]
-                        for name, column in columns.items()
-                    },
-                )
-                buf_idx = [indices[chunk_size:]]
-                buf_cols = {
-                    name: [column[chunk_size:]]
-                    for name, column in columns.items()
-                }
-                buffered -= chunk_size
-        if buffered:
-            yield emit(*assembled())
+            yield indices, columns
 
     def read_columns(
         self, where: Optional[Mapping[str, Any]] = None
@@ -1233,7 +1136,7 @@ class CampaignStore:
             new_segments.append(
                 self._write_segment(
                     encoding, _index_array_to_ranges(indices), len(indices),
-                    None, len(old_files) + len(new_segments), body,
+                    len(old_files) + len(new_segments), body,
                 )
             )
 
@@ -1331,11 +1234,9 @@ class CampaignStore:
                 }
                 if sub.shard is not None:
                     entry["shard"] = sub.shard
-                    assigned = _merge_ranges(sub.shard["ranges"])
-                    done = sub.completed_ranges()
-                    missing = []
-                    for s, e in assigned:
-                        missing.extend(_subtract_ranges(s, e, done))
+                    missing = _subtract_ranges(
+                        sub.shard["ranges"], sub.completed_ranges()
+                    )
                     entry["missing_ranges"] = [[s, e] for s, e in missing]
                     entry["missing"] = sum(e - s for s, e in missing)
                 shards.append(entry)
@@ -1663,8 +1564,7 @@ def run_campaign(
                 for start, stop in _chunk_ranges(missing, chunk_points, limit):
                     append(
                         store.append_columns,
-                        start, stop, columns_for(grid, start, stop),
-                        encoding, backend=grid.backend,
+                        start, stop, columns_for(grid, start, stop), encoding,
                     )
                     note_chunk(stop - start)
         else:
@@ -1695,7 +1595,7 @@ def run_campaign(
                         [start + j, result]
                         for j, result in enumerate(result_dicts)
                     ],
-                    ENC_RESULT, [(start, stop)], backend=grid.backend,
+                    [(start, stop)],
                 )
                 note_chunk(stop - start)
 

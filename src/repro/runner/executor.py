@@ -48,7 +48,6 @@ from ..telemetry import span
 from .planner import (
     auto_chunk_size,
     auto_submit_window,
-    available_cpus,
     pool_workers,
 )
 from .scenario import (
@@ -64,22 +63,11 @@ from .scenario import (
 __all__ = [
     "AsyncSegmentWriter",
     "RunReport",
-    "default_jobs",
     "iter_chunk_results",
     "run_grids",
     "run_scenarios",
     "run_specs",
 ]
-
-
-def default_jobs() -> int:
-    """The default worker count: one per CPU this process may use.
-
-    Respects cgroup / ``taskset`` affinity masks via
-    :func:`~repro.runner.planner.available_cpus`, so containers and CI
-    runners with restricted CPU sets do not over-fork.
-    """
-    return available_cpus()
 
 
 def _execute_payload(payload: dict) -> dict:
@@ -322,16 +310,6 @@ class RunReport:
     #: Serialized result dicts, parallel to ``results`` (the byte-stable
     #: form used for determinism checks and store records).
     result_dicts: List[dict] = field(default_factory=list)
-
-    def canonical_json(self) -> str:
-        """Canonical serialization of the batch's results (sorted keys),
-        independent of worker count — the byte-identity invariant
-        checked by the determinism tests."""
-        import json
-
-        return json.dumps(
-            self.result_dicts, sort_keys=True, separators=(",", ":")
-        )
 
 
 def run_scenarios(

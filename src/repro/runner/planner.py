@@ -13,8 +13,9 @@ spawning a process:
   still rebalance;
 * :func:`auto_submit_window` / :func:`auto_writer_depth` bound what the
   campaign pipeline keeps in flight;
-* :func:`shard_plan` splits a campaign's missing coverage into shard
-  slabs.
+* :func:`shard_plan` splits a campaign's missing ranges into shard
+  slabs (the range arithmetic that finds them is the campaign
+  store's).
 
 Analytic points need none of this: the executor runs them in-process,
 one scalar prediction each.
@@ -123,51 +124,27 @@ def pool_workers(
 
 
 def shard_plan(
-    grid,
-    n_shards: int,
-    completed: Sequence[Tuple[int, int]] = (),
+    missing: Sequence[Tuple[int, int]], n_shards: int
 ) -> List[List[Tuple[int, int]]]:
-    """Split a grid's missing points into ``n_shards`` contiguous slabs.
+    """Split a campaign's missing points into ``n_shards`` contiguous
+    slabs.
 
-    ``grid`` is a :class:`~repro.runner.scenario.ScenarioGrid` (or a
-    bare point count); ``completed`` is a sorted list of half-open
-    ``[start, stop)`` index ranges already present in the target store
-    (``CampaignStore.completed_ranges()``).  The remaining points are
-    split as evenly as possible — shard sizes differ by at most one
-    point — and each shard gets ranges *contiguous in missing-index
-    space*, so a shard's work is a handful of dense slabs even when the
-    completed set is fragmented.  Trailing shards may come out empty
-    when there are fewer missing points than shards.
+    ``missing`` is the sorted, disjoint list of half-open ``[start,
+    stop)`` grid-index ranges still to run
+    (``CampaignStore.missing_ranges()``).  Its points are split as
+    evenly as possible — shard sizes differ by at most one point — and
+    each shard gets ranges *contiguous in missing-index space*, so a
+    shard's work is a handful of dense slabs even when the completed
+    set is fragmented.  Trailing shards may come out empty when there
+    are fewer missing points than shards.
 
     The result is pure data: every shard entry is a list of half-open
     ``[start, stop)`` grid-index ranges, directly consumable by
     ``run_campaign(..., ranges=shard)`` and
     :func:`~repro.runner.shard.run_shard`.
     """
-    n_points = grid if isinstance(grid, int) else len(grid)
-    if n_points < 0:
-        raise ValueError(f"negative point count {n_points}")
     if n_shards < 1:
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    # Missing ranges = [0, n_points) minus the completed ranges.
-    missing: List[Tuple[int, int]] = []
-    cursor = 0
-    for start, stop in completed:
-        if not (0 <= start < stop <= n_points):
-            raise ValueError(
-                f"completed range [{start}, {stop}) outside grid "
-                f"[0, {n_points})"
-            )
-        if start < cursor:
-            raise ValueError(
-                "completed ranges must be sorted and non-overlapping"
-            )
-        if cursor < start:
-            missing.append((cursor, start))
-        cursor = stop
-    if cursor < n_points:
-        missing.append((cursor, n_points))
-
     total = sum(stop - start for start, stop in missing)
     base, extra = divmod(total, n_shards)
     shards: List[List[Tuple[int, int]]] = []

@@ -12,9 +12,6 @@ protocol:
   the nested :class:`~repro.net.params.SystemParams` machine model and
   :class:`~repro.mpi.cvars.Cvars` runtime knobs) *and* the execution
   backend — the backend is part of a scenario's identity;
-* ``content_hash()`` is a stable SHA-256 over the canonical JSON form
-  (an analytic result can never be confused with a simulated one: the
-  backend tag is inside the hash);
 * :func:`execute` runs the point under its backend (the simulator or
   :mod:`repro.backends.analytic`); :func:`result_to_dict` /
   :func:`result_from_dict` serialize the outcome (statistics are
@@ -54,10 +51,9 @@ __all__ = [
     "result_from_dict",
 ]
 
-#: Version tag baked into every serialized scenario (and therefore into
-#: every content hash): bumping it invalidates caches when the scenario
-#: semantics change.  v2 added the execution backend to the scenario
-#: identity.
+#: Version tag baked into every serialized scenario: bumping it
+#: rejects payloads written under other scenario semantics.  v2 added
+#: the execution backend to the scenario identity.
 SCHEMA = "repro.runner/v2"
 
 #: Version tag of the serialized declarative grid form
@@ -70,11 +66,10 @@ SCHEMA = "repro.runner/v2"
 #: reopen) — a list does.
 GRID_SCHEMA = "repro.runner.grid/v2"
 
-#: Grid schema tags :meth:`ScenarioGrid.from_dict` accepts.  v1
-#: payloads (no ``axis_order``) parse with their axes dict's order —
-#: correct only when that order survived serialization, which is why
-#: v2 exists.
-_GRID_SCHEMAS = (None, "repro.runner.grid/v1", GRID_SCHEMA)
+#: Grid schema tags :meth:`ScenarioGrid.from_dict` accepts.  A
+#: hand-written grid spec carries no schema and may omit
+#: ``axis_order``: its axes then expand in the spec's own key order.
+_GRID_SCHEMAS = (None, GRID_SCHEMA)
 
 #: The execution backends: the closed-form model and the full
 #: discrete-event simulator (see :mod:`repro.backends`).
@@ -145,15 +140,6 @@ class Scenario:
             backend=payload.get("backend", DEFAULT_BACKEND),
         )
 
-    def canonical_json(self) -> str:
-        """Canonical JSON: sorted keys, no whitespace — the hash input."""
-        return json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
-
-    def content_hash(self) -> str:
-        """Stable SHA-256 hex digest of the canonical form."""
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
 def scenario_for(spec: Any, backend: str = DEFAULT_BACKEND) -> Scenario:
     """Wrap a bare spec dataclass, inferring its kind from the type."""

@@ -3,9 +3,10 @@ verified merge.
 
 A campaign grid is pure index arithmetic, so nothing ties its execution
 to one process: :func:`~repro.runner.planner.shard_plan` splits the
-missing points into contiguous slabs, :func:`run_sharded` starts one
-worker process per slab, and each worker runs :func:`run_shard` — the
-ordinary :func:`~repro.runner.campaign.run_campaign` scoped to its slabs
+store's missing ranges into contiguous slabs, :func:`run_sharded`
+starts one worker process per slab, and each worker runs
+:func:`run_shard` — the ordinary
+:func:`~repro.runner.campaign.run_campaign` scoped to its slabs
 (``ranges=``) — against **its own store directory** whose grid hash
 equals the target's.  :func:`merge_shards` then stitches the shard
 segments into the target store.  Inline analytic campaigns get their
@@ -19,10 +20,10 @@ kernel on its own CPU.  Three properties make the merge safe:
   campaign grid hash, schema, encoding, and coverage ranges, so the
   merge verifies provenance per file *before* moving anything and the
   target index is rebuilt from headers alone afterwards;
-* **range arithmetic** — shard coverage is checked disjoint against the
-  target and against every other shard
-  (:func:`~repro.runner.campaign._intersect_ranges`), and post-merge
-  coverage is asserted with
+* **range arithmetic** — the campaign store's range operations:
+  shard coverage is checked disjoint against the target and against
+  every other shard (:func:`~repro.runner.campaign._intersect_ranges`),
+  and post-merge coverage is asserted with
   :func:`~repro.runner.campaign._subtract_ranges`.
 """
 
@@ -101,10 +102,7 @@ def run_shard(
     ranges = _merge_ranges(ranges)
     store = _shard_store(root, grid, index, count, ranges)
     summary = run_campaign(store, jobs=jobs, ranges=ranges)
-    done = store.completed_ranges()
-    remaining = []
-    for start, stop in ranges:
-        remaining.extend(_subtract_ranges(start, stop, done))
+    remaining = _subtract_ranges(ranges, store.completed_ranges())
     return dict(
         summary,
         shard={
@@ -139,8 +137,8 @@ def merge_shards(
       shadow one of them, so the merge refuses);
     * no incoming file name may already exist in the target (writer
       tokens make cross-shard collisions impossible; this guards
-      against adopting the same shard twice or colliding with legacy
-      un-tokened segments).
+      against adopting the same shard twice or colliding with the
+      target's own un-tokened segments).
 
     Then every shard segment is moved, ``index.json`` is rebuilt
     **once** from the segment headers, and the post-merge coverage is
@@ -217,9 +215,7 @@ def merge_shards(
     # authoritative); its write carries the usual store.index span.
     store.rebuild_index()
     after = store.completed_ranges()
-    leftover = []
-    for start, stop in expected:
-        leftover.extend(_subtract_ranges(start, stop, after))
+    leftover = _subtract_ranges(expected, after)
     if leftover:
         raise RuntimeError(
             f"post-merge coverage hole at {leftover[:3]} — the rebuilt "
@@ -302,7 +298,7 @@ def run_sharded(
         raise ValueError(f"n_shards must be >= 0, got {n_shards}")
     n_shards = n_shards or available_cpus()
     grid = store.grid
-    plans = shard_plan(store.n_points, n_shards, completed=store.completed_ranges())
+    plans = shard_plan(store.missing_ranges(), n_shards)
     shard_infos: List[dict] = []
     merge_summary = None
     t0 = time.perf_counter()

@@ -130,11 +130,6 @@ class Store:
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
 
-    @property
-    def size(self) -> int:
-        """Number of items currently buffered."""
-        return len(self._items)
-
     def put(self, item: Any) -> None:
         """Deposit ``item``, waking the oldest waiting getter if any."""
         if self._getters:

@@ -22,7 +22,7 @@ Design constraints, in order:
   existing chunk-result channel back to the parent and merge there
   (:meth:`MetricsRegistry.merge_snapshot`), so pooled campaigns
   aggregate without any extra IPC machinery.
-* **Schema-versioned artifacts.**  :func:`write_metrics_jsonl` emits a
+* **Schema-versioned artifacts.**  :class:`MetricsSink` writes a
   JSON-lines snapshot — header with producer provenance, counters,
   gauges, histograms, per-name span totals, and the raw span tree —
   that ``campaign profile`` renders into a stage-attribution table.
@@ -46,6 +46,7 @@ __all__ = [
     "TELEMETRY_SCHEMA",
     "Histogram",
     "MetricsRegistry",
+    "MetricsSink",
     "active_registry",
     "count",
     "environment_provenance",
@@ -58,7 +59,6 @@ __all__ = [
     "span",
     "trace_sink",
     "using_registry",
-    "write_metrics_jsonl",
 ]
 
 #: Version tag of the metrics JSONL artifact (header ``schema`` field).
@@ -501,19 +501,6 @@ class MetricsSink:
     def __exit__(self, *exc: Any) -> bool:
         self.close()
         return False
-
-
-def write_metrics_jsonl(
-    path: str | Path,
-    registry: MetricsRegistry,
-    producer: Optional[dict] = None,
-    summary: Optional[dict] = None,
-) -> Path:
-    """One-shot dump of ``registry`` to a metrics JSONL file."""
-    with MetricsSink(path, producer=producer) as sink:
-        sink.write_snapshot(registry.snapshot())
-        sink.close(summary=summary)
-    return Path(path)
 
 
 def read_metrics_jsonl(path: str | Path) -> dict:

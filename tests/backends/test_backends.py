@@ -52,9 +52,10 @@ class TestRegistry:
 class TestScenarioBackendIdentity:
     def test_backend_changes_the_content_hash(self):
         spec = BenchSpec(approach="pt2pt_part", total_bytes=4096)
-        sim = scenario_for(spec)
-        analytic = scenario_for(spec, backend="analytic")
+        sim = ScenarioGrid.from_spec(spec, {})
+        analytic = ScenarioGrid.from_spec(spec, {}, backend="analytic")
         assert sim.backend == "sim"
+        assert scenario_for(spec) == sim.scenario_at(0)
         assert sim.content_hash() != analytic.content_hash()
 
     def test_backend_round_trips(self):

@@ -47,9 +47,10 @@ def test_contention_superlinear_in_threads():
 
 def test_burst_peak_applies_to_first_update_too():
     """In a simultaneous burst every update pays the N-way fight."""
-    _, atomic = run_team(8)
+    total, atomic = run_team(8)
     # Total 8 serialized updates at ~7-contender cost each.
     expected_each = MELUXINA.atomic_overhead + 7 * MELUXINA.atomic_bounce_coeff
+    assert total == pytest.approx(8 * expected_each)
     assert atomic.updates == 8
 
 

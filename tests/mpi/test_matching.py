@@ -48,7 +48,7 @@ class TestPostedQueue:
         eng.post_recv(posted(key(tag=5), req="r1"))
         entry = eng.match_arrival(key(tag=5))
         assert entry.request == "r1"
-        assert eng.posted_count == 0
+        assert eng.match_arrival(key(tag=5)) is None  # consumed
 
     def test_arrival_without_recv_returns_none(self):
         eng = MatchingEngine()
@@ -71,7 +71,7 @@ class TestPostedQueue:
         eng.post_recv(posted(key(tag=1), req="one"))
         eng.post_recv(posted(key(tag=2), req="two"))
         assert eng.match_arrival(key(tag=2)).request == "two"
-        assert eng.posted_count == 1
+        assert eng.match_arrival(key(tag=1)).request == "one"
 
 
 class TestUnexpectedQueue:
@@ -80,7 +80,7 @@ class TestUnexpectedQueue:
         eng.add_unexpected(unexpected(key(tag=5), pkt="early"))
         msg = eng.post_recv(posted(key(tag=5)))
         assert msg.packet == "early"
-        assert eng.unexpected_count == 0
+        assert eng.post_recv(posted(key(tag=5))) is None  # consumed
 
     def test_unexpected_fifo_order(self):
         eng = MatchingEngine()
@@ -100,8 +100,8 @@ class TestUnexpectedQueue:
         eng = MatchingEngine()
         eng.add_unexpected(unexpected(key(tag=9), pkt="other"))
         assert eng.post_recv(posted(key(tag=5))) is None
-        assert eng.unexpected_count == 1
-        assert eng.posted_count == 1
+        assert eng.post_recv(posted(key(tag=9))).packet == "other"
+        assert eng.match_arrival(key(tag=5)).request == "req"
 
     def test_match_counters(self):
         eng = MatchingEngine()

@@ -301,7 +301,6 @@ class TestActive:
 def _completer(world, origin_proc, target_proc):
     """Close the PSCW epoch so the target's wait() terminates."""
     yield origin_proc
-    comm = world.comm_world(0)
     win = world.rank(0).rma_windows[0]
     yield from win.put(1, 0, 8)
     yield from win.complete()

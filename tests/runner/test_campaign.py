@@ -14,11 +14,7 @@ from repro.runner import (
     run_campaign,
     run_scenarios,
 )
-from repro.runner.campaign import (
-    CAMPAIGN_SCHEMA,
-    ENC_RESULT,
-    SEGMENT_SCHEMA,
-)
+from repro.runner.campaign import CAMPAIGN_SCHEMA, SEGMENT_SCHEMA
 from repro.runner.scenario import execute
 
 
@@ -26,16 +22,6 @@ def segment_header(path):
     """The JSON header line of any segment (text or binary)."""
     with path.open("rb") as handle:
         return json.loads(handle.readline())
-
-
-def rewrite_segment_header(path, **changes):
-    """Rewrite a segment's header line in place, payload untouched."""
-    first, rest = path.read_bytes().split(b"\n", 1)
-    header = json.loads(first)
-    header.update(changes)
-    path.write_bytes(
-        json.dumps(header, sort_keys=True).encode() + b"\n" + rest
-    )
 
 
 def analytic_spec():
@@ -121,7 +107,7 @@ class TestGridAddressing:
         assert list(reopened.grid.axes) == ["pattern", "msg_bytes",
                                             "approach"]
         for index, result in reopened.iter_rows():
-            native = execute(reopened.scenario_at(index))
+            native = execute(reopened.grid.scenario_at(index))
             assert result["times"] == [float(t) for t in native.times]
             assert result["n_links"] == native.n_links
 
@@ -165,7 +151,7 @@ class TestCampaignLifecycle:
         assert len(rows) == len(grid)
         # Campaign rows are bitwise-identical to per-point execution.
         for index in (0, 9, 10, len(grid) - 1):
-            native = execute(store.scenario_at(index))
+            native = execute(store.grid.scenario_at(index))
             assert rows[index]["times"] == [float(t) for t in native.times]
 
     def test_resume_from_segments_without_index(self, tmp_path):
@@ -197,23 +183,12 @@ class TestCampaignLifecycle:
         with pytest.raises(KeyError):
             CampaignStore.create(tmp_path / "camp2", good)
 
-    def test_resume_accepts_v1_header_with_recoverable_order(self, tmp_path):
-        """A root whose header predates the axis_order field resumes
-        when the stored grid re-hashes to the requested identity (the
-        only case where the old index mapping is unambiguous)."""
-        # axes declared in alphabetical order == the order a v1
-        # sort_keys header preserved, so the identity is recoverable
-        spec = {
-            "kind": "bench",
-            "backend": "analytic",
-            "base": {"iterations": 2},
-            "axes": {
-                "approach": ["pt2pt_single", "pt2pt_part"],
-                "n_threads": [1, 2],
-                "total_bytes": [1024, 4096],
-            },
-        }
-        grid = parse_grid_spec(spec)
+    def test_v1_grid_header_is_refused(self, tmp_path):
+        """A root whose header predates the axis_order field (grid
+        schema v1, hashed without it) is another campaign: create
+        refuses it rather than resuming under a guessed index mapping,
+        and its stored grid no longer parses."""
+        grid = parse_grid_spec(analytic_spec())
         store = CampaignStore.create(tmp_path / "camp", grid)
         run_campaign(store, limit=3)
         # Rewrite the header as a v1 producer would have left it.
@@ -221,16 +196,12 @@ class TestCampaignLifecycle:
         header = json.loads(header_path.read_text())
         header["grid"]["schema"] = "repro.runner.grid/v1"
         del header["grid"]["axis_order"]
-        v1_like = dict(header)
-        v1_like["grid_hash"] = "0" * 64  # a v1 hash never matches v2
-        header_path.write_text(json.dumps(v1_like, sort_keys=True))
-        # Segments are tagged with the old hash; retag to match.
-        for seg in (tmp_path / "camp" / "segments").glob("*.bin"):
-            rewrite_segment_header(seg, campaign="0" * 64)
-        (tmp_path / "camp" / "index.json").unlink()
-        resumed = CampaignStore.create(tmp_path / "camp", grid)
-        assert resumed.n_completed == 3
-        assert run_campaign(resumed)["executed"] == len(grid) - 3
+        header["grid_hash"] = "0" * 64  # a v1 hash never matches v2
+        header_path.write_text(json.dumps(header, sort_keys=True))
+        with pytest.raises(ValueError, match="different grid"):
+            CampaignStore.create(tmp_path / "camp", grid)
+        with pytest.raises(ValueError, match="grid schema"):
+            CampaignStore.open(tmp_path / "camp").grid
 
     def test_create_refuses_foreign_grid(self, tmp_path):
         grid = parse_grid_spec(analytic_spec())
@@ -412,7 +383,7 @@ class TestPatternCampaignFastPath:
         assert len(rows) == len(grid)
         stride = max(1, len(grid) // 23)
         for index in range(0, len(grid), stride):
-            native = execute(store.scenario_at(index))
+            native = execute(store.grid.scenario_at(index))
             assert rows[index]["times"] == [float(t) for t in native.times]
             assert rows[index]["n_links"] == native.n_links
             assert (
@@ -531,9 +502,8 @@ class TestGzipSegments:
         before = dict(store.iter_rows())
         gz = gzip_one_segment(store, 16, 32)
         reopened = CampaignStore.open(tmp_path / "camp")
-        assert reopened.stats()["ignored"] == [
-            str(gz.relative_to(tmp_path / "camp"))
-        ]
+        assert gz.is_file()
+        assert reopened.stats()["ignored"] == []  # not a store file
         assert reopened.missing_ranges() == [(16, 32)]
         assert run_campaign(reopened)["executed"] == 16
         assert dict(reopened.iter_rows()) == before
@@ -548,8 +518,8 @@ class TestGzipSegments:
 
     def test_truncated_gzip_segment_is_ignored_not_fatal(self, tmp_path):
         """rebuild_index is the repair tool for damaged roots: a
-        truncated .jsonl.gz must land in 'ignored' like any unreadable
-        file, never crash."""
+        truncated .jsonl.gz is not a store file, so the rebuild never
+        reads it and never crashes."""
         grid = parse_grid_spec(analytic_spec())
         store = CampaignStore.create(tmp_path / "camp", grid)
         run_campaign(store, chunk_points=16)
@@ -559,7 +529,9 @@ class TestGzipSegments:
         index = json.loads(
             (tmp_path / "camp" / "index.json").read_text()
         )
-        assert str(victim.relative_to(tmp_path / "camp")) in index["ignored"]
+        rel = str(victim.relative_to(tmp_path / "camp"))
+        listed = [entry["file"] for entry in index["segments"]]
+        assert rel not in listed + index["ignored"]
         # the rest of the store stays usable; the lost range reruns
         assert reopened.n_completed == len(grid) - 16
         assert run_campaign(reopened)["executed"] == 16
@@ -570,8 +542,10 @@ class TestLegacyStore:
         """A root as an older version left it — a bench-cols JSONL
         segment, a .jsonl.gz, a bench-mean segment, a loose/ file and a
         v2 index.json beside ordinary .bin segments — opens, lists the
-        retired files under 'ignored', recomputes exactly their points,
-        and then reads back what a fresh store holds."""
+        retired segments/*.jsonl files under 'ignored' (the .jsonl.gz
+        and loose/ files are not store files at all), recomputes
+        exactly their points, and then reads back what a fresh store
+        holds."""
         grid = parse_grid_spec(analytic_spec())
         fresh = CampaignStore.create(tmp_path / "fresh", grid)
         run_campaign(fresh)
@@ -612,9 +586,7 @@ class TestLegacyStore:
             + "\n"
         )
         retired = [
-            "loose/loose-000000.jsonl",
             "segments/seg-000001.jsonl",
-            "segments/seg-000002.jsonl.gz",
             "segments/seg-000003.jsonl",
         ]
         (root / "index.json").write_text(json.dumps({
@@ -626,7 +598,7 @@ class TestLegacyStore:
                  "encoding": "bench-cols"}
                 for n in (1, 3)
             ],
-            "loose": [{"file": retired[0], "count": 1,
+            "loose": [{"file": "loose/loose-000000.jsonl", "count": 1,
                        "encoding": "hashed-result",
                        "backend": "v1-migration"}],
             "ignored": [],
@@ -769,16 +741,16 @@ class TestSimCampaignAndMigration:
         store = CampaignStore.create(tmp_path / "camp", grid)
         result = {"times": [1.0], "retries": 0, "verified": True}
         with pytest.raises(ValueError):
-            store.append_chunk([[0, result]], ENC_RESULT, [(0, 3)])
+            store.append_chunk([[0, result]], [(0, 3)])
         with pytest.raises(ValueError):  # a row outside the ranges
             store.append_chunk(
-                [[0, result], [3, result]], ENC_RESULT, [(0, 1)]
+                [[0, result], [3, result]], [(0, 1)]
             )
         assert store.n_completed == 0
         assert list((tmp_path / "camp" / "segments").glob("*")) == []
         # duplicates and any row order are fine: distinct indices count
         store.append_chunk(
-            [[1, result], [0, result], [1, result]], ENC_RESULT, [(0, 2)]
+            [[1, result], [0, result], [1, result]], [(0, 2)]
         )
         assert store.n_completed == 2
         assert len(dict(store.iter_rows())) == 2

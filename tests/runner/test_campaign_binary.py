@@ -7,11 +7,9 @@ import tracemalloc
 import pytest
 
 from repro.runner import CampaignStore, parse_grid_spec, run_campaign
-from repro.runner.campaign import (
-    ENC_BENCH_COLS,
-    ENC_RESULT,
-)
+from repro.runner.campaign import ENC_BENCH_COLS, ENC_PATTERN_BIN
 from repro.runner.executor import AsyncSegmentWriter
+from repro.runner.scenario import execute, result_to_dict
 
 
 def analytic_spec():
@@ -174,6 +172,46 @@ class TestBinarySegments:
         assert str(victim.relative_to(tmp_path / "camp")) in index["ignored"]
         assert run_campaign(reopened)["executed"] == 40
 
+    @pytest.mark.parametrize(
+        "spec, good, n_good, bad, n_bad",
+        [
+            (analytic_spec, ENC_BENCH_COLS, 1, ENC_PATTERN_BIN, 3),
+            (pattern_spec, ENC_PATTERN_BIN, 3, ENC_BENCH_COLS, 1),
+        ],
+    )
+    def test_append_columns_refuses_the_other_kind(
+        self, tmp_path, spec, good, n_good, bad, n_bad
+    ):
+        """A column chunk is encoded as its store's kind: the other
+        kind's encoding (a bench store fed pattern columns, or the
+        reverse) raises and writes nothing."""
+        store = CampaignStore.create(tmp_path / "camp", parse_grid_spec(spec()))
+        columns = [[1.0, 2.0, 3.0], [8, 8, 8], [2, 2, 2]]
+        with pytest.raises(ValueError, match="column encoding"):
+            store.append_columns(0, 3, columns[:n_bad], bad)
+        with pytest.raises(ValueError, match="column encoding"):
+            store.append_columns(0, 3, columns[:n_good], "result")
+        assert store.n_completed == 0
+        assert list((tmp_path / "camp" / "segments").glob("*")) == []
+        store.append_columns(0, 3, columns[:n_good], good)
+        assert [len(c) for _, c in store.iter_columns()] == [n_good]
+
+    @pytest.mark.parametrize("spec", [analytic_spec, pattern_spec])
+    def test_default_iterations_come_from_the_spec(self, tmp_path, spec):
+        """With ``iterations`` in neither base nor axes, a binary
+        point's row form repeats its time the spec's default number of
+        times: the same dict the scalar model's result serializes to."""
+        payload = spec()
+        del payload["base"]["iterations"]
+        grid = parse_grid_spec(payload)
+        store = CampaignStore.create(tmp_path / "camp", grid)
+        run_campaign(store, chunk_points=16)
+        default = grid.scenario_at(0).spec.iterations
+        for index, result in store.iter_rows():
+            scenario = grid.scenario_at(index)
+            assert len(result["times"]) == default
+            assert result == result_to_dict(scenario, execute(scenario))
+
 
 class TestCompactBinary:
     def test_compact_binary_keeps_result_rows_jsonl(self, tmp_path):
@@ -186,7 +224,7 @@ class TestCompactBinary:
             [i, {"times": [1.0, 2.0], "retries": 0, "verified": True}]
             for i in range(100, 110)
         ]
-        store.append_chunk(result_rows, ENC_RESULT, [(100, 110)])
+        store.append_chunk(result_rows, [(100, 110)])
         before = dict(store.iter_rows())
         store.compact()
         suffixes = {
@@ -240,8 +278,8 @@ class TestMixedFormatStore:
             if form == "bin":
                 self._append_synthetic(mixed, start, stop, scale)
             else:
-                mixed.append_chunk(rows, ENC_RESULT, [(start, stop)])
-            twin.append_chunk(rows, ENC_RESULT, [(start, stop)])
+                mixed.append_chunk(rows, [(start, stop)])
+            twin.append_chunk(rows, [(start, stop)])
         suffixes = {
             p.suffix for p in (tmp_path / "mixed" / "segments").glob("*")
         }
@@ -300,7 +338,7 @@ class TestQueryDigitwise:
         def brute(**filters):
             out = []
             for index, result in store.iter_rows():
-                assignment = store.assignment_at(index)
+                assignment = store.grid.assignment_at(index)
                 probe = {**grid.base, **assignment}
                 if all(
                     name in probe and probe[name] == value

@@ -12,7 +12,6 @@ import pytest
 from repro.runner import CampaignStore, parse_grid_spec, run_campaign
 from repro.runner.campaign import (
     ENC_BENCH_COLS,
-    ENC_RESULT,
     _index_array_to_ranges,
     _ranges_to_index_array,
     _subtract_ranges,
@@ -83,10 +82,10 @@ def mixed_overlapping_store(tmp_path):
     return store
 
 
-def columns_as_dict(store, **kwargs):
+def columns_as_dict(store):
     """Drain iter_columns into {index: {name: value}} for comparison."""
     out = {}
-    for indices, columns in store.iter_columns(**kwargs):
+    for indices, columns in store.iter_columns():
         for k, index in enumerate(indices.tolist()):
             out[index] = {
                 name: column[k].item()
@@ -97,13 +96,13 @@ def columns_as_dict(store, **kwargs):
 
 class TestRangeArithmetic:
     def test_subtract_ranges(self):
-        assert _subtract_ranges(0, 10, []) == [(0, 10)]
-        assert _subtract_ranges(0, 10, [(0, 10)]) == []
-        assert _subtract_ranges(0, 10, [(3, 5), (7, 8)]) == [
+        assert _subtract_ranges([(0, 10)], []) == [(0, 10)]
+        assert _subtract_ranges([(0, 10)], [(0, 10)]) == []
+        assert _subtract_ranges([(0, 10)], [(3, 5), (7, 8)]) == [
             (0, 3), (5, 7), (8, 10),
         ]
-        assert _subtract_ranges(5, 15, [(0, 7), (12, 99)]) == [(7, 12)]
-        assert _subtract_ranges(5, 15, [(0, 3)]) == [(5, 15)]
+        assert _subtract_ranges([(5, 15)], [(0, 7), (12, 99)]) == [(7, 12)]
+        assert _subtract_ranges([(5, 15)], [(0, 3)]) == [(5, 15)]
 
     def test_index_array_round_trip(self):
         ranges = [(0, 3), (7, 8), (20, 25)]
@@ -121,8 +120,10 @@ class TestIterColumnsEquivalence:
         mixing segment namespaces with overlaps."""
         store = mixed_overlapping_store(tmp_path)
         rows = dict(store.iter_rows())
-        cols = columns_as_dict(store, chunk_size=7)
+        cols = columns_as_dict(store)
         assert sorted(cols) == sorted(rows)
+        # one chunk per surviving piece of the merge plan
+        assert [len(i) for i, _ in store.iter_columns()] == [10, 15, 23]
         for index, values in cols.items():
             assert values["times"] == rows[index]["times"][0]
         # latest-wins on the overlaps, spot-checked directly
@@ -148,6 +149,8 @@ class TestIterColumnsEquivalence:
             assert values["n_links"] == rows[index]["n_links"]
 
     def test_chunk_sizes_agree_and_bound_chunks(self, tmp_path):
+        """A chunk is one segment's surviving piece, never re-cut, and
+        the chunks together are exactly read_columns."""
         grid = parse_grid_spec(analytic_spec())
         store = CampaignStore.create(
             tmp_path / "camp", grid, compression="binary"
@@ -155,18 +158,17 @@ class TestIterColumnsEquivalence:
         run_campaign(store, chunk_points=40)
         whole_idx, whole_cols = store.read_columns()
         assert len(whole_idx) == len(grid)
-        for chunk_size in (1, 7, 64, 10**6):
-            chunks = list(store.iter_columns(chunk_size=chunk_size))
-            sizes = [len(indices) for indices, _ in chunks]
-            assert all(n <= chunk_size for n in sizes)
-            assert all(n == chunk_size for n in sizes[:-1])
-            assert np.array_equal(
-                np.concatenate([i for i, _ in chunks]), whole_idx
-            )
-            assert np.array_equal(
-                np.concatenate([c["times"] for _, c in chunks]),
-                whole_cols["times"],
-            )
+        chunks = list(store.iter_columns())
+        assert [len(indices) for indices, _ in chunks] == [
+            min(40, len(grid) - start) for start in range(0, len(grid), 40)
+        ]
+        assert np.array_equal(
+            np.concatenate([i for i, _ in chunks]), whole_idx
+        )
+        assert np.array_equal(
+            np.concatenate([c["times"] for _, c in chunks]),
+            whole_cols["times"],
+        )
 
     def test_read_columns_empty_store(self, tmp_path):
         grid = parse_grid_spec(analytic_spec())
@@ -185,7 +187,7 @@ class TestIterColumnsEquivalence:
             [i, {"times": [1.0, 2.0], "retries": 0, "verified": True}]
             for i in range(4)
         ]
-        store.append_chunk(rows, ENC_RESULT, [(0, 4)])
+        store.append_chunk(rows, [(0, 4)])
         with pytest.raises(ValueError, match="iter_rows"):
             list(store.iter_columns())
         assert len(dict(store.iter_rows())) == 4
@@ -229,7 +231,7 @@ class TestVectorizedQuery:
         def brute(**filters):
             out = []
             for index, result in store.iter_rows():
-                assignment = store.assignment_at(index)
+                assignment = store.grid.assignment_at(index)
                 probe = {**grid.base, **assignment}
                 if all(
                     name in probe and probe[name] == value
@@ -259,7 +261,7 @@ class TestVectorizedQuery:
             [i, {"times": [float(i)], "retries": 0, "verified": True}]
             for i in range(len(grid))
         ]
-        rowform.append_chunk(rows, ENC_RESULT, [(0, len(grid))])
+        rowform.append_chunk(rows, [(0, len(grid))])
 
         calls = {"n": 0}
         real_decode = CampaignStore._piece_results
@@ -299,7 +301,7 @@ class TestSegmentRowStreaming:
             [i, {"times": [float(i)], "retries": 0, "verified": True}]
             for i in range(20)
         ]
-        store.append_chunk(rows, ENC_RESULT, [(0, 20)])
+        store.append_chunk(rows, [(0, 20)])
         return store
 
     def test_unsorted_segment_falls_back_and_sorts(self, tmp_path):
@@ -333,10 +335,11 @@ class TestSegmentRowStreaming:
 
 class TestChunkBoundedMemory:
     def test_iter_columns_memory_bounded_by_chunk(self, tmp_path):
-        """A chunked columnar drain must hold O(one chunk), not the
-        campaign: its traced peak stays under a byte bound built from
-        the index and chunk sizes, which materializing every column
-        (about 200 KB here) exceeds several times over."""
+        """A columnar drain must hold O(one chunk) — one segment's
+        piece — not the campaign: its traced peak stays under a byte
+        bound built from the index and segment sizes, which
+        materializing every column (about 200 KB here) exceeds several
+        times over."""
         grid = parse_grid_spec(wide_spec())
         root = tmp_path / "camp"
         store = CampaignStore.create(root, grid, compression="binary")
@@ -347,7 +350,7 @@ class TestChunkBoundedMemory:
         def drain():
             return sum(
                 len(indices)
-                for indices, _ in store.iter_columns(chunk_size=128)
+                for indices, _ in store.iter_columns()
             )
 
         drain()  # first-call imports and caches are not the drain's
@@ -357,10 +360,12 @@ class TestChunkBoundedMemory:
         tracemalloc.stop()
         assert count == len(grid)
 
-        # The parsed index (under 3x its JSON text) plus eight chunks of
-        # int64 indices and float64 columns: 49,387 B for this store.
-        chunk_bytes = 128 * 8 * (1 + len(store.column_names()))
-        bound = 3 * (root / "index.json").stat().st_size + 8 * chunk_bytes
+        # The parsed index (under 3x its JSON text) plus sixteen
+        # 64-point chunks of int64 indices and float64 columns (each
+        # chunk also carries its memmap views' bookkeeping): 49,387 B
+        # for this store.
+        chunk_bytes = 64 * 8 * (1 + len(store.column_names()))
+        bound = 3 * (root / "index.json").stat().st_size + 16 * chunk_bytes
         assert stream_peak < bound, (
             f"chunked columnar drain peaked at {stream_peak} bytes, "
             f"bound {bound} — not O(one chunk)"

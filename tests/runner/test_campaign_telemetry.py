@@ -13,9 +13,9 @@ from repro.runner.profile import (
 )
 from repro.telemetry import (
     MetricsRegistry,
+    MetricsSink,
     read_metrics_jsonl,
     using_registry,
-    write_metrics_jsonl,
 )
 
 
@@ -173,7 +173,8 @@ class TestProfile:
             tmp_path / "camp", BENCH_SPEC
         )
         path = tmp_path / "camp" / "metrics.jsonl"
-        write_metrics_jsonl(path, registry, producer={"backend": "analytic"})
+        with MetricsSink(path, producer={"backend": "analytic"}) as sink:
+            sink.write_snapshot(registry.snapshot())
         return path
 
     def test_attribution_stages_cover_the_run(self, tmp_path):
@@ -213,7 +214,8 @@ class TestProfile:
         reg = MetricsRegistry()
         reg.count("campaign.points", 1)
         path = tmp_path / "no-root.jsonl"
-        write_metrics_jsonl(path, reg)
+        with MetricsSink(path) as sink:
+            sink.write_snapshot(reg.snapshot())
         with pytest.raises(ValueError):
             build_attribution(read_metrics_jsonl(path))
 

@@ -8,7 +8,6 @@ from repro.runner import (
     CampaignStore,
     ScenarioGrid,
     available_cpus,
-    default_jobs,
     run_campaign,
     run_grids,
     run_scenarios,
@@ -121,7 +120,7 @@ class TestDeterminism:
         serial = run_scenarios(scenarios, jobs=1)
         parallel = run_scenarios(scenarios, jobs=4)
         # Byte-identical serialized results, point for point.
-        assert serial.canonical_json() == parallel.canonical_json()
+        assert serial.result_dicts == parallel.result_dicts
 
     def test_results_in_submission_order(self):
         specs = [
@@ -224,8 +223,15 @@ class TestStoreAndResume:
 
 class TestExecutorConfig:
     def test_jobs_default_is_cpu_count(self):
-        # The usable CPUs (affinity mask), not the machine's count.
-        assert default_jobs() == available_cpus()
+        # --jobs 0 means the usable CPUs (affinity mask), not the
+        # machine's count.
+        import argparse
+
+        from repro.__main__ import _runner_kwargs
+
+        args = argparse.Namespace(jobs=0, store=None)
+        kwargs = _runner_kwargs(args, argparse.ArgumentParser())
+        assert kwargs["jobs"] == available_cpus()
 
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError):

@@ -164,7 +164,7 @@ class TestChunkedExecution:
         assert pool_log == []
         pooled = run_scenarios(scenarios, jobs=2)
         assert pool_log == [2]
-        assert serial.canonical_json() == pooled.canonical_json()
+        assert serial.result_dicts == pooled.result_dicts
 
     def test_report_counts_chunks(self, chunk_log):
         run_scenarios(self.grid(), jobs=1)

@@ -65,11 +65,16 @@ class TestScenarioSerialization:
             Scenario.from_dict(payload)
 
 
+def spec_hash(spec):
+    """The content hash of the one-point grid around ``spec``."""
+    return ScenarioGrid.from_spec(spec, {}).content_hash()
+
+
 class TestContentHash:
     def test_stable_across_instances(self):
-        a = scenario_for(BenchSpec(approach="pt2pt_single", total_bytes=64))
-        b = scenario_for(BenchSpec(approach="pt2pt_single", total_bytes=64))
-        assert a.content_hash() == b.content_hash()
+        a = BenchSpec(approach="pt2pt_single", total_bytes=64)
+        b = BenchSpec(approach="pt2pt_single", total_bytes=64)
+        assert spec_hash(a) == spec_hash(b)
 
     def test_any_param_changes_the_hash(self):
         base = BenchSpec(approach="pt2pt_single", total_bytes=64)
@@ -88,13 +93,13 @@ class TestContentHash:
                 params=SystemParams(bandwidth=1e9),
             ),
         ]
-        hashes = {scenario_for(s).content_hash() for s in [base] + variants}
+        hashes = {spec_hash(s) for s in [base] + variants}
         assert len(hashes) == len(variants) + 1
 
     def test_bench_and_pattern_never_collide(self):
-        bench = scenario_for(BenchSpec(approach="pt2pt_single", total_bytes=64))
-        pattern = scenario_for(PatternConfig(pattern="halo3d"))
-        assert bench.content_hash() != pattern.content_hash()
+        bench = BenchSpec(approach="pt2pt_single", total_bytes=64)
+        pattern = PatternConfig(pattern="halo3d")
+        assert spec_hash(bench) != spec_hash(pattern)
 
 
 class TestScenarioGrid:

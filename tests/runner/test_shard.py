@@ -23,7 +23,6 @@ from repro.runner import (
     shard_token,
 )
 from repro.runner.campaign import (
-    ENC_RESULT,
     _index_array_to_ranges,
     _intersect_ranges,
     _merge_ranges,
@@ -68,21 +67,30 @@ class TestRangeArithmetic:
         ]
 
     def test_subtract_full_overlap_yields_nothing(self):
-        assert _subtract_ranges(3, 7, [(0, 10)]) == []
+        assert _subtract_ranges([(3, 7)], [(0, 10)]) == []
+        assert _subtract_ranges([(0, 2), (4, 9)], [(0, 10)]) == []
 
     def test_subtract_empty_covered_yields_whole(self):
-        assert _subtract_ranges(2, 9, []) == [(2, 9)]
+        assert _subtract_ranges([(2, 9)], []) == [(2, 9)]
 
     def test_subtract_adjacent_covered_does_not_bite(self):
         # [0, 3) and [7, 12) touch the query only at its edges.
-        assert _subtract_ranges(3, 7, [(0, 3), (7, 12)]) == [(3, 7)]
+        assert _subtract_ranges([(3, 7)], [(0, 3), (7, 12)]) == [(3, 7)]
 
     def test_subtract_punches_holes(self):
-        assert _subtract_ranges(0, 10, [(2, 4), (6, 8)]) == [
+        assert _subtract_ranges([(0, 10)], [(2, 4), (6, 8)]) == [
             (0, 2),
             (4, 6),
             (8, 10),
         ]
+
+    def test_subtract_takes_a_list_of_ranges(self):
+        # Unsorted, overlapping and adjacent input ranges merge first;
+        # one covered range can bite several of them.
+        assert _subtract_ranges(
+            [(20, 30), (0, 6), (4, 10), (10, 12)], [(5, 22), (25, 26)]
+        ) == [(0, 5), (22, 25), (26, 30)]
+        assert _subtract_ranges([], [(0, 5)]) == []
 
     def test_indices_to_ranges_empty(self):
         assert _index_array_to_ranges(np.array([], dtype=np.int64)) == []
@@ -109,7 +117,7 @@ class TestRangeArithmetic:
 
 class TestShardPlan:
     def test_even_split_covers_everything_disjointly(self):
-        plans = shard_plan(100, 4)
+        plans = shard_plan([(0, 100)], 4)
         assert len(plans) == 4
         counts = [sum(e - s for s, e in p) for p in plans]
         assert counts == [25, 25, 25, 25]
@@ -117,38 +125,36 @@ class TestShardPlan:
         assert union == [(0, 100)]
 
     def test_uneven_split_differs_by_at_most_one(self):
-        plans = shard_plan(10, 3)
+        plans = shard_plan([(0, 10)], 3)
         counts = [sum(e - s for s, e in p) for p in plans]
         assert counts == [4, 3, 3]
 
     def test_completed_ranges_are_excluded(self):
-        plans = shard_plan(100, 2, completed=[(10, 30), (50, 60)])
+        plans = shard_plan([(0, 10), (30, 50), (60, 100)], 2)
         union = _merge_ranges([r for p in plans for r in p])
         assert union == [(0, 10), (30, 50), (60, 100)]
         counts = [sum(e - s for s, e in p) for p in plans]
         assert counts == [35, 35]
 
     def test_more_shards_than_points_leaves_trailing_empty(self):
-        plans = shard_plan(2, 5)
+        plans = shard_plan([(0, 2)], 5)
         counts = [sum(e - s for s, e in p) for p in plans]
         assert counts == [1, 1, 0, 0, 0]
 
     def test_fully_completed_grid_plans_nothing(self):
-        assert shard_plan(10, 3, completed=[(0, 10)]) == [[], [], []]
+        assert shard_plan([], 3) == [[], [], []]
 
-    def test_accepts_grid_object(self):
+    def test_splits_a_store_missing_ranges(self, tmp_path):
         grid = make_grid()
-        plans = shard_plan(grid, 3)
+        store = CampaignStore.create(tmp_path / "camp", grid)
+        run_campaign(store, ranges=[(5, 9), (20, 30)])
+        plans = shard_plan(store.missing_ranges(), 3)
         union = _merge_ranges([r for p in plans for r in p])
-        assert union == [(0, len(grid))]
+        assert union == [(0, 5), (9, 20), (30, len(grid))]
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            shard_plan(10, 0)
-        with pytest.raises(ValueError):
-            shard_plan(10, 2, completed=[(5, 15)])
-        with pytest.raises(ValueError):
-            shard_plan(10, 2, completed=[(4, 6), (2, 3)])
+            shard_plan([(0, 10)], 0)
 
 
 class TestShardToken:
@@ -209,7 +215,6 @@ class TestWriterTokenNaming:
                     start = base + k
                     store.append_chunk(
                         [[start, {"times": [1.0 + start]}]],
-                        ENC_RESULT,
                         [(start, start + 1)],
                     )
             except Exception as exc:  # pragma: no cover - failure path
@@ -239,7 +244,7 @@ class TestRunShardAndMerge:
         target = CampaignStore.create(
             tmp_path / "target", grid, compression=compression
         )
-        plans = shard_plan(len(grid), n, completed=target.completed_ranges())
+        plans = shard_plan(target.missing_ranges(), n)
         roots = []
         for i, plan in enumerate(plans, start=1):
             summary = run_shard(
@@ -276,7 +281,7 @@ class TestRunShardAndMerge:
 
     def test_shard_resume_executes_nothing(self, tmp_path):
         grid = make_grid()
-        plan = shard_plan(len(grid), 2)[0]
+        plan = shard_plan([(0, len(grid))], 2)[0]
         first = run_shard(tmp_path / "s1", grid, 1, 2, plan)
         assert first["executed"] == sum(e - s for s, e in plan)
         assert first["shard"]["ranges"] == [[s, e] for s, e in plan]
@@ -291,9 +296,7 @@ class TestRunShardAndMerge:
         target = CampaignStore.create(tmp_path / "target", grid)
         run_campaign(target, limit=7, chunk_points=7)
         assert target.n_completed == 7
-        plans = shard_plan(
-            len(grid), 2, completed=target.completed_ranges()
-        )
+        plans = shard_plan(target.missing_ranges(), 2)
         roots = []
         for i, plan in enumerate(plans, start=1):
             summary = run_shard(
@@ -331,7 +334,7 @@ class TestRunShardAndMerge:
         writers = target.stats()["shard_segments"]
         assert list(writers) == ["s002of002"]
         assert writers["s002of002"]["points"] == sum(
-            e - s for s, e in shard_plan(len(grid), 2)[1]
+            e - s for s, e in shard_plan([(0, len(grid))], 2)[1]
         )
 
 
@@ -497,7 +500,7 @@ class TestRunSharded:
         assert CampaignStore.open(root).n_completed == 0
         first = CampaignStore.open(root / "shards" / shard_token(1, 2))
         assert first.n_completed == sum(
-            e - s for s, e in shard_plan(len(grid), 2)[0]
+            e - s for s, e in shard_plan([(0, len(grid))], 2)[0]
         )
         # The rerun resumes shard 1's store and runs shard 2.
         blocker.unlink()
@@ -539,15 +542,13 @@ class TestRunSharded:
 
 class TestAffinityAwareDefaults:
     def test_default_jobs_respects_affinity(self, monkeypatch):
-        from repro.runner import executor
-        from repro.runner import planner
+        from repro.runner import available_cpus
 
         if hasattr(os, "sched_getaffinity"):
             monkeypatch.setattr(
                 os, "sched_getaffinity", lambda pid: {0, 1, 2}
             )
-            assert planner.available_cpus() == 3
-            assert executor.default_jobs() == 3
+            assert available_cpus() == 3
 
     def test_available_cpus_falls_back_to_cpu_count(self, monkeypatch):
         from repro.runner import planner

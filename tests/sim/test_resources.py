@@ -128,14 +128,6 @@ def test_store_fifo_getters():
     assert results == {"first": 1, "second": 2}
 
 
-def test_store_size_and_peek():
-    env = Environment()
-    store = Store(env)
-    assert store.size == 0
-    store.put("x")
-    assert store.size == 1
-
-
 def test_queue_length_visible_during_contention():
     env = Environment()
     lock = Lock(env)

@@ -10,10 +10,10 @@ from repro.telemetry import (
     HISTOGRAM_EDGES,
     Histogram,
     MetricsRegistry,
+    MetricsSink,
     environment_provenance,
     read_metrics_jsonl,
     using_registry,
-    write_metrics_jsonl,
 )
 
 
@@ -199,9 +199,9 @@ class TestJsonlRoundTrip:
             with reg.span("kernel.eval"):
                 pass
         path = tmp_path / "metrics.jsonl"
-        write_metrics_jsonl(
-            path, reg, producer={"tool": "test"}, summary={"ok": True}
-        )
+        with MetricsSink(path, producer={"tool": "test"}) as sink:
+            sink.write_snapshot(reg.snapshot())
+            sink.close(summary={"ok": True})
         out = read_metrics_jsonl(path)
         assert out["header"]["schema"] == telemetry.TELEMETRY_SCHEMA
         assert out["header"]["producer"] == {"tool": "test"}
@@ -220,7 +220,8 @@ class TestJsonlRoundTrip:
         reg = MetricsRegistry()
         reg.count("c")
         path = tmp_path / "metrics.jsonl"
-        write_metrics_jsonl(path, reg)
+        with MetricsSink(path) as sink:
+            sink.write_snapshot(reg.snapshot())
         for line in path.read_text().splitlines():
             json.loads(line)
 
