@@ -24,11 +24,14 @@ scalar code (protocol ladder, zcopy queue-feedback regimes, pipeline
 bounds) become boolean masks combined with ``np.where``.
 
 One kernel entry per scenario kind: :func:`bench_times_from_columns`
-and :func:`pattern_times_from_columns` take bare column arrays plus
-the batch constants, so a campaign decodes grid indices straight into
-parameter columns without constructing a spec object.  Campaign chunks
-are their only product caller; a single spec goes through the scalar
-predictor (:mod:`repro.backends.analytic`).
+and :func:`pattern_times_from_columns` take columns — ``(values,
+codes)`` pairs, arrays or scalars — plus the batch constants, so a
+campaign hands over its grid digits without constructing a spec
+object.  The pattern kernel is factored: its link-level terms run once
+per distinct ``(pattern, n_ranks, n_threads, msg_bytes)`` and the
+points gather them.  Campaign chunks are their only product caller; a
+single spec goes through the scalar predictor
+(:mod:`repro.backends.analytic`).
 
 Sizes are assumed to stay below 2**53 bytes (exact int64→float64
 conversion); every grid in the repo is far below that.
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -144,19 +147,74 @@ def _chain_max(*terms):
     return out
 
 
-def _dense_codes(values) -> Tuple[np.ndarray, int]:
-    """``(inverse, n_unique)`` of ``np.unique(values, return_inverse=True)``
-    for a 1-D int64 array; a presence table replaces the sort when the
-    values span no more than the array's length."""
+def _unique_codes(values) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` for a 1-D int64 array;
+    a presence table replaces the sort when the values span no more
+    than the array's length."""
     lo, hi = (int(values.min()), int(values.max())) if values.size else (0, 0)
     if hi - lo >= values.size:
         uniq, inverse = np.unique(values, return_inverse=True)
-        return inverse, len(uniq)
+        return uniq, inverse.reshape(-1)
     offset = values - lo
     present = np.zeros(hi - lo + 1, dtype=bool)
     present[offset] = True
-    rank = np.cumsum(present) - 1
-    return rank[offset], int(rank[-1]) + 1
+    return np.flatnonzero(present) + lo, (np.cumsum(present) - 1)[offset]
+
+
+def _dense_codes(values) -> Tuple[np.ndarray, int]:
+    """``(inverse, n_unique)`` of :func:`_unique_codes`."""
+    uniq, inverse = _unique_codes(values)
+    return inverse, len(uniq)
+
+
+def _as_pair(column, n_points: int = 0, dtype=None) -> Tuple[Any, np.ndarray]:
+    """Any column form as a ``(values, codes)`` pair, point ``i``
+    taking ``values[codes[i]]``.
+
+    A pair passes through (a campaign chunk's grid digits); a scalar
+    becomes a one-value pair over ``n_points``; an array is factorized
+    (names as strings, floats by bit pattern, so ``0.0``/``-0.0`` and
+    distinct NaN payloads keep their own values).  With a ``dtype`` the
+    values are an array of it, else (names) a list.
+    """
+    if isinstance(column, tuple):
+        values, codes = column
+    elif np.ndim(column) == 0:
+        values, codes = [column], np.zeros(n_points, dtype=np.int64)
+    elif dtype is None:
+        values, codes = np.unique(
+            np.asarray(column).astype(str), return_inverse=True
+        )
+        values = values.tolist()
+    elif np.dtype(dtype).kind == "f":
+        bits, codes = _unique_codes(
+            np.asarray(column, dtype=dtype).view(np.int64)
+        )
+        values = bits.view(dtype)
+    else:
+        values, codes = _unique_codes(np.asarray(column, dtype=dtype))
+    values = list(values) if dtype is None else np.asarray(values, dtype=dtype)
+    return values, np.asarray(codes, dtype=np.int64).reshape(-1)
+
+
+def _materialize(column, n_points: int, dtype) -> np.ndarray:
+    """A per-point ``dtype`` array of any column form: one ``take`` of
+    a pair's values, a scalar broadcast, an array as it is."""
+    if isinstance(column, tuple):
+        values, codes = column
+        return np.asarray(values, dtype=dtype)[codes]
+    if np.ndim(column) == 0:
+        return np.full(n_points, column, dtype=dtype)
+    return np.asarray(column, dtype=dtype)
+
+
+def _key_values(column, first) -> list:
+    """The key value of each :func:`_factorize` group of one column, as
+    Python scalars (a pair's value at the group's first code)."""
+    if isinstance(column, tuple):
+        values, codes = column
+        return np.asarray(values)[codes[first]].tolist()
+    return column[first].tolist()
 
 
 def _factorize(*columns) -> Tuple[np.ndarray, np.ndarray]:
@@ -165,8 +223,8 @@ def _factorize(*columns) -> Tuple[np.ndarray, np.ndarray]:
     Returns ``(first, inverse)``: ``first[g]`` is the index of group
     ``g``'s first point and ``inverse[i]`` the group of point ``i``.
 
-    A column is a ``(names, codes)`` pair (codes used as they are,
-    radix ``len(names)``), an int64 array or a float64 array.  Arrays
+    A column is a ``(values, codes)`` pair (codes used as they are,
+    radix ``len(values)``), an int64 array or a float64 array.  Arrays
     become dense codes (:func:`_dense_codes`); floats are keyed by
     their bit pattern, so ``0.0``/``-0.0`` and distinct NaN payloads
     never share a group.  The codes are packed mixed-radix into one
@@ -195,14 +253,10 @@ def _factorize(*columns) -> Tuple[np.ndarray, np.ndarray]:
 
 def _scalar_per_key(scalar, dtype, *columns) -> np.ndarray:
     """``scalar(*key)`` at every point, called once per exact key group
-    of :func:`_factorize` (a ``(names, codes)`` column passes the name),
-    so each point gets the scalar's value for its own inputs."""
+    of :func:`_factorize` (a ``(values, codes)`` column passes the
+    value), so each point gets the scalar's value for its own inputs."""
     first, inverse = _factorize(*columns)
-    keys = zip(*(
-        [column[0][code] for code in column[1][first].tolist()]
-        if isinstance(column, tuple) else column[first].tolist()
-        for column in columns
-    ))
+    keys = zip(*(_key_values(column, first) for column in columns))
     return np.array([scalar(*key) for key in keys], dtype=dtype)[inverse]
 
 
@@ -581,25 +635,6 @@ def _delay_columns(total_bytes, n_threads, theta, gamma, gaussian_mu):
     return delay, compute_active
 
 
-def _approach_codes(approach) -> Tuple[List[str], np.ndarray]:
-    """Normalize a categorical column to ``(names, codes)``.
-
-    Accepts a ready-made ``(names, codes)`` pair (a campaign chunk
-    derives codes straight from the grid's axis digits — no string
-    hashing over the batch), or any array of names (factorized here).
-    Shared by every categorical pattern/bench column (approach,
-    pattern, noise).
-    """
-    if isinstance(approach, tuple):
-        names, codes = approach
-        return list(names), np.asarray(codes, dtype=np.int64)
-    approach = np.asarray(approach)
-    names, codes = np.unique(approach.astype(str), return_inverse=True)
-    return [str(name) for name in names], np.asarray(
-        codes, dtype=np.int64
-    ).reshape(-1)
-
-
 def bench_times_from_columns(
     params: SystemParams,
     num_vcis: int,
@@ -610,25 +645,18 @@ def bench_times_from_columns(
 ) -> np.ndarray:
     """Predicted times for ``n_points`` bench points given bare columns.
 
-    ``columns`` maps :data:`BENCH_COLUMN_FIELDS` to per-point arrays (or
-    scalars, broadcast to the batch); absent fields take the
-    ``BenchSpec`` defaults.  The approach column may also be a
-    ``(names, codes)`` pair (see :func:`_approach_codes`).  ``params``
-    and the three cvar knobs are batch constants — callers with
-    heterogeneous machine models or cvars group first.  No spec object
-    is needed.
+    ``columns`` maps :data:`BENCH_COLUMN_FIELDS` to per-point arrays,
+    scalars (broadcast to the batch) or ``(values, codes)`` pairs (a
+    campaign chunk's grid digits, see :func:`_as_pair`); absent fields
+    take the ``BenchSpec`` defaults.  ``params`` and the three cvar
+    knobs are batch constants — callers with heterogeneous machine
+    models or cvars group first.  No spec object is needed.
     """
     def col(name, dtype, default):
-        value = columns.get(name, default)
-        if np.isscalar(value):
-            return np.full(n_points, value, dtype=dtype)
-        return np.asarray(value, dtype=dtype)
+        return _materialize(columns.get(name, default), n_points, dtype)
 
-    approach = columns["approach"]
-    if isinstance(approach, str):
-        approach = ([approach], np.zeros(n_points, dtype=np.int64))
     with span("kernel.eval", kind="bench"):
-        names, codes = _approach_codes(approach)
+        names, codes = _as_pair(columns["approach"], n_points)
         n_threads = col("n_threads", np.int64, 1)
         theta = col("theta", np.int64, 1)
         total_bytes = col("total_bytes", np.int64, 0)
@@ -721,7 +749,7 @@ def _graph_shape(pattern_name: str, n_ranks: int) -> Tuple[int, ...]:
 
 
 def _topology_columns(pattern, n_ranks, n_threads, msg_bytes):
-    """The topology columns of :class:`_PatternCols` (a dict) and the
+    """The topology columns of :class:`_PatternLinks` (a dict) and the
     ``bytes_per_iteration`` column: one :func:`_graph_shape` per exact
     ``(pattern, n_ranks)`` key (:func:`_scalar_per_key`); ``nbytes`` is
     the per-link ``align_bytes(msg_bytes, n_threads)``.  ``pattern`` is
@@ -783,10 +811,11 @@ def _pattern_per_message_vec(p, approach: str, msg_bytes, mult):
 
 
 @dataclass
-class _PatternCols:
-    """Array twin of the scalar pattern predictor's inputs for one
-    (approach, params) group — the :func:`_topology_columns` shape and
-    payload columns, plus the per-point spec columns."""
+class _PatternLinks:
+    """The link configurations of one approach group: the
+    :func:`_topology_columns` shape and payload of each distinct
+    ``(pattern, n_ranks, n_threads, msg_bytes)`` key, its thread
+    count, and the batch's cvar knobs."""
 
     nbytes: np.ndarray
     max_out: np.ndarray
@@ -797,26 +826,34 @@ class _PatternCols:
     n_threads: np.ndarray
     num_vcis: np.ndarray
     aggr: np.ndarray
-    compute_rate: np.ndarray
-    #: Expected slowest-thread injected delay per quantum (seconds) —
-    #: ``patterns.noise_mean_quantum`` over the noise columns.
-    noise_q: np.ndarray
 
 
-def _pattern_times_cols(p, approach: str, cols: _PatternCols) -> np.ndarray:
+def _pattern_times_cols(
+    p, approach: str, links: _PatternLinks, link_of, compute_rate, noise_q
+) -> np.ndarray:
     """Vector twin of ``patterns.predict_pattern_time`` for one
-    (approach, params) group over bare columns."""
-    n_threads = cols.n_threads
-    nbytes = cols.nbytes
-    max_out = cols.max_out
-    max_in = cols.max_in
+    (approach, params) group, in two stages.
+
+    The *link stage* evaluates every term that depends only on the link
+    configuration once per entry of ``links``; the *per-point stage*
+    gathers those terms through ``link_of`` (each point's entry) and
+    adds the compute rate and the noise quantum (``noise_q``, see
+    :func:`_noise_quantum_column`) of each point.  Both stages run the
+    scalar's operations in the scalar's order, so every point is
+    bitwise equal to it.
+    """
+    # -- link stage: once per distinct link configuration ---------------
+    n_threads = links.n_threads
+    nbytes = links.nbytes
+    max_out = links.max_out
+    max_in = links.max_in
 
     n_msgs, msg_bytes = _pattern_link_messages(
-        approach, nbytes, n_threads, cols.aggr
+        approach, nbytes, n_threads, links.aggr
     )
-    max_pair = cols.max_pair_links * n_msgs
+    max_pair = links.max_pair_links * n_msgs
 
-    lanes = np.maximum(1, np.minimum(n_threads, cols.num_vcis))
+    lanes = np.maximum(1, np.minimum(n_threads, links.num_vcis))
     per_vci = _ceil_div(n_threads, lanes)
     contenders = (per_vci - 1).astype(np.float64)
     rank_msgs = max_out * n_msgs
@@ -843,10 +880,6 @@ def _pattern_times_cols(p, approach: str, cols: _PatternCols) -> np.ndarray:
     msg, per_link_sync = _pattern_per_message_vec(p, approach, msg_bytes, mult)
     sync_tail = max_out * per_link_sync
 
-    mu = cols.compute_rate * 1e-6 / 1e6
-    compute = max_out * mu * (nbytes / n_threads)
-    noise_rank = max_out * cols.noise_q
-
     post_work = max_out * n_msgs * msg.post / lanes
     post_work = post_work + np.where(
         zcopy, max_in * n_msgs * p.ctrl_overhead * mult / lanes, 0.0
@@ -856,51 +889,62 @@ def _pattern_times_cols(p, approach: str, cols: _PatternCols) -> np.ndarray:
     )
     rx_work = max_in * n_msgs * msg.rx / lanes
     bottleneck = _chain_max(post_work, wire_work, rx_work)
+    barrier = _barrier_vec(p, n_threads)
+
+    # -- per-point stage: link terms gathered through link_of -----------
+    def at(term):
+        return np.broadcast_to(term, nbytes.shape)[link_of]
+
+    point_max_out = max_out[link_of]
+    mu = compute_rate * 1e-6 / 1e6
+    compute = point_max_out * mu * at(nbytes / n_threads)
+    noise_rank = point_max_out * noise_q
     from .patterns import STREAMING_APPROACHES
 
     if approach == "pt2pt_single":
-        hop = max_out * msg.path + sync_tail
+        hop = at(max_out * msg.path + sync_tail + barrier)
         hop_noise = noise_rank
     elif approach in STREAMING_APPROACHES:
         floor = np.maximum(
-            bottleneck / rank_msgs, bottleneck / max_out - noise_rank
+            at(bottleneck / rank_msgs), at(bottleneck / max_out) - noise_rank
         )
         hop = (
-            np.maximum(bottleneck - (compute + noise_rank), floor)
-            + msg.path
-            + sync_tail
+            np.maximum(at(bottleneck) - (compute + noise_rank), floor)
+            + at(msg.path)
+            + at(sync_tail)
+            + at(barrier)
         )
-        hop_noise = cols.noise_q
+        hop_noise = noise_q
     else:
         hop = (
-            np.maximum(bottleneck - compute, bottleneck / max_out)
-            + msg.path
-            + sync_tail
+            np.maximum(at(bottleneck) - compute, at(bottleneck / max_out))
+            + at(msg.path)
+            + at(sync_tail)
+            + at(barrier)
         )
         hop_noise = noise_rank
-    hop = hop + _barrier_vec(p, n_threads)
+    depth = links.depth[link_of]
     times = np.where(
-        cols.depth > 1,
-        hop + (cols.depth - 1) * (hop + compute + hop_noise),
-        hop,
+        depth > 1, hop + (depth - 1) * (hop + compute + hop_noise), hop
     )
-    return np.where(cols.n_links == 0, 0.0, times)
+    return np.where(links.n_links[link_of] == 0, 0.0, times)
 
 
 def _noise_quantum_column(noise, noise_us, noise_sigma_us) -> np.ndarray:
     """``patterns.noise_mean_quantum`` over columns, through the
-    *scalar* function once per exact (noise, amplitude, sigma) key —
-    floats keyed by bit pattern, so it is bitwise-equal by construction.
+    *scalar* function once per exact (noise, amplitude, sigma) key, so
+    it is bitwise-equal by construction.
 
-    ``noise`` is either a ``(names, codes)`` pair (a campaign chunk)
-    or an array of shape names.
+    Each column is a ``(values, codes)`` pair (a campaign chunk: the key
+    is packed from the grid digits) or an array (factorized first:
+    shape names as strings, floats by bit pattern).
     """
     from .patterns import noise_mean_quantum
 
     return _scalar_per_key(
-        noise_mean_quantum, np.float64, _approach_codes(noise),
-        np.asarray(noise_us, dtype=np.float64),
-        np.asarray(noise_sigma_us, dtype=np.float64),
+        noise_mean_quantum, np.float64, _as_pair(noise),
+        _as_pair(noise_us, dtype=np.float64),
+        _as_pair(noise_sigma_us, dtype=np.float64),
     )
 
 
@@ -915,45 +959,47 @@ def pattern_times_from_columns(
 
     The pattern twin of :func:`bench_times_from_columns`: no
     ``PatternConfig`` is needed.  ``columns`` maps
-    :data:`PATTERN_COLUMN_FIELDS` to per-point arrays (or scalars,
-    broadcast); absent fields take the ``PatternConfig`` defaults.  The
-    categorical columns (``pattern``, ``approach``, ``noise``) may be
-    ``(names, codes)`` pairs factorized straight from the grid digits
-    (see :meth:`~repro.runner.scenario.ScenarioGrid.kernel_columns`), a
-    bare name, or arrays of names.  ``params`` and the cvar knobs are
-    batch constants, as in the bench twin.
+    :data:`PATTERN_COLUMN_FIELDS` to ``(values, codes)`` pairs (a
+    campaign chunk's grid digits, see
+    :meth:`~repro.runner.scenario.ScenarioGrid.kernel_columns`),
+    per-point arrays or scalars; arrays and scalars become pairs first
+    (:func:`_as_pair`), so every form takes the same path.  Absent
+    fields take the ``PatternConfig`` defaults.  ``params`` and the cvar
+    knobs are batch constants, as in the bench twin.
 
-    Link graphs are built once per unique ``(pattern, n_ranks)``
-    (process-lifetime cache) and their shapes gathered to per-point
-    columns; the payload sizes are computed as columns.  Every
-    per-point value is bitwise-equal to the scalar
-    ``predict_pattern_time`` path.
+    The link configurations ``(pattern, n_ranks, n_threads,
+    msg_bytes)`` are factorized from the codes once; each distinct one
+    gets its topology (one link-graph build per ``(pattern, n_ranks)``,
+    process-lifetime cache) and, per approach, its link-stage terms
+    (:func:`_pattern_times_cols`), which the points gather.  The noise
+    quantum is one scalar call per distinct noise key.  Every per-point
+    value is bitwise-equal to the scalar ``predict_pattern_time`` path.
     """
-    def col(name, dtype, default):
-        value = columns.get(name, default)
-        if np.isscalar(value):
-            return np.full(n_points, value, dtype=dtype)
-        return np.asarray(value, dtype=dtype)
-
-    def categorical(name, default):
-        value = columns.get(name, default)
-        if isinstance(value, str):
-            return [value], np.zeros(n_points, dtype=np.int64)
-        return _approach_codes(value)
-
     if "pattern" not in columns:
         raise KeyError("pattern column is required")
-    pattern_names, pattern_codes = categorical("pattern", None)
-    approach_names, approach_codes = categorical("approach", "pt2pt_part")
-    n_ranks = col("n_ranks", np.int64, 8)
-    n_threads = col("n_threads", np.int64, 4)
-    msg_bytes = col("msg_bytes", np.int64, 256 << 10)
 
-    # One link-graph build per unique (pattern, n_ranks); the payload
-    # is a column.
+    def pair(name, default, dtype=None):
+        return _as_pair(columns.get(name, default), n_points, dtype)
+
+    approach_names, approach_codes = pair("approach", "pt2pt_part")
+    link_key = (
+        pair("pattern", None),
+        pair("n_ranks", 8, np.int64),
+        pair("n_threads", 4, np.int64),
+        pair("msg_bytes", 256 << 10, np.int64),
+    )
+
+    # One entry per distinct link configuration; one link-graph build
+    # per (pattern, n_ranks).
     with span("kernel.topology", kind="pattern"):
+        first, link_of = _factorize(*link_key)
+        (pattern_names, pattern_codes), *numeric = link_key
+        n_ranks, n_threads, msg_bytes = (
+            values[codes[first]] for values, codes in numeric
+        )
         topo, bytes_per_iteration = _topology_columns(
-            (pattern_names, pattern_codes), n_ranks, n_threads, msg_bytes
+            (pattern_names, pattern_codes[first]), n_ranks, n_threads,
+            msg_bytes,
         )
 
     # Column prep is model work too (the noise-quantum column calls the
@@ -961,17 +1007,13 @@ def pattern_times_from_columns(
     # it and the approach loop, as in the bench twin.
     times = np.empty(n_points, dtype=np.float64)
     with span("kernel.eval", kind="pattern"):
-        cols = dict(
-            topo,
-            n_threads=n_threads,
-            num_vcis=np.full(n_points, num_vcis, dtype=np.int64),
-            aggr=np.full(n_points, part_aggr_size, dtype=np.int64),
-            compute_rate=col("compute_us_per_mb", np.float64, 0.0),
-            noise_q=_noise_quantum_column(
-                categorical("noise", "none"),
-                col("noise_us", np.float64, 0.0),
-                col("noise_sigma_us", np.float64, 0.0),
-            ),
+        compute_rate = _materialize(
+            columns.get("compute_us_per_mb", 0.0), n_points, np.float64
+        )
+        noise_q = _noise_quantum_column(
+            pair("noise", "none"),
+            pair("noise_us", 0.0, np.float64),
+            pair("noise_sigma_us", 0.0, np.float64),
         )
         for code, name in enumerate(approach_names):
             idx = np.nonzero(approach_codes == code)[0]
@@ -984,11 +1026,18 @@ def pattern_times_from_columns(
                 raise KeyError(
                     f"no analytic predictor for approach {name!r}"
                 )
-            times[idx] = _pattern_times_cols(params, name, _PatternCols(
-                **{field: values[idx] for field, values in cols.items()}
-            ))
+            used, local = _unique_codes(link_of[idx])
+            links = _PatternLinks(
+                **{field: values[used] for field, values in topo.items()},
+                n_threads=n_threads[used],
+                num_vcis=np.full(used.size, num_vcis, dtype=np.int64),
+                aggr=np.full(used.size, part_aggr_size, dtype=np.int64),
+            )
+            times[idx] = _pattern_times_cols(
+                params, name, links, local, compute_rate[idx], noise_q[idx]
+            )
     return PatternBatch(
         times=times,
-        bytes_per_iteration=bytes_per_iteration,
-        n_links=topo["n_links"],
+        bytes_per_iteration=bytes_per_iteration[link_of],
+        n_links=topo["n_links"][link_of],
     )

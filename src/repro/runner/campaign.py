@@ -19,11 +19,16 @@ row-major index)`` — no file and no content hash per point:
 * ``segments/seg-NNNNNN.jsonl`` — one simulation chunk: the same
   tagged header line, then one ``[index, result_dict]`` JSON row per
   point (the ``result`` encoding);
-* ``index.json`` — covered index ranges per segment.  It is a pure
-  accelerator: if it is missing or stale it is rebuilt by scanning the
-  segment headers, so resume works from the segments alone.  A
-  ``segments/*.jsonl``/``*.bin`` file that fails validation — another
-  campaign's, a truncated one, or a row encoding other than
+* ``index.json`` — a cache of the segment headers: covered index
+  ranges per segment.  A store object loads it once and keeps it in
+  memory; a writing run (:func:`run_campaign`, and so each shard)
+  records its appends there and writes ``index.json`` once, when it
+  ends — also when it ends in an exception, and not at all when it
+  appended nothing.  If the file is missing, or stale because it does
+  not list every segment file (a run killed before its write), it is
+  rebuilt from the segment headers, so resume works from the segments
+  alone.  A ``segments/*.jsonl``/``*.bin`` file that fails validation
+  — another campaign's, a truncated one, or a row encoding other than
   ``result`` — is listed under ``ignored`` and never counts as
   coverage, so resume recomputes it.  Other files are not the store's.
 
@@ -38,7 +43,7 @@ bounded submit-ahead pipeline
 (:func:`~repro.runner.executor.iter_chunk_results`): the next chunks
 are already executing on a persistent worker pool while earlier
 results stream to the store in submission order.  Each completed
-chunk is appended before the next result is consumed, so an
+chunk's segment is written before the next result is consumed, so an
 interrupted campaign resumes from its segments.
 
 Coverage is ``[start, stop)`` range arithmetic, kept here and only
@@ -60,6 +65,7 @@ import json
 import os
 import re
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import (
     Any,
@@ -380,6 +386,12 @@ class CampaignStore:
         self.writer_token = writer_token
         self._header: Optional[dict] = None
         self._grid: Optional[ScenarioGrid] = None
+        #: The index as this object last loaded or wrote it.  Appends
+        #: update it in memory; :meth:`deferred_index` holds their
+        #: ``index.json`` write back until the writing run ends.
+        self._index_cache: Optional[dict] = None
+        self._index_deferred = 0
+        self._index_dirty = False
 
     # -- lifecycle -----------------------------------------------------------
     @classmethod
@@ -456,11 +468,11 @@ class CampaignStore:
         root: str | Path,
         writer_token: Optional[str] = None,
     ) -> "CampaignStore":
-        """Open an existing campaign root (rebuilding a lost index)."""
+        """Open an existing campaign root (rebuilding a lost or stale
+        index)."""
         store = cls(root, writer_token=writer_token)
         store.header  # validates
-        if store._read_index() is None:
-            store.rebuild_index()
+        store._index()
         return store
 
     @property
@@ -535,7 +547,7 @@ class CampaignStore:
         index = {
             "schema": INDEX_SCHEMA,
             "campaign": self.header["grid_hash"],
-            "segments": segments,
+            "segments": list(segments),
             "ignored": list(ignored),
         }
         with span("store.index"):
@@ -543,13 +555,36 @@ class CampaignStore:
                 self.root / "index.json",
                 json.dumps(index, sort_keys=True, indent=1) + "\n",
             )
+        self._index_cache = index
+        self._index_dirty = False
         return index
 
     def _index(self) -> dict:
-        index = self._read_index()
-        if index is None:
-            index = self.rebuild_index()
-        return index
+        """The index: loaded (or rebuilt, when missing or stale) once
+        per store object, then kept in memory."""
+        if self._index_cache is None:
+            self._index_cache = self._read_index() or self.rebuild_index()
+        return self._index_cache
+
+    @contextmanager
+    def deferred_index(self) -> Iterator["CampaignStore"]:
+        """Defer ``index.json`` writes to the end of a writing run.
+
+        Inside the block an append writes its segment and records it in
+        the in-memory index only; on exit — also on an exception — the
+        index is written once if anything was appended, and not at all
+        otherwise.  A process killed inside the block leaves segments
+        the on-disk index does not list, so the next load finds it
+        stale and rebuilds it from the segment headers.
+        """
+        self._index_deferred += 1
+        try:
+            yield self
+        finally:
+            self._index_deferred -= 1
+            if not self._index_deferred and self._index_dirty:
+                index = self._index_cache
+                self._write_index(index["segments"], index["ignored"])
 
     def rebuild_index(self) -> dict:
         """Reconstruct ``index.json`` from the segment headers — the
@@ -700,14 +735,18 @@ class CampaignStore:
         count: int,
         body: bytes,
     ) -> Path:
-        """Write one segment and record it in the index."""
+        """Write one segment and record it in the in-memory index;
+        ``index.json`` follows at once, or at the end of the enclosing
+        :meth:`deferred_index` block."""
         index = self._index()
-        segments = list(index["segments"])
         entry = self._write_segment(
-            encoding, ranges, count, len(segments), body
+            encoding, ranges, count, len(index["segments"]), body
         )
-        segments.append(entry)
-        self._write_index(segments, index["ignored"])
+        index["segments"].append(entry)
+        if self._index_deferred:
+            self._index_dirty = True
+        else:
+            self._write_index(index["segments"], index["ignored"])
         return self.root / entry["file"]
 
     def append_chunk(
@@ -1347,8 +1386,9 @@ def _check_kernel_axes(grid: ScenarioGrid) -> None:
 def _bench_chunk_columns(
     grid: ScenarioGrid, start: int, stop: int
 ) -> List[Any]:
-    """An analytic bench chunk: grid indices -> parameter columns ->
-    vectorized kernel -> one times column, no spec objects anywhere."""
+    """An analytic bench chunk: grid indices -> ``(values, digits)``
+    axis columns -> vectorized kernel -> one times column, no spec
+    objects anywhere."""
     import numpy as np
 
     from ..model.vector import BENCH_COLUMN_FIELDS, bench_times_from_columns
@@ -1357,11 +1397,7 @@ def _bench_chunk_columns(
 
     with span("campaign.decode"):
         indices = np.arange(start, stop, dtype=np.int64)
-        # The approach column is factorized straight from the grid
-        # digits: no string materialization or hashing over the chunk.
-        columns = grid.kernel_columns(
-            indices, BENCH_COLUMN_FIELDS, categorical=("approach",)
-        )
+        columns = grid.kernel_columns(indices, BENCH_COLUMN_FIELDS)
     params = grid.base.get("params", MELUXINA)
     cvars = grid.base.get("cvars") or Cvars()
     times = bench_times_from_columns(
@@ -1378,10 +1414,10 @@ def _bench_chunk_columns(
 def _pattern_chunk_columns(
     grid: ScenarioGrid, start: int, stop: int
 ) -> List[Any]:
-    """An analytic pattern chunk: grid indices -> decoded axis columns
-    (pattern/approach/noise factorized from the grid digits) ->
-    topology-cached vectorized kernel -> three columns, with no
-    per-point ``scenario_at``/config objects anywhere."""
+    """An analytic pattern chunk: grid indices -> ``(values, digits)``
+    axis columns -> vectorized kernel, factored over the chunk's link
+    configurations -> three columns, with no per-point
+    ``scenario_at``/config objects anywhere."""
     import numpy as np
 
     from ..model.vector import (
@@ -1393,11 +1429,7 @@ def _pattern_chunk_columns(
 
     with span("campaign.decode"):
         indices = np.arange(start, stop, dtype=np.int64)
-        columns = grid.kernel_columns(
-            indices,
-            PATTERN_COLUMN_FIELDS,
-            categorical=("pattern", "approach", "noise"),
-        )
+        columns = grid.kernel_columns(indices, PATTERN_COLUMN_FIELDS)
     params = grid.base.get("params", MELUXINA)
     cvars = grid.base.get("cvars") or Cvars()
     batch = pattern_times_from_columns(
@@ -1439,7 +1471,9 @@ def run_campaign(
     """Execute a campaign's missing points, chunk by chunk.
 
     Each completed chunk is appended to the store before the next one
-    starts (streaming: an interrupted run resumes from its segments).
+    starts (streaming: an interrupted run resumes from its segments);
+    ``index.json`` is written once, when the run ends
+    (:meth:`CampaignStore.deferred_index`).
     Analytic campaigns hand each chunk's kernel columns to a
     bounded-queue **async segment writer**
     (:class:`~repro.runner.executor.AsyncSegmentWriter`) so the
@@ -1479,7 +1513,9 @@ def run_campaign(
     columnar = grid.backend == "analytic"
     if columnar:
         _check_kernel_axes(grid)
-    with span("campaign.run", backend=grid.backend, kind=grid.kind):
+    # index.json is written once, when the run ends (or fails).
+    with span("campaign.run", backend=grid.backend, kind=grid.kind), \
+            store.deferred_index():
         if ranges is not None:
             ranges = _merge_ranges(ranges)
             for start, stop in ranges:
@@ -1521,8 +1557,8 @@ def run_campaign(
         executed = 0
         chunks = 0
         # Progress coverage is tracked locally, not re-read from the store:
-        # under the async writer the index is the writer thread's to touch,
-        # and a mid-run ``n_completed`` would race its index writes.
+        # under the async writer the in-memory index is the writer
+        # thread's to update, and a mid-run ``n_completed`` would race it.
         covered = store.n_points - sum(
             stop - start for start, stop in full_missing
         )

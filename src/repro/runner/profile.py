@@ -66,7 +66,8 @@ _STAGE_HINTS: Dict[str, str] = {
               "tobytes() per column, so look at result-row payload size",
     "write": "segment write/replace dominates; check disk throughput or "
              "widen chunks",
-    "index": "index.json rewrites dominate; batch appends or widen chunks",
+    "index": "index.json load or rebuild dominates; many segments — run "
+             "campaign compact",
     "materialize": "scenario materialization + cache lookup dominates; "
                    "this is per-point python object cost",
     "compute": "in-process simulation compute dominates; add workers "

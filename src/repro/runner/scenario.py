@@ -390,21 +390,19 @@ class ScenarioGrid:
         }
 
     def kernel_columns(
-        self,
-        indices,
-        fields: Sequence[str],
-        categorical: Sequence[str] = (),
+        self, indices, fields: Sequence[str]
     ) -> Dict[str, Any]:
         """Kernel-ready columns for ``fields`` over many grid indices.
 
         The one decode both analytic campaign chunk builders (bench
-        *and* pattern) share: each requested field becomes either a
-        decoded axis column (the axis value at each index's digit), a
-        broadcastable base scalar, or — for ``categorical`` fields — a
-        ``(values, codes)`` pair with the codes taken straight from the
-        grid digits (:meth:`axis_codes`: no value materialization, no
-        string hashing over the batch).  Fields in neither the axes nor the
-        base are omitted, so the kernels apply their spec defaults.
+        *and* pattern) share: each requested axis field becomes a
+        ``(values, digits)`` pair — the axis values and each index's
+        digit (:meth:`axis_codes`), with no value materialized per
+        point — and each base field its broadcastable scalar.  A kernel
+        takes a pair's values per point with one ``take`` where it needs
+        an array, and groups points by the digits where it does not.
+        Fields in neither the axes nor the base are omitted, so the
+        kernels apply their spec defaults.
         """
         import numpy as np
 
@@ -419,10 +417,7 @@ class ScenarioGrid:
             if name in self.axes:
                 values = self.axes[name]
                 digits = (indices // strides[name]) % len(values)
-                if name in categorical:
-                    columns[name] = (list(values), digits)
-                else:
-                    columns[name] = np.take(np.asarray(values), digits)
+                columns[name] = (list(values), digits)
             elif name in self.base:
                 columns[name] = self.base[name]
         return columns

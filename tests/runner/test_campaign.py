@@ -440,17 +440,16 @@ class TestPatternCampaignFastPath:
         grid = parse_grid_spec(pattern_spec())
         indices = np.array([0, 11, 101, len(grid) - 1])
         columns = grid.kernel_columns(
-            indices,
-            ("pattern", "approach", "msg_bytes", "n_ranks", "noise"),
-            categorical=("pattern", "approach", "noise"),
+            indices, ("pattern", "approach", "msg_bytes", "n_ranks", "noise")
         )
         assert columns["n_ranks"] == 8  # base scalar passthrough
         for j, i in enumerate(indices):
             assignment = grid.assignment_at(int(i))
-            for name in ("pattern", "approach", "noise"):
+            # Every axis field is a (values, digits) pair.
+            for name in ("pattern", "approach", "msg_bytes", "noise"):
                 values, codes = columns[name]
+                assert values == grid.axes[name]
                 assert values[codes[j]] == assignment[name]
-            assert columns["msg_bytes"][j] == assignment["msg_bytes"]
 
     def test_kernel_columns_out_of_range(self):
         grid = parse_grid_spec(pattern_spec())
