@@ -356,10 +356,6 @@ def _campaign_parser() -> argparse.ArgumentParser:
                           "chunks (0 = one per CPU; default 1)")
     run.add_argument("--limit", type=int, default=None, metavar="N",
                      help="max points to execute this invocation")
-    run.add_argument("--sync-write", action="store_true",
-                     help="disable the async segment writer (analytic "
-                          "campaigns append on the compute thread; "
-                          "segments are byte-identical either way)")
     run.add_argument("--metrics", nargs="?", const="auto", default=None,
                      metavar="PATH",
                      help="record pipeline telemetry to a metrics JSONL "
@@ -372,11 +368,11 @@ def _campaign_parser() -> argparse.ArgumentParser:
                           "so records reach the sink)")
     run.add_argument("--shards", type=int, default=None, metavar="N",
                      help="split the missing points across N local "
-                          "shard processes and merge their segments "
-                          "back (0 = one per available CPU); each "
-                          "shard writes collision-free seg-<token>-* "
-                          "segments in its own store; --jobs is then "
-                          "the pool size inside each shard (0 = 1)")
+                          "shard processes (0 = one per available "
+                          "CPU); each shard writes collision-free "
+                          "seg-<token>-* segments straight into --root; "
+                          "--jobs is then the pool size inside each "
+                          "shard (0 = 1)")
 
     status = sub.add_parser("status", help="coverage and store health")
     status.add_argument("root", metavar="DIR")
@@ -464,8 +460,19 @@ def _run_campaign_cli(args) -> int:
         return 0
 
     if args.action == "run":
+        # Usage errors exit 2 before anything touches --root.
+        sharded = args.shards is not None
+        usage = None
         if args.trace and not args.metrics:
-            print("error: --trace requires --metrics", file=sys.stderr)
+            usage = "--trace requires --metrics"
+        elif sharded and args.shards < 0:
+            usage = f"--shards must be >= 0, got {args.shards}"
+        elif sharded and args.trace:
+            usage = "--trace is per-process; unsupported with --shards"
+        elif sharded and args.limit is not None:
+            usage = "--limit is a per-shard knob; unsupported with --shards"
+        if usage is not None:
+            print(f"error: {usage}", file=sys.stderr)
             return 2
         try:
             raw = (
@@ -489,16 +496,7 @@ def _run_campaign_cli(args) -> int:
         from .runner import available_cpus
         from .runner.profile import run_metered
 
-        sharded = args.shards is not None
         if sharded:
-            if args.trace:
-                print("error: --trace is per-process; unsupported with "
-                      "--shards", file=sys.stderr)
-                return 2
-            if args.limit is not None:
-                print("error: --limit is a per-shard knob; unsupported "
-                      "with --shards", file=sys.stderr)
-                return 2
             from .runner.shard import run_sharded
 
             # The shards already fill the CPUs: --jobs 0 means no pool
@@ -526,7 +524,6 @@ def _run_campaign_cli(args) -> int:
                     store,
                     jobs=jobs,
                     limit=args.limit,
-                    async_write=False if args.sync_write else None,
                     progress=print,
                 )
 
@@ -550,13 +547,10 @@ def _run_campaign_cli(args) -> int:
         pps = summary["points_per_s"]
         rate = f" ({pps:,.0f} points/s)" if pps else ""
         if sharded:
-            merge = summary["merge"]
             print(
                 f"executed {summary['executed']} point(s) across "
                 f"{len(summary['shards'])} shard(s), "
                 f"{summary['wall_s']:.2f}s{rate}"
-                + (f"; adopted {merge['segments_adopted']} segment(s)"
-                   if merge else "")
             )
         else:
             print(
@@ -596,13 +590,6 @@ def _run_campaign_cli(args) -> int:
         for writer, cov in stats.get("shard_segments", {}).items():
             print(f"  writer {writer}: {cov['points']} point(s) in "
                   f"{len(cov['ranges'])} range(s)")
-        for entry in stats.get("shards", []):
-            missing = (
-                f", {entry['missing']} missing"
-                if "missing" in entry else ""
-            )
-            print(f"  shard store {entry['root']}: "
-                  f"{entry['completed']} point(s) complete{missing}")
         return 0
     if args.action == "export":
         try:

@@ -61,7 +61,7 @@ from .scenario import (
     result_to_dict,
     scenario_for,
 )
-from .shard import merge_shards, run_shard, run_sharded, shard_token
+from .shard import run_sharded, shard_token
 
 __all__ = [
     "SCHEMA",
@@ -79,8 +79,6 @@ __all__ = [
     "run_campaign",
     "available_cpus",
     "shard_plan",
-    "merge_shards",
-    "run_shard",
     "run_sharded",
     "shard_token",
     "Attribution",

@@ -401,7 +401,6 @@ class CampaignStore:
         grid: ScenarioGrid,
         compression: str = "none",
         writer_token: Optional[str] = None,
-        shard: Optional[dict] = None,
     ) -> "CampaignStore":
         """Initialize a campaign root for ``grid``.
 
@@ -411,10 +410,7 @@ class CampaignStore:
         ``compression`` must be one of :data:`COMPRESSIONS`; every
         accepted value builds the same store.  ``writer_token``
         namespaces this writer's segment names (see
-        :meth:`_segment_name`); ``shard`` records shard provenance
-        (``{"index", "count", "ranges"}``) in the header of a
-        shard-owned root so status and merge tooling can tell shard
-        stores from full campaigns.
+        :meth:`_segment_name`).
         """
         check_backend(grid.backend)  # unknown backend -> KeyError now
         grid.validate()  # bad axis/base values fail before any I/O
@@ -447,14 +443,6 @@ class CampaignStore:
                 "grid_schema": GRID_SCHEMA,
             },
         }
-        if shard is not None:
-            header["shard"] = {
-                "index": int(shard["index"]),
-                "count": int(shard["count"]),
-                "ranges": [
-                    [int(s), int(e)] for s, e in shard.get("ranges", [])
-                ],
-            }
         atomic_write_text(
             header_path, json.dumps(header, sort_keys=True, indent=1) + "\n"
         )
@@ -499,12 +487,6 @@ class CampaignStore:
     @property
     def n_points(self) -> int:
         return int(self.header["n_points"])
-
-    @property
-    def shard(self) -> Optional[dict]:
-        """Shard provenance (``{"index", "count", "ranges"}``) when this
-        root was created as one shard of a larger campaign, else None."""
-        return self.header.get("shard")
 
     # -- index ---------------------------------------------------------------
     def _files_on_disk(self) -> set:
@@ -1206,13 +1188,10 @@ class CampaignStore:
     def stats(self) -> dict:
         """Campaign health summary (the ``campaign status`` view).
 
-        Shard-aware: when its segments carry writer tokens
-        (merged-from-shards or concurrent writers), the per-writer
-        coverage appears under ``"shard_segments"``; and when shard
-        stores live under ``root/shards/`` (a failed sharded run's
-        leftovers), each one's progress is summarized under
-        ``"shards"``.  ``"ignored"`` lists
-        the files that are not readable segments of this campaign.
+        When segments carry writer tokens (a sharded run's, or any
+        concurrent writers'), the per-writer coverage appears under
+        ``"shard_segments"``.  ``"ignored"`` lists the files that are
+        not readable segments of this campaign.
         """
         index = self._index()
         total_bytes = sum(
@@ -1251,36 +1230,6 @@ class CampaignStore:
                 }
                 for writer, ranges in sorted(by_writer.items())
             }
-        shard_roots = sorted(
-            p for p in self.root.glob("shards/*")
-            if (p / "campaign.json").is_file()
-        )
-        if shard_roots:
-            shards = []
-            for shard_root in shard_roots:
-                try:
-                    sub = CampaignStore.open(shard_root)
-                except (OSError, ValueError, KeyError):
-                    continue
-                if sub.header["grid_hash"] != self.header["grid_hash"]:
-                    continue
-                entry = {
-                    "root": str(shard_root),
-                    "completed": sub.n_completed,
-                    "completed_ranges": [
-                        [s, e] for s, e in sub.completed_ranges()
-                    ],
-                }
-                if sub.shard is not None:
-                    entry["shard"] = sub.shard
-                    missing = _subtract_ranges(
-                        sub.shard["ranges"], sub.completed_ranges()
-                    )
-                    entry["missing_ranges"] = [[s, e] for s, e in missing]
-                    entry["missing"] = sum(e - s for s, e in missing)
-                shards.append(entry)
-            if shards:
-                payload["shards"] = shards
         return payload
 
     def __repr__(self) -> str:  # pragma: no cover - debug repr
@@ -1464,7 +1413,6 @@ def run_campaign(
     jobs: int = 1,
     chunk_points: Optional[int] = None,
     limit: Optional[int] = None,
-    async_write: Optional[bool] = None,
     ranges: Optional[Sequence[Tuple[int, int]]] = None,
     progress=None,
 ) -> dict:
@@ -1479,9 +1427,9 @@ def run_campaign(
     (:class:`~repro.runner.executor.AsyncSegmentWriter`) so the
     segment write overlaps the next chunk's kernel evaluation; the
     writer appends FIFO on one thread, so the segments are
-    byte-identical to synchronous execution (``async_write=False``
-    forces the sync path).  An analytic grid whose axes the column
-    kernel cannot read raises ``ValueError`` before any chunk runs.
+    byte-identical to appending inline.  An analytic grid whose axes
+    the column kernel cannot read raises ``ValueError`` before any
+    chunk runs.
     Simulation-backed campaigns run their chunks through a bounded
     **submit-ahead pipeline**: ~2x the workers' worth of chunks
     (:func:`~repro.runner.planner.auto_submit_window`) are in flight on
@@ -1491,12 +1439,12 @@ def run_campaign(
     execution.  ``limit`` caps the points executed by this invocation
     (useful for time-boxed sessions and the CI resume assertion).
     ``ranges`` restricts execution to the given [start, stop)
-    grid-index slabs (the shard shape: each shard runs ``ranges=its
-    slab list`` against its own store).  Returns a summary dict
-    (points executed, chunks, wall seconds, points/s).
+    grid-index slabs (the shard shape: each shard process runs
+    ``ranges=its slab list`` against the shared target store).
+    Returns a summary dict (points executed, chunks, wall seconds,
+    points/s).
     """
     from collections import deque
-    from contextlib import nullcontext
 
     from .executor import AsyncSegmentWriter, iter_chunk_results
     from .planner import (
@@ -1576,10 +1524,6 @@ def run_campaign(
                     f"points ({chunks} chunk(s) this run)"
                 )
 
-        use_async = columnar and (async_write is None or bool(async_write))
-        if telemetry.active_registry() is not None:
-            telemetry.gauge("store.writer.async", int(use_async))
-
         if columnar:
             columns_for = (
                 _bench_chunk_columns
@@ -1587,18 +1531,11 @@ def run_campaign(
                 else _pattern_chunk_columns
             )
             encoding = _KIND_BIN[grid.kind]
-            writer_ctx = (
-                AsyncSegmentWriter(depth=auto_writer_depth(chunk_points))
-                if use_async
-                else nullcontext()
-            )
-            with writer_ctx as writer:
-                append = (
-                    writer.submit if writer is not None
-                    else lambda fn, *args, **kwargs: fn(*args, **kwargs)
-                )
+            with AsyncSegmentWriter(
+                depth=auto_writer_depth(chunk_points)
+            ) as writer:
                 for start, stop in _chunk_ranges(missing, chunk_points, limit):
-                    append(
+                    writer.submit(
                         store.append_columns,
                         start, stop, columns_for(grid, start, stop), encoding,
                     )

@@ -123,11 +123,12 @@ class AsyncSegmentWriter:
 
     Determinism: a *single* consumer thread drains the queue in
     submission order, so segment names, contents, and index updates are
-    byte-identical to calling ``fn(*args)`` inline — asserted by the
-    sync-vs-async store tests.  Error handling: a failed append is
-    re-raised in the producer (on the next :meth:`submit` or at
-    :meth:`close`), and the queue keeps draining after a failure so the
-    producer can never deadlock against a full queue.
+    byte-identical to calling ``fn(*args)`` inline — asserted by a
+    store digest test against segments written inline.  Error
+    handling: a failed append is re-raised in the producer (on the
+    next :meth:`submit` or at :meth:`close`), and the queue keeps
+    draining after a failure so the producer can never deadlock
+    against a full queue.
 
     Telemetry: the writer thread records into its *own* registry
     (:func:`~repro.telemetry.set_thread_registry` — the shared span

@@ -140,8 +140,8 @@ def shard_plan(
 
     The result is pure data: every shard entry is a list of half-open
     ``[start, stop)`` grid-index ranges, directly consumable by
-    ``run_campaign(..., ranges=shard)`` and
-    :func:`~repro.runner.shard.run_shard`.
+    ``run_campaign(..., ranges=shard)`` — what each process of
+    :func:`~repro.runner.shard.run_sharded` runs.
     """
     if n_shards < 1:
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")

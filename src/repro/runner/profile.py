@@ -53,7 +53,7 @@ STAGE_SPANS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("stall", ("executor.stall",)),
     ("writer-stall", ("store.writer.stall",)),
     ("read", ("store.read.plan", "store.read.segment")),
-    ("shard", ("campaign.shard.run", "campaign.shard.merge")),
+    ("shard", ("campaign.shard.run",)),
 )
 
 #: What to do about a dominant stage (the actionable one-liner).
@@ -78,8 +78,8 @@ _STAGE_HINTS: Dict[str, str] = {
                     "the disk cannot keep up with the kernel",
     "read": "store read (range planning + segment loads) dominates; "
             "many small or overlapping segments — run campaign compact",
-    "shard": "shard process wall (kernel runs there) plus merge; "
-             "per-shard attribution lives in each shard's metrics file",
+    "shard": "shard process wall (the kernel runs there); per-shard "
+             "attribution lives in each shard's metrics file",
     "other": "uninstrumented time dominates; the span coverage needs "
              "a closer look before trusting this profile",
 }

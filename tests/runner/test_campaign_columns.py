@@ -343,7 +343,7 @@ class TestChunkBoundedMemory:
         grid = parse_grid_spec(wide_spec())
         root = tmp_path / "camp"
         store = CampaignStore.create(root, grid, compression="binary")
-        run_campaign(store, chunk_points=64, async_write=False)
+        run_campaign(store, chunk_points=64)
         n_segments = len(list((root / "segments").glob("*")))
         assert n_segments >= 64
 

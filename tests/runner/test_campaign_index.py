@@ -65,12 +65,11 @@ class TestOneIndexWritePerRun:
         backend="analytic",
     )
 
-    @pytest.mark.parametrize("async_write", [False, True])
-    def test_one_parse_and_one_write(self, tmp_path, monkeypatch, async_write):
+    def test_one_parse_and_one_write(self, tmp_path, monkeypatch):
         CampaignStore.create(tmp_path / "camp", self.GRID)
         calls = index_calls(monkeypatch)
         store = CampaignStore.open(tmp_path / "camp")
-        summary = run_campaign(store, chunk_points=25, async_write=async_write)
+        summary = run_campaign(store, chunk_points=25)
         assert summary["executed"] == len(self.GRID) == 4000
         assert len(segment_files(store.root)) == 160
         assert calls["read"] <= 1
@@ -79,26 +78,18 @@ class TestOneIndexWritePerRun:
         index = CampaignStore(store.root)._read_index()
         assert index is not None and len(index["segments"]) == 160
 
-    @pytest.mark.parametrize("async_write", [False, True])
-    def test_run_that_appends_nothing_writes_nothing(
-        self, tmp_path, monkeypatch, async_write
-    ):
+    def test_run_that_appends_nothing_writes_nothing(self, tmp_path, monkeypatch):
         store = CampaignStore.create(tmp_path / "camp", self.GRID)
         run_campaign(store, chunk_points=1000)
         index_path = store.root / "index.json"
         before = index_path.stat().st_mtime_ns, index_path.read_bytes()
         calls = index_calls(monkeypatch)
-        summary = run_campaign(
-            CampaignStore.open(store.root), async_write=async_write
-        )
+        summary = run_campaign(CampaignStore.open(store.root))
         assert summary["executed"] == 0
         assert calls == {"read": 1, "write": 0}
         assert (index_path.stat().st_mtime_ns, index_path.read_bytes()) == before
 
-    @pytest.mark.parametrize("async_write", [False, True])
-    def test_failed_run_still_writes_its_index(
-        self, tmp_path, monkeypatch, async_write
-    ):
+    def test_failed_run_still_writes_its_index(self, tmp_path, monkeypatch):
         """A run that raises after two chunks leaves an index that lists
         both of their segments (not a stale one)."""
         chunk = campaign._bench_chunk_columns
@@ -113,7 +104,7 @@ class TestOneIndexWritePerRun:
         monkeypatch.setattr(campaign, "_bench_chunk_columns", third_chunk_fails)
         store = CampaignStore.create(tmp_path / "camp", self.GRID)
         with pytest.raises(RuntimeError, match="kernel failed"):
-            run_campaign(store, chunk_points=100, async_write=async_write)
+            run_campaign(store, chunk_points=100)
         index = CampaignStore(store.root)._read_index()
         assert index is not None
         assert [entry["ranges"] for entry in index["segments"]] == [
@@ -127,7 +118,7 @@ CHILD = """
 import json, os, signal, sys
 from repro.runner import campaign
 
-root, spec, chunk, async_write, kill_after = sys.argv[1:]
+root, spec, chunk, kill_after = sys.argv[1:]
 write_segment = campaign.CampaignStore._write_segment
 written = 0
 
@@ -145,9 +136,7 @@ campaign.CampaignStore._write_segment = write_then_die
 store = campaign.CampaignStore.create(
     root, campaign.parse_grid_spec(json.loads(spec))
 )
-campaign.run_campaign(
-    store, chunk_points=int(chunk), async_write=async_write == "async"
-)
+campaign.run_campaign(store, chunk_points=int(chunk))
 sys.exit(3)  # the kill never came
 """
 
@@ -197,23 +186,23 @@ def reference_exports(tmp_path_factory):
 
 
 class TestKilledRunResumes:
-    #: (grid, points per chunk, writer): 120 bench points in 12
+    #: (grid, points per chunk, segments): 120 bench points in 12
     #: segments, 54 pattern points in 6.
     CASES = {
-        "bench": (BENCH_SPEC, 10, "async", 12),
-        "pattern": (PATTERN_SPEC, 9, "sync", 6),
+        "bench": (BENCH_SPEC, 10, 12),
+        "pattern": (PATTERN_SPEC, 9, 6),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
     def test_resume_after_kill(self, tmp_path, reference_exports, name, where):
-        spec, chunk, writer, n_segments = self.CASES[name]
+        spec, chunk, n_segments = self.CASES[name]
         kill_after = {"first": 1, "middle": n_segments // 2,
                       "last": n_segments}[where]
         root = tmp_path / "camp"
         child = subprocess.run(
             [sys.executable, "-c", CHILD, str(root), json.dumps(spec),
-             str(chunk), writer, str(kill_after)],
+             str(chunk), str(kill_after)],
             env=dict(os.environ, PYTHONPATH=str(SRC)),
             capture_output=True, text=True, timeout=120,
         )
@@ -237,8 +226,9 @@ def test_killed_shard_keeps_its_store_and_resumes(
     tmp_path, monkeypatch, reference_exports
 ):
     """Shard 2 of 2 SIGKILLs itself after its first segment: the run
-    raises, both shard stores stay, and a resume merges to the bytes of
-    an uninterrupted run."""
+    raises naming it, the target keeps both shards' finished segments
+    in an index the driver rebuilt, and the resume runs only the rest
+    and exports the bytes of an uninterrupted run."""
     killed = shard_token(2, 2)
     write_segment = CampaignStore._write_segment
 
@@ -248,23 +238,23 @@ def test_killed_shard_keeps_its_store_and_resumes(
             os.kill(os.getpid(), signal.SIGKILL)
         return entry
 
-    # Shard processes are forked, so they inherit both patches.
+    # Shard processes are forked, so they inherit both patches: the 54
+    # points run as two 27-point shards in 9-point segments.
     monkeypatch.setattr(campaign, "DEFAULT_INLINE_CHUNK", 9)
     monkeypatch.setattr(CampaignStore, "_write_segment", write_then_die)
     store = CampaignStore.create(tmp_path / "camp", parse_grid_spec(PATTERN_SPEC))
     with pytest.raises(RuntimeError, match=r"shard 2/2 exited -9"):
         run_sharded(store, n_shards=2)
-    shards = store.root / "shards"
-    assert sorted(p.name for p in shards.iterdir()) == [
-        shard_token(1, 2), killed
-    ]
-    assert len(segment_files(shards / killed)) == 1
-    assert store.n_completed == 0
+    assert not (store.root / "shards").exists()
+    writers = [path.name.split("-")[1] for path in segment_files(store.root)]
+    assert writers == [shard_token(1, 2)] * 3 + [killed]
+    assert CampaignStore(store.root)._read_index() is not None
+    assert store.completed_ranges() == [(0, 36)]
 
     monkeypatch.setattr(CampaignStore, "_write_segment", write_segment)
     summary = run_sharded(store, n_shards=2)
-    assert summary["merge"]["completed"] == store.n_points
-    assert not shards.exists()
+    assert summary["executed"] == store.n_points - 36
+    assert store.n_completed == store.n_points
     assert export_bytes(store.root, tmp_path / "out.jsonl") == (
         reference_exports["pattern"]
     )

@@ -1,9 +1,9 @@
 """Sharded campaign execution: shard planning, collision-free segment
-namespaces, shard runs, and the verified merge/adopt step."""
+namespaces, and shard processes writing straight into the target
+store."""
 
 import json
 import os
-import shutil
 import subprocess
 import sys
 import threading
@@ -14,14 +14,13 @@ import pytest
 
 from repro.runner import (
     CampaignStore,
-    merge_shards,
     parse_grid_spec,
     run_campaign,
-    run_shard,
     run_sharded,
     shard_plan,
     shard_token,
 )
+from repro.runner import shard as shard_module
 from repro.runner.campaign import (
     _index_array_to_ranges,
     _intersect_ranges,
@@ -48,8 +47,16 @@ def make_grid(sizes=(10, 16)):
     return parse_grid_spec(analytic_spec(sizes))
 
 
+def read_back(store):
+    """Every covered point's columns, as a comparable tuple."""
+    indices, columns = store.read_columns()
+    return indices.tolist(), {
+        name: column.tobytes() for name, column in columns.items()
+    }
+
+
 class TestRangeArithmetic:
-    """Edge cases of the interval helpers the merge relies on."""
+    """Edge cases of the interval helpers sharding relies on."""
 
     def test_merge_adjacent_ranges_coalesce(self):
         assert _merge_ranges([(0, 5), (5, 10)]) == [(0, 10)]
@@ -187,7 +194,7 @@ class TestWriterTokenNaming:
     def test_writer_recorded_in_header_and_index(self, tmp_path):
         grid = make_grid()
         store = CampaignStore.create(tmp_path, grid, writer_token="w1")
-        run_campaign(store, limit=4, chunk_points=4, async_write=False)
+        run_campaign(store, limit=4, chunk_points=4)
         index = store._index()
         assert [e["writer"] for e in index["segments"]] == ["w1"]
         seg = tmp_path / index["segments"][0]["file"]
@@ -240,169 +247,69 @@ class TestWriterTokenNaming:
 
 
 class TestRunShardAndMerge:
-    def _run_shards(self, tmp_path, grid, n, compression="none"):
-        target = CampaignStore.create(
-            tmp_path / "target", grid, compression=compression
-        )
-        plans = shard_plan(target.missing_ranges(), n)
-        roots = []
-        for i, plan in enumerate(plans, start=1):
-            summary = run_shard(
-                tmp_path / "shards" / shard_token(i, n),
-                grid,
-                i,
-                n,
-                ranges=plan,
-            )
-            assert summary["shard"]["remaining"] == 0
-            roots.append(summary["shard"]["root"])
-        return target, roots
+    """Shard processes append into the target itself; what is left of
+    the merge is the driver's one index rebuild after the joins."""
 
     @pytest.mark.parametrize("compression", ["none", "binary"])
     def test_merged_store_equals_unsharded(self, tmp_path, compression):
-        import numpy as np
-
         grid = make_grid()
         ref = CampaignStore.create(
             tmp_path / "ref", grid, compression=compression
         )
         run_campaign(ref)
-        target, roots = self._run_shards(
-            tmp_path, grid, 3, compression=compression
+        target = CampaignStore.create(
+            tmp_path / "target", grid, compression=compression
         )
-        summary = merge_shards(target, roots)
+        summary = run_sharded(target, n_shards=3)
         assert summary["completed"] == len(grid)
         assert list(target.iter_rows()) == list(ref.iter_rows())
-        ref_idx, ref_cols = ref.read_columns()
-        got_idx, got_cols = target.read_columns()
-        assert np.array_equal(ref_idx, got_idx)
-        for name in ref_cols:
-            assert np.array_equal(ref_cols[name], got_cols[name])
+        assert read_back(target) == read_back(ref)
 
     def test_shard_resume_executes_nothing(self, tmp_path):
         grid = make_grid()
-        plan = shard_plan([(0, len(grid))], 2)[0]
-        first = run_shard(tmp_path / "s1", grid, 1, 2, plan)
-        assert first["executed"] == sum(e - s for s, e in plan)
-        assert first["shard"]["ranges"] == [[s, e] for s, e in plan]
-        again = run_shard(tmp_path / "s1", grid, 1, 2, plan)
+        target = CampaignStore.create(tmp_path / "target", grid)
+        first = run_sharded(target, n_shards=2)
+        assert first["executed"] == len(grid)
+        index = (tmp_path / "target" / "index.json").read_bytes()
+        again = run_sharded(CampaignStore.open(tmp_path / "target"), n_shards=2)
         assert again["executed"] == 0
-        assert again["shard"]["remaining"] == 0
+        assert again["shards"] == [] and again["merge"] is None
+        assert (tmp_path / "target" / "index.json").read_bytes() == index
 
     def test_merge_respects_partially_complete_target(self, tmp_path):
-        """Driver shape: target already holds points, shards run the
-        complement, merge stitches without overlap."""
+        """A target that already holds points: the shards execute only
+        the missing ones, and the export equals an unsharded run's."""
         grid = make_grid()
+        ref = CampaignStore.create(tmp_path / "ref", grid)
+        run_campaign(ref)
         target = CampaignStore.create(tmp_path / "target", grid)
-        run_campaign(target, limit=7, chunk_points=7)
-        assert target.n_completed == 7
-        plans = shard_plan(target.missing_ranges(), 2)
-        roots = []
-        for i, plan in enumerate(plans, start=1):
-            summary = run_shard(
-                tmp_path / f"s{i}", grid, i, 2, ranges=plan
-            )
-            roots.append(summary["shard"]["root"])
-        merge_shards(target, roots)
+        run_campaign(target, ranges=[(5, 12), (20, 23)])
+        before = {p.name for p in (tmp_path / "target").glob("segments/*")}
+        summary = run_sharded(target, n_shards=2)
+        assert summary["executed"] == len(grid) - 10
         assert target.n_completed == len(grid)
-
-    def test_merge_is_not_repeatable(self, tmp_path):
-        """Adopting the same shard twice must fail loudly (coverage
-        overlap), not silently duplicate points."""
-        grid = make_grid()
-        target, roots = self._run_shards(tmp_path, grid, 2)
-        copy = tmp_path / "copy-of-shard-1"
-        shutil.copytree(roots[0], copy)
-        merge_shards(target, roots)
-        with pytest.raises(ValueError, match="overlap"):
-            merge_shards(target, [copy])
+        after = {p.name for p in (tmp_path / "target").glob("segments/*")}
+        assert before < after
+        assert all("-s00" in name for name in after - before)
+        assert target.export_jsonl(tmp_path / "got.jsonl") == len(grid)
+        ref.export_jsonl(tmp_path / "want.jsonl")
+        assert (tmp_path / "got.jsonl").read_bytes() == (
+            tmp_path / "want.jsonl"
+        ).read_bytes()
 
     def test_stats_shard_awareness(self, tmp_path):
         grid = make_grid()
-        target, roots = self._run_shards(tmp_path, grid, 2)
-        # Before the merge: shard stores under <root>/shards are listed.
-        shards_dir = tmp_path / "target" / "shards"
-        shards_dir.mkdir()
-        os.rename(roots[0], shards_dir / "s001of002")
+        target = CampaignStore.create(tmp_path / "target", grid)
+        run_sharded(target, n_shards=2)
         stats = target.stats()
-        assert len(stats["shards"]) == 1
-        entry = stats["shards"][0]
-        assert entry["shard"]["index"] == 1
-        assert entry["missing"] == 0
-        # After merging the other shard: per-writer coverage appears.
-        merge_shards(target, [roots[1]])
-        writers = target.stats()["shard_segments"]
-        assert list(writers) == ["s002of002"]
-        assert writers["s002of002"]["points"] == sum(
-            e - s for s, e in shard_plan([(0, len(grid))], 2)[1]
-        )
-
-
-class TestMergeRejections:
-    def test_grid_hash_mismatch_rejected(self, tmp_path):
-        grid = make_grid()
-        other = make_grid(sizes=(10, 15))
-        target = CampaignStore.create(tmp_path / "target", grid)
-        summary = run_shard(tmp_path / "s1", other, 1, 1, [(0, len(other))])
-        with pytest.raises(ValueError, match="different campaign"):
-            merge_shards(target, [summary["shard"]["root"]])
-
-    def test_overlapping_shard_coverage_rejected(self, tmp_path):
-        grid = make_grid()
-        target = CampaignStore.create(tmp_path / "target", grid)
-        a = run_shard(
-            tmp_path / "sa", grid, 1, 2, ranges=[(0, 10)]
-        )
-        b = run_shard(
-            tmp_path / "sb", grid, 2, 2, ranges=[(5, 15)]
-        )
-        with pytest.raises(ValueError, match="overlap"):
-            merge_shards(
-                target, [a["shard"]["root"], b["shard"]["root"]]
-            )
-
-    def test_overlap_with_target_coverage_rejected(self, tmp_path):
-        grid = make_grid()
-        target = CampaignStore.create(tmp_path / "target", grid)
-        run_campaign(target, limit=10, chunk_points=10)
-        shard = run_shard(
-            tmp_path / "s1", grid, 1, 1, ranges=[(5, 12)]
-        )
-        with pytest.raises(ValueError, match="overlap"):
-            merge_shards(target, [shard["shard"]["root"]])
-
-    def test_doctored_segment_schema_rejected(self, tmp_path):
-        """A segment whose header no longer validates against the
-        target (wrong schema version) rejects the merge instead of
-        being silently dropped."""
-        grid = make_grid()
-        target = CampaignStore.create(tmp_path / "target", grid)
-        summary = run_shard(
-            tmp_path / "s1", grid, 1, 1, ranges=[(0, 6)],
-        )
-        shard_root = Path(summary["shard"]["root"])
-        seg = next(shard_root.glob("segments/*.bin"))
-        first, rest = seg.read_bytes().split(b"\n", 1)
-        header = json.loads(first)
-        header["schema"] = "repro.campaign.segment/v999"
-        seg.write_bytes(
-            json.dumps(header, sort_keys=True).encode() + b"\n" + rest
-        )
-        with pytest.raises(ValueError, match="fails target validation"):
-            merge_shards(target, [shard_root])
-
-    def test_name_collision_rejected(self, tmp_path):
-        """Un-tokened shard segments colliding with target names must
-        refuse rather than overwrite."""
-        grid = make_grid()
-        target = CampaignStore.create(tmp_path / "target", grid)
-        run_campaign(target, limit=6, chunk_points=6)
-        # An un-tokened writer produced seg-000000 in its own store
-        # covering disjoint points — same name as the target's first.
-        shard = CampaignStore.create(tmp_path / "s1", grid)
-        run_campaign(shard, ranges=[(10, 16)], chunk_points=6)
-        with pytest.raises(ValueError, match="already exists"):
-            merge_shards(target, [tmp_path / "s1"])
+        assert "shards" not in stats
+        writers = stats["shard_segments"]
+        assert list(writers) == ["s001of002", "s002of002"]
+        for writer, plan in zip(writers.values(), shard_plan(
+            [(0, len(grid))], 2
+        )):
+            assert writer["ranges"] == [[s, e] for s, e in plan]
+            assert writer["points"] == sum(e - s for s, e in plan)
 
 
 class TestRunCampaignRanges:
@@ -430,29 +337,63 @@ class TestRunCampaignRanges:
 
 class TestRunSharded:
     def test_subprocess_driver_end_to_end(self, tmp_path):
-        """3 real shard processes, merged, equal to unsharded."""
-        import numpy as np
-
+        """3 real shard processes writing into the target: no second
+        store anywhere, three writer tokens on the segments, and an
+        index.json that a fresh open finds current."""
         grid = make_grid()
         ref = CampaignStore.create(
             tmp_path / "ref", grid, compression="binary"
         )
         run_campaign(ref)
-        target = CampaignStore.create(
-            tmp_path / "target", grid, compression="binary"
-        )
+        root = tmp_path / "target"
+        target = CampaignStore.create(root, grid, compression="binary")
         summary = run_sharded(target, n_shards=3)
         assert summary["executed"] == len(grid)
         assert len(summary["shards"]) == 3
-        assert summary["merge"]["segments_adopted"] >= 3
+        assert summary["merge"]["wall_s"] >= 0
         assert target.n_completed == len(grid)
-        # Shard working stores are cleaned up after the merge.
-        assert not (tmp_path / "target" / "shards").exists()
-        ref_idx, ref_cols = ref.read_columns()
-        got_idx, got_cols = target.read_columns()
-        assert np.array_equal(ref_idx, got_idx)
-        for name in ref_cols:
-            assert np.array_equal(ref_cols[name], got_cols[name])
+        assert not (root / "shards").exists()
+        assert sorted(p.name for p in root.iterdir()) == [
+            "campaign.json", "index.json", "segments",
+        ]
+        assert {
+            p.name.split("-")[1] for p in (root / "segments").iterdir()
+        } == {shard_token(i, 3) for i in (1, 2, 3)}
+        index = CampaignStore(root)._read_index()
+        assert index is not None
+        assert len(index["segments"]) == len(list(root.glob("segments/*")))
+        assert read_back(target) == read_back(ref)
+
+    def test_index_rebuilt_once_by_the_driver(self, tmp_path, monkeypatch):
+        """Forked shards inherit a patched ``rebuild_index`` that logs
+        the calling process: the shards never rebuild the index they
+        were handed, and the driver rebuilds it exactly once."""
+        log = tmp_path / "calls.log"
+        rebuild = CampaignStore.rebuild_index
+        run = shard_module.run_campaign
+
+        def note(event):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()} {event}\n")
+
+        def logged_rebuild(self):
+            note("rebuild")
+            return rebuild(self)
+
+        def logged_run(*args, **kwargs):
+            note("run")
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(CampaignStore, "rebuild_index", logged_rebuild)
+        monkeypatch.setattr(shard_module, "run_campaign", logged_run)
+        target = CampaignStore.create(tmp_path / "target", make_grid())
+        run_sharded(target, n_shards=3)
+        calls = [line.split() for line in log.read_text().splitlines()]
+        driver = str(os.getpid())
+        shards = {pid for pid, event in calls if event == "run"}
+        assert len(shards) == 3 and driver not in shards
+        rebuilds = [pid for pid, event in calls if event == "rebuild"]
+        assert rebuilds == [driver]
 
     def test_nothing_missing_spawns_nothing(self, tmp_path):
         grid = make_grid()
@@ -484,39 +425,37 @@ class TestRunSharded:
         assert summary["executed"] == len(grid)
         assert list(target.iter_rows()) == list(ref.iter_rows())
 
-    def test_failed_shard_merges_nothing_and_resumes(self, tmp_path):
-        import numpy as np
-
+    def test_failed_shard_keeps_finished_segments_and_resumes(
+        self, tmp_path, monkeypatch
+    ):
+        """Shard 2 raises before it writes anything: the run raises
+        naming it only after the driver's rebuild has listed shard 1's
+        segments, and the rerun executes shard 2's points alone."""
         grid = make_grid()
         root = tmp_path / "target"
         target = CampaignStore.create(root, grid, compression="binary")
-        # A regular file where shard 2's store directory belongs makes
-        # that shard fail before it writes anything.
-        blocker = root / "shards" / shard_token(2, 2)
-        blocker.parent.mkdir()
-        blocker.write_text("not a campaign store\n")
-        with pytest.raises(RuntimeError, match="2/2"):
+        run = shard_module.run_campaign
+
+        def second_shard_fails(store, **kwargs):
+            if store.writer_token == shard_token(2, 2):
+                raise RuntimeError("shard kernel failed")
+            return run(store, **kwargs)
+
+        monkeypatch.setattr(shard_module, "run_campaign", second_shard_fails)
+        with pytest.raises(RuntimeError, match="shard 2/2 exited 1"):
             run_sharded(target, n_shards=2)
-        assert CampaignStore.open(root).n_completed == 0
-        first = CampaignStore.open(root / "shards" / shard_token(1, 2))
-        assert first.n_completed == sum(
-            e - s for s, e in shard_plan([(0, len(grid))], 2)[0]
-        )
-        # The rerun resumes shard 1's store and runs shard 2.
-        blocker.unlink()
-        summary = run_sharded(target, n_shards=2)
-        assert summary["merge"]["completed"] == len(grid)
-        assert not (root / "shards").exists()
+        first, second = shard_plan([(0, len(grid))], 2)
+        assert target.completed_ranges() == first
+        assert CampaignStore(root)._read_index() is not None
+
+        monkeypatch.setattr(shard_module, "run_campaign", run)
+        summary = run_sharded(CampaignStore.open(root), n_shards=2)
+        assert summary["executed"] == sum(e - s for s, e in second)
         ref = CampaignStore.create(
             tmp_path / "ref", grid, compression="binary"
         )
         run_campaign(ref)
-        ref_idx, ref_cols = ref.read_columns()
-        got_idx, got_cols = CampaignStore.open(root).read_columns()
-        assert np.array_equal(ref_idx, got_idx)
-        assert set(ref_cols) == set(got_cols)
-        for name in ref_cols:
-            assert np.array_equal(ref_cols[name], got_cols[name])
+        assert read_back(CampaignStore.open(root)) == read_back(ref)
 
     def test_shard_metrics_files_per_shard(self, tmp_path):
         """The contract the benchmark reads: one metrics file per shard
@@ -537,7 +476,6 @@ class TestRunSharded:
             producer = metrics["header"]["producer"]
             assert producer["shard"] == {"index": info["index"], "count": 2}
         assert not (root / "shards").exists()
-        assert not (root / "shard-grid.json").exists()
 
 
 class TestAffinityAwareDefaults:
@@ -582,6 +520,24 @@ class TestShardCLI:
             text=True,
             env=env,
         )
+
+    @pytest.mark.parametrize("argv", [
+        ["--shards", "-1"],
+        ["--shards", "2", "--trace", "--metrics"],
+        ["--shards", "2", "--limit", "5"],
+    ])
+    def test_usage_errors_leave_no_root(self, tmp_path, capsys, argv):
+        """Flag combinations --shards rejects exit 2 before the spec is
+        read, so no campaign.json or index.json lands at --root."""
+        from repro.__main__ import main
+
+        spec = self._spec_file(tmp_path)
+        root = tmp_path / "camp"
+        assert main(
+            ["campaign", "run", str(spec), "--root", str(root), *argv]
+        ) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not root.exists()
 
     def test_shard_subcommand_is_gone(self, tmp_path):
         spec = self._spec_file(tmp_path)
