@@ -87,9 +87,9 @@ def run_sharded(
     slab of ``shard_plan(store.missing_ranges(), n_shards)``, so inline
     analytic campaigns — one thread per process by construction — scale
     across cores, and a partially complete target resumes correctly.
-    Before the fork the driver opens the root with the shard's writer
-    token, so the shard starts from the index just loaded and never
-    rebuilds it.  ``n_shards=0`` uses one shard per available CPU
+    Before the first fork the driver opens the root once per shard,
+    with that shard's writer token, so every shard starts from the index
+    just loaded and never rebuilds it.  ``n_shards=0`` uses one shard per available CPU
     (:func:`~repro.runner.planner.available_cpus`); ``jobs`` is the
     pool size *inside* each shard (simulation-backed campaigns may want
     one, analytic shards should keep ``jobs=1``).  Shard processes are
@@ -135,8 +135,12 @@ def run_sharded(
                         args=(writer, index, n_shards, ranges, jobs, metrics),
                         name=f"shard-{token}",
                     )
-                    proc.start()
                     procs.append((info, proc))
+                # Every writer is opened before the first fork: a shard
+                # already writing would make a later open find the
+                # index stale and rebuild it in the driver.
+                for _, proc in procs:
+                    proc.start()
                 for info, proc in procs:
                     proc.join()
                     label = f"shard {info['index']}/{n_shards}"

@@ -45,6 +45,11 @@ def index_calls(monkeypatch):
     return calls
 
 
+def writer_token(tokened):
+    """Shard 1 of 1's writer token, or ``None`` for a plain writer."""
+    return shard_token(1, 1) if tokened else None
+
+
 def segment_files(root):
     return sorted((Path(root) / "segments").glob("seg-*"))
 
@@ -53,7 +58,8 @@ class TestOneIndexWritePerRun:
     """4,000 analytic points in 25-point chunks are 160 segments.  The
     index used to be re-read, re-parsed and rewritten per segment: the
     open and this run made 163 parses (2.20 MB of JSON) and 160
-    writes."""
+    writes.  Each test runs as a plain writer and as a shard-shaped one
+    (a writer token, as :func:`run_sharded` opens the target)."""
 
     GRID = ScenarioGrid(
         "bench",
@@ -65,31 +71,46 @@ class TestOneIndexWritePerRun:
         backend="analytic",
     )
 
-    def test_one_parse_and_one_write(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("tokened", [False, True])
+    def test_one_parse_and_one_write(self, tmp_path, monkeypatch, tokened):
+        token = writer_token(tokened)
         CampaignStore.create(tmp_path / "camp", self.GRID)
         calls = index_calls(monkeypatch)
-        store = CampaignStore.open(tmp_path / "camp")
+        store = CampaignStore.open(tmp_path / "camp", writer_token=token)
         summary = run_campaign(store, chunk_points=25)
         assert summary["executed"] == len(self.GRID) == 4000
-        assert len(segment_files(store.root)) == 160
+        segments = segment_files(store.root)
+        assert len(segments) == 160
+        assert all(
+            path.name.startswith(f"seg-{token}-") == tokened
+            for path in segments
+        )
         assert calls["read"] <= 1
         assert calls["write"] == 1
         # The one write lists every segment: a fresh load is not stale.
         index = CampaignStore(store.root)._read_index()
         assert index is not None and len(index["segments"]) == 160
 
-    def test_run_that_appends_nothing_writes_nothing(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("tokened", [False, True])
+    def test_run_that_appends_nothing_writes_nothing(
+        self, tmp_path, monkeypatch, tokened
+    ):
         store = CampaignStore.create(tmp_path / "camp", self.GRID)
         run_campaign(store, chunk_points=1000)
         index_path = store.root / "index.json"
         before = index_path.stat().st_mtime_ns, index_path.read_bytes()
         calls = index_calls(monkeypatch)
-        summary = run_campaign(CampaignStore.open(store.root))
+        summary = run_campaign(
+            CampaignStore.open(store.root, writer_token=writer_token(tokened))
+        )
         assert summary["executed"] == 0
         assert calls == {"read": 1, "write": 0}
         assert (index_path.stat().st_mtime_ns, index_path.read_bytes()) == before
 
-    def test_failed_run_still_writes_its_index(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("tokened", [False, True])
+    def test_failed_run_still_writes_its_index(
+        self, tmp_path, monkeypatch, tokened
+    ):
         """A run that raises after two chunks leaves an index that lists
         both of their segments (not a stale one)."""
         chunk = campaign._bench_chunk_columns
@@ -102,7 +123,9 @@ class TestOneIndexWritePerRun:
             return chunk(grid, start, stop)
 
         monkeypatch.setattr(campaign, "_bench_chunk_columns", third_chunk_fails)
-        store = CampaignStore.create(tmp_path / "camp", self.GRID)
+        store = CampaignStore.create(
+            tmp_path / "camp", self.GRID, writer_token=writer_token(tokened)
+        )
         with pytest.raises(RuntimeError, match="kernel failed"):
             run_campaign(store, chunk_points=100)
         index = CampaignStore(store.root)._read_index()

@@ -395,6 +395,32 @@ class TestRunSharded:
         rebuilds = [pid for pid, event in calls if event == "rebuild"]
         assert rebuilds == [driver]
 
+    def test_every_writer_opens_before_the_first_fork(
+        self, tmp_path, monkeypatch
+    ):
+        """A shard already writing segments would make a later writer's
+        open find ``index.json`` stale and rebuild it in the driver, so
+        the driver opens all the writers before it starts any shard."""
+        events = []
+        open_store = CampaignStore.open.__func__
+        start = shard_module.multiprocessing.Process.start
+
+        def logged_open(cls, *args, **kwargs):
+            events.append("open")
+            return open_store(cls, *args, **kwargs)
+
+        def logged_start(self):
+            events.append("start")
+            return start(self)
+
+        monkeypatch.setattr(CampaignStore, "open", classmethod(logged_open))
+        monkeypatch.setattr(
+            shard_module.multiprocessing.Process, "start", logged_start
+        )
+        target = CampaignStore.create(tmp_path / "target", make_grid())
+        run_sharded(target, n_shards=3)
+        assert events == ["open"] * 3 + ["start"] * 3
+
     def test_nothing_missing_spawns_nothing(self, tmp_path):
         grid = make_grid()
         target = CampaignStore.create(tmp_path / "target", grid)
