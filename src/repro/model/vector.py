@@ -27,10 +27,16 @@ One kernel entry per scenario kind: :func:`bench_times_from_columns`
 and :func:`pattern_times_from_columns` take columns — ``(values,
 codes)`` pairs, arrays or scalars — plus the batch constants, so a
 campaign hands over its grid digits without constructing a spec
-object.  The pattern kernel is factored: its link-level terms run once
-per distinct ``(pattern, n_ranks, n_threads, msg_bytes)`` and the
-points gather them.  Campaign chunks are their only product caller; a
-single spec goes through the scalar predictor
+object.  Both kernels are factored in two stages: the terms that do not
+depend on a point's own compute run once per distinct key, and the
+points gather them and add their compute in the scalar's order.  The
+pattern kernel keys its link-level terms by ``(pattern, n_ranks,
+n_threads, msg_bytes)``; the bench kernel keys its delay-free
+message-cost, contention, protocol and barrier terms by ``(total_bytes,
+n_threads, theta)`` per approach (plus the compute class where the
+zcopy queue-feedback masks read it), and applies each point's compute
+delay γ after the gather.  Campaign chunks are their only product
+caller; a single spec goes through the scalar predictor
 (:mod:`repro.backends.analytic`).
 
 Sizes are assumed to stay below 2**53 bytes (exact int64→float64
@@ -41,7 +47,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -111,15 +117,9 @@ def _copy_vec(p: SystemParams, nbytes):
 
 
 def _bit_length_vec(x: np.ndarray) -> np.ndarray:
-    """``int.bit_length()`` elementwise (exact, no float log)."""
-    v = np.asarray(x, dtype=np.int64).copy()
-    r = np.zeros_like(v)
-    for shift in (32, 16, 8, 4, 2, 1):
-        mask = v >= (np.int64(1) << shift)
-        r[mask] += shift
-        v[mask] >>= shift
-    r += (v > 0).astype(np.int64)
-    return r
+    """``int.bit_length()`` elementwise for ``0 <= x < 2**53``: the
+    binary exponent of the exact float64 value (``frexp``, no log)."""
+    return np.frexp(np.asarray(x, dtype=np.float64))[1].astype(np.int64)
 
 
 def _barrier_vec(p: SystemParams, parties) -> np.ndarray:
@@ -317,23 +317,27 @@ def _put_msg_cost_vec(p: SystemParams, nbytes, mult) -> _MsgCostV:
 
 
 # ---------------------------------------------------------------------------
-# bench geometry columns
+# bench geometry keys
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _BenchCols:
-    """Array twin of ``approaches._Geometry`` for one (params,
-    vci_method) group — every field a column over the group's points."""
+class _BenchKeys:
+    """Array twin of ``approaches._Geometry`` for one (approach, params,
+    vci_method) group, one entry per distinct key: the
+    ``(total_bytes, n_threads, theta)`` geometry and, for the
+    approaches in :data:`_ACTIVE_KEYED`, the compute class.  The cvar
+    knobs are batch constants; the delay is per point, not per key."""
 
     params: SystemParams
     vci_method: str
     n_threads: np.ndarray
     theta: np.ndarray
     total_bytes: np.ndarray
-    num_vcis: np.ndarray
-    part_aggr_size: np.ndarray
-    delay: np.ndarray
-    compute_active: np.ndarray
+    num_vcis: int
+    part_aggr_size: int
+    #: Per key for :data:`_ACTIVE_KEYED` approaches, else None (their
+    #: terms never read it).
+    compute_active: Optional[np.ndarray]
 
     @property
     def n_parts(self) -> np.ndarray:
@@ -363,7 +367,7 @@ def _negotiated_vec(n, total_bytes, aggr) -> np.ndarray:
 
 
 def _tag_transfer_vec(
-    cols: _BenchCols,
+    keys: _BenchKeys,
     n_msgs,
     nbytes,
     contenders,
@@ -372,9 +376,11 @@ def _tag_transfer_vec(
     rx_extra=0.0,
     path_extra=0.0,
     extra_serial=0.0,
-) -> Tuple[np.ndarray, _MsgCostV]:
-    """Vector twin of ``approaches._tag_transfer`` (all regimes)."""
-    p = cols.params
+) -> Tuple[np.ndarray, Any, _MsgCostV]:
+    """Vector twin of ``approaches._tag_transfer`` (all regimes), per
+    key.  Returns ``(work, path, msg)``: each point's transfer is
+    ``max(work - delay, 0) + path`` (:meth:`_Points.overlap`)."""
+    p = keys.params
     nbytes = np.asarray(nbytes, dtype=np.int64)
     contenders = np.asarray(contenders, dtype=np.float64)
     zsv = (
@@ -389,16 +395,16 @@ def _tag_transfer_vec(
         np.minimum(_zcopy_queue_contenders(p), contenders + n_msgs / 2.0),
     )
     pair = 2.0 * p.post_overhead * _mult_vec(p, c_sat)
-    saturated = zsv & ~cols.compute_active & (pair >= wire_nb)
+    saturated = zsv & ~keys.compute_active & (pair >= wire_nb)
     contenders = np.where(saturated, c_sat, contenders)
     burst = zsv & ~saturated
     prefix_msgs = np.where(
-        burst, np.minimum(n_msgs, cols.n_threads), n_msgs
+        burst, np.minimum(n_msgs, keys.n_threads), n_msgs
     )
     hump_window = (
         burst
-        & ~cols.compute_active
-        & (n_msgs > 2 * cols.n_threads)
+        & ~keys.compute_active
+        & (n_msgs > 2 * keys.n_threads)
         & (1.15 * rtt < wire_nb)
         & (wire_nb < 2.5 * rtt)
     )
@@ -416,65 +422,84 @@ def _tag_transfer_vec(
     z_bn = _chain_max(
         post_half, msg.wire, rx / rx_lanes, extra_serial, hump_bn
     )
-    z_transfer = (
-        np.maximum(prefix_msgs * post_half + (n_msgs - 1) * z_bn
-                   - cols.delay, 0.0)
-        + path
-    )
+    z_work = prefix_msgs * post_half + (n_msgs - 1) * z_bn
     # generic stage-bottleneck pipeline
     e_bn = _chain_max(msg.post / lanes, msg.wire, rx / rx_lanes, extra_serial)
-    e_transfer = np.maximum((n_msgs - 1) * e_bn - cols.delay, 0.0) + path
-    return np.where(zsv, z_transfer, e_transfer), msg
+    return np.where(zsv, z_work, (n_msgs - 1) * e_bn), path, msg
 
 
-def _pipeline_vec(n_msgs, cost: _MsgCostV, post_lanes, rx_lanes, delay,
-                  extra_serial=0.0):
-    """Vector twin of ``approaches._pipeline``."""
+def _pipeline_work_vec(n_msgs, cost: _MsgCostV, post_lanes, rx_lanes):
+    """``approaches._pipeline``'s ``(n_msgs - 1) * bottleneck``: the
+    pipeline is ``max(work - delay, 0) + cost.path``
+    (:meth:`_Points.overlap`)."""
     bottleneck = _chain_max(
-        cost.post / post_lanes, cost.wire, cost.rx / rx_lanes, extra_serial
+        cost.post / post_lanes, cost.wire, cost.rx / rx_lanes
     )
-    return np.maximum((n_msgs - 1) * bottleneck - delay, 0.0) + cost.path
+    return (n_msgs - 1) * bottleneck
+
+
+class _Points:
+    """The point stage of one approach group: ``at(term)`` gathers a
+    per-key term to the points (``key_of``: each point's key; a scalar
+    term stays a scalar); ``delay`` is each point's compute delay."""
+
+    def __init__(self, key_of: np.ndarray, delay: np.ndarray):
+        self.key_of = key_of
+        self.delay = delay
+
+    def at(self, term):
+        return term[self.key_of] if np.ndim(term) else term
+
+    def overlap(self, work, path) -> np.ndarray:
+        """``max(work - delay, 0) + path`` at every point: the pipeline
+        the last partition's compute delay overlaps (Eq. 3)."""
+        return np.maximum(self.at(work) - self.delay, 0.0) + self.at(path)
 
 
 # ---------------------------------------------------------------------------
 # per-approach vector predictors (twins of approaches._predict_*)
 # ---------------------------------------------------------------------------
+#
+# Each runs in two stages: the delay-free terms once per key, then the
+# points gather them and apply their own delay, in the scalar's order.
 
-def _vec_pt2pt_single(cols: _BenchCols) -> np.ndarray:
-    p = cols.params
-    barrier = _barrier_vec(p, cols.n_threads)
-    msg = _tag_msg_cost_vec(p, cols.total_bytes, 1.0)
-    return 2.0 * barrier + msg.path
+def _vec_pt2pt_single(keys: _BenchKeys, points: _Points) -> np.ndarray:
+    p = keys.params
+    barrier = _barrier_vec(p, keys.n_threads)
+    msg = _tag_msg_cost_vec(p, keys.total_bytes, 1.0)
+    return points.at(2.0 * barrier + msg.path)
 
 
-def _vec_pt2pt_many(cols: _BenchCols) -> np.ndarray:
-    p = cols.params
-    n, s = cols.n_parts, cols.part_bytes
-    barrier = _barrier_vec(p, cols.n_threads)
-    lanes = np.maximum(1, np.minimum(cols.n_threads, cols.num_vcis))
-    per_vci = _ceil_div(cols.n_threads, lanes)
-    transfer, msg = _tag_transfer_vec(
-        cols, n, s, per_vci - 1, lanes, lanes
+def _vec_pt2pt_many(keys: _BenchKeys, points: _Points) -> np.ndarray:
+    p = keys.params
+    n, s = keys.n_parts, keys.part_bytes
+    barrier = _barrier_vec(p, keys.n_threads)
+    lanes = np.maximum(1, np.minimum(keys.n_threads, keys.num_vcis))
+    per_vci = _ceil_div(keys.n_threads, lanes)
+    work, path, msg = _tag_transfer_vec(
+        keys, n, s, per_vci - 1, lanes, lanes
     )
     prepost = n * p.recv_post_overhead + msg.rx
-    return barrier + np.maximum(transfer, prepost)
+    return points.at(barrier) + np.maximum(
+        points.overlap(work, path), points.at(prepost)
+    )
 
 
-def _part_post_geometry_vec(cols: _BenchCols, n_msgs, msg_bytes):
+def _part_post_geometry_vec(keys: _BenchKeys, n_msgs, msg_bytes):
     """Vector twin of ``approaches._part_post_geometry``."""
-    p = cols.params
-    if cols.vci_method == "comm":
-        ones = np.ones_like(cols.n_threads)
+    p = keys.params
+    if keys.vci_method == "comm":
+        ones = np.ones_like(keys.n_threads)
         stagger = np.where(msg_bytes > p.eager_max, 1.0, 0.8)
-        return ones, stagger * (cols.n_threads - 1), ones
+        return ones, stagger * (keys.n_threads - 1), ones
     lanes = np.maximum(
-        1, np.minimum(np.minimum(cols.n_threads, cols.num_vcis), n_msgs)
+        1, np.minimum(np.minimum(keys.n_threads, keys.num_vcis), n_msgs)
     )
     per_vci = _ceil_div(
-        cols.n_threads,
-        np.maximum(1, np.minimum(cols.num_vcis, cols.n_threads)),
+        keys.n_threads,
+        np.maximum(1, np.minimum(keys.num_vcis, keys.n_threads)),
     )
-    rx_lanes = np.maximum(1, np.minimum(n_msgs, cols.num_vcis))
+    rx_lanes = np.maximum(1, np.minimum(n_msgs, keys.num_vcis))
     return lanes, per_vci - 1.0, rx_lanes
 
 
@@ -486,76 +511,80 @@ def _pready_vec(p: SystemParams, n_threads) -> np.ndarray:
     ) + p.pready_overhead
 
 
-def _vec_pt2pt_part(cols: _BenchCols) -> np.ndarray:
-    p = cols.params
-    n_msgs = _negotiated_vec(cols.n_parts, cols.total_bytes, cols.part_aggr_size)
-    msg_bytes = cols.total_bytes // n_msgs
-    barrier = _barrier_vec(p, cols.n_threads)
-    lanes, contenders, rx_lanes = _part_post_geometry_vec(
-        cols, n_msgs, msg_bytes
+def _vec_pt2pt_part(keys: _BenchKeys, points: _Points) -> np.ndarray:
+    p = keys.params
+    n_msgs = _negotiated_vec(
+        keys.n_parts, keys.total_bytes, keys.part_aggr_size
     )
-    pready = _pready_vec(p, cols.n_threads)
-    preadys_per_msg = cols.n_parts / n_msgs
+    msg_bytes = keys.total_bytes // n_msgs
+    barrier = _barrier_vec(p, keys.n_threads)
+    lanes, contenders, rx_lanes = _part_post_geometry_vec(
+        keys, n_msgs, msg_bytes
+    )
+    pready = _pready_vec(p, keys.n_threads)
+    preadys_per_msg = keys.n_parts / n_msgs
     completion_atomic = (
         p.atomic_overhead + p.atomic_bounce_coeff * (rx_lanes - 1) / 2.0
     )
-    transfer, msg = _tag_transfer_vec(
-        cols, n_msgs, msg_bytes, contenders, lanes, rx_lanes,
+    work, path, msg = _tag_transfer_vec(
+        keys, n_msgs, msg_bytes, contenders, lanes, rx_lanes,
         rx_extra=completion_atomic,
         path_extra=pready * preadys_per_msg + completion_atomic,
         extra_serial=np.maximum(pready * preadys_per_msg, completion_atomic),
     )
     prepost = n_msgs * p.recv_post_overhead + msg.rx + completion_atomic
     return (
-        barrier + np.maximum(transfer, prepost) + p.part_completion_overhead
-    )
-
-
-def _vec_pt2pt_part_old(cols: _BenchCols) -> np.ndarray:
-    p = cols.params
-    n = cols.n_parts
-    barrier = _barrier_vec(p, cols.n_threads)
-    pready = _pready_vec(p, cols.n_threads)
-    pready_chain = (
-        np.maximum((n - 1) * pready - cols.delay, 0.0) + pready
-    )
-    am_path = (
-        p.post_overhead
-        + _copy_vec(p, cols.total_bytes)
-        + _wire_vec(p, cols.total_bytes)
-        + p.latency
-        + p.am_dispatch_overhead
-        + _copy_vec(p, np.minimum(cols.total_bytes, p.am_chunk_bytes))
-    )
-    cts = p.ctrl_overhead
-    return (
-        barrier
-        + np.maximum(pready_chain, cts)
-        + am_path
+        points.at(barrier)
+        + np.maximum(points.overlap(work, path), points.at(prepost))
         + p.part_completion_overhead
     )
 
 
-def _rma_stages_vec(cols: _BenchCols, many: bool):
+def _vec_pt2pt_part_old(keys: _BenchKeys, points: _Points) -> np.ndarray:
+    p = keys.params
+    n = keys.n_parts
+    barrier = _barrier_vec(p, keys.n_threads)
+    pready = _pready_vec(p, keys.n_threads)
+    pready_chain = points.overlap((n - 1) * pready, pready)
+    am_path = (
+        p.post_overhead
+        + _copy_vec(p, keys.total_bytes)
+        + _wire_vec(p, keys.total_bytes)
+        + p.latency
+        + p.am_dispatch_overhead
+        + _copy_vec(p, np.minimum(keys.total_bytes, p.am_chunk_bytes))
+    )
+    cts = p.ctrl_overhead
+    return (
+        points.at(barrier)
+        + np.maximum(pready_chain, cts)
+        + points.at(am_path)
+        + p.part_completion_overhead
+    )
+
+
+def _rma_stages_vec(keys: _BenchKeys, many: bool):
     """(put cost, lanes, windows, mult) — twin of ``_rma_put_stages``."""
-    p = cols.params
-    windows = cols.n_threads if many else np.ones_like(cols.n_threads)
-    lanes = np.maximum(1, np.minimum(windows, cols.num_vcis))
-    actors_per_lane = _ceil_div(cols.n_threads, lanes)
+    p = keys.params
+    windows = keys.n_threads if many else np.ones_like(keys.n_threads)
+    lanes = np.maximum(1, np.minimum(windows, keys.num_vcis))
+    actors_per_lane = _ceil_div(keys.n_threads, lanes)
     mult = _mult_vec(p, actors_per_lane - 1)
-    return _put_msg_cost_vec(p, cols.part_bytes, mult), lanes, windows, mult
+    return _put_msg_cost_vec(p, keys.part_bytes, mult), lanes, windows, mult
 
 
-def _rma_scan_vec(cols: _BenchCols, windows) -> np.ndarray:
-    sharing = _ceil_div(windows, np.minimum(windows, cols.num_vcis))
-    return cols.params.rma_progress_scan * (sharing - 1)
+def _rma_scan_vec(keys: _BenchKeys, windows) -> np.ndarray:
+    sharing = _ceil_div(windows, np.minimum(windows, keys.num_vcis))
+    return keys.params.rma_progress_scan * (sharing - 1)
 
 
-def _vec_rma_passive(cols: _BenchCols, many: bool) -> np.ndarray:
-    p = cols.params
-    n = cols.n_parts
-    barrier = _barrier_vec(p, cols.n_threads)
-    put, lanes, windows, mult = _rma_stages_vec(cols, many)
+def _vec_rma_passive(
+    keys: _BenchKeys, points: _Points, many: bool
+) -> np.ndarray:
+    p = keys.params
+    n = keys.n_parts
+    barrier = _barrier_vec(p, keys.n_threads)
+    put, lanes, windows, mult = _rma_stages_vec(keys, many)
     put_start = p.recv_overhead + barrier
     flushes = windows if many else 1
     post_work = (n * put.post + flushes * p.ctrl_overhead * mult) / lanes
@@ -563,40 +592,44 @@ def _vec_rma_passive(cols: _BenchCols, many: bool) -> np.ndarray:
     rx_work = (n * put.rx + flushes * p.ctrl_overhead) / lanes
     serial = _chain_max(post_work, wire_work, rx_work)
     flush_handled = (
-        put_start
-        + np.maximum(serial - cols.delay, 0.0)
+        points.at(put_start)
+        + np.maximum(points.at(serial) - points.delay, 0.0)
         + p.rma_sync_overhead
         + p.wire_time(0)
         + p.latency
         + p.ctrl_overhead
-        + _rma_scan_vec(cols, windows)
+        + points.at(_rma_scan_vec(keys, windows))
     )
     ack = _ctrl_path(p)
     done = _token_path(p, p.post_overhead)
     return flush_handled + ack + done
 
 
-def _vec_rma_active(cols: _BenchCols, many: bool) -> np.ndarray:
-    p = cols.params
-    n = cols.n_parts
-    barrier = _barrier_vec(p, cols.n_threads)
-    put, lanes, windows, _ = _rma_stages_vec(cols, many)
+def _vec_rma_active(
+    keys: _BenchKeys, points: _Points, many: bool
+) -> np.ndarray:
+    p = keys.params
+    n = keys.n_parts
+    barrier = _barrier_vec(p, keys.n_threads)
+    put, lanes, windows, _ = _rma_stages_vec(keys, many)
     tokens_avail = (
         p.rma_sync_overhead
         + p.ctrl_overhead
         + (windows - 1) * (p.rma_sync_overhead + p.ctrl_overhead)
     )
     open_epochs = windows * p.rma_sync_overhead
-    put_start = np.maximum(tokens_avail, open_epochs) + barrier
+    put_start = points.at(np.maximum(tokens_avail, open_epochs) + barrier)
     post_bn = put.post / lanes
     post_done = (
         put_start
-        + np.maximum((n - 1) * post_bn - cols.delay, 0.0)
-        + put.post
+        + np.maximum(points.at((n - 1) * post_bn) - points.delay, 0.0)
+        + points.at(put.post)
     )
-    transfer_end = put_start + _pipeline_vec(n, put, lanes, lanes, cols.delay)
-    complete_issued = (
-        post_done + windows * (p.rma_sync_overhead + p.ctrl_overhead)
+    transfer_end = put_start + points.overlap(
+        _pipeline_work_vec(n, put, lanes, lanes), put.path
+    )
+    complete_issued = post_done + points.at(
+        windows * (p.rma_sync_overhead + p.ctrl_overhead)
     )
     return (
         np.maximum(complete_issued + p.wire_time(0) + p.latency, transfer_end)
@@ -604,35 +637,39 @@ def _vec_rma_active(cols: _BenchCols, many: bool) -> np.ndarray:
     )
 
 
-#: Registry: approach name -> vector predictor over a ``_BenchCols``.
+#: Registry: approach name -> vector predictor over ``(_BenchKeys,
+#: _Points)``.
 _VECTOR_PREDICTORS = {
     "pt2pt_single": _vec_pt2pt_single,
     "pt2pt_many": _vec_pt2pt_many,
     "pt2pt_part": _vec_pt2pt_part,
     "pt2pt_part_old": _vec_pt2pt_part_old,
-    "rma_single_passive": lambda c: _vec_rma_passive(c, many=False),
-    "rma_many_passive": lambda c: _vec_rma_passive(c, many=True),
-    "rma_single_active": lambda c: _vec_rma_active(c, many=False),
-    "rma_many_active": lambda c: _vec_rma_active(c, many=True),
+    "rma_single_passive": lambda k, pts: _vec_rma_passive(k, pts, many=False),
+    "rma_many_passive": lambda k, pts: _vec_rma_passive(k, pts, many=True),
+    "rma_single_active": lambda k, pts: _vec_rma_active(k, pts, many=False),
+    "rma_many_active": lambda k, pts: _vec_rma_active(k, pts, many=True),
 }
 
 assert set(_VECTOR_PREDICTORS) == set(APPROACH_PREDICTORS), (
     "vector kernel out of sync with the scalar predictor registry"
 )
 
+#: Approaches whose delay-free terms read ``compute_active`` (the
+#: zcopy queue-feedback masks of :func:`_tag_transfer_vec`): their key
+#: carries the compute class, so γ = 0 and γ > 0 points of one geometry
+#: keep their own regime.
+_ACTIVE_KEYED = frozenset({"pt2pt_many", "pt2pt_part"})
+
 
 # ---------------------------------------------------------------------------
 # bench entry points
 # ---------------------------------------------------------------------------
 
-def _delay_columns(total_bytes, n_threads, theta, gamma, gaussian_mu):
-    """Vector twin of ``predict_bench_time``'s delay/compute logic."""
-    g = gamma * 1e-6 / 1e6
-    raw_delay = g * (total_bytes // (n_threads * theta))
-    gaussian = gaussian_mu > 0
-    delay = np.where(gaussian, 0.0, raw_delay)
-    compute_active = ~gaussian & (gamma > 0)
-    return delay, compute_active
+def _delay_columns(part_bytes, rate, gaussian):
+    """Vector twin of ``predict_bench_time``'s delay: ``rate`` (s/B,
+    ``gamma * 1e-6 / 1e6``) times the partition size, 0 under the
+    Gaussian model."""
+    return np.where(gaussian, 0.0, rate * part_bytes)
 
 
 def bench_times_from_columns(
@@ -647,44 +684,72 @@ def bench_times_from_columns(
 
     ``columns`` maps :data:`BENCH_COLUMN_FIELDS` to per-point arrays,
     scalars (broadcast to the batch) or ``(values, codes)`` pairs (a
-    campaign chunk's grid digits, see :func:`_as_pair`); absent fields
-    take the ``BenchSpec`` defaults.  ``params`` and the three cvar
-    knobs are batch constants — callers with heterogeneous machine
-    models or cvars group first.  No spec object is needed.
+    campaign chunk's grid digits); every form becomes a pair first
+    (:func:`_as_pair`), so all take the same path.  Absent fields take
+    the ``BenchSpec`` defaults.  ``params`` and the three cvar knobs
+    are batch constants — callers with heterogeneous machine models or
+    cvars group first.  No spec object is needed.
+
+    Per approach, the geometry ``(total_bytes, n_threads, theta)`` —
+    plus the compute class for :data:`_ACTIVE_KEYED` — is factorized
+    once; the delay-free terms run once per key, and every point
+    gathers them and applies its own compute delay, in the scalar's
+    order of operations, so each point is bitwise equal to
+    ``predict_bench_time``.
     """
-    def col(name, dtype, default):
-        return _materialize(columns.get(name, default), n_points, dtype)
+    def pair(name, default, dtype):
+        return _as_pair(columns.get(name, default), n_points, dtype)
 
     with span("kernel.eval", kind="bench"):
         names, codes = _as_pair(columns["approach"], n_points)
-        n_threads = col("n_threads", np.int64, 1)
-        theta = col("theta", np.int64, 1)
-        total_bytes = col("total_bytes", np.int64, 0)
-        delay, compute_active = _delay_columns(
-            total_bytes, n_threads, theta,
-            col("gamma_us_per_mb", np.float64, 0.0),
-            col("gaussian_mu_us_per_mb", np.float64, 0.0),
+        geometry = (
+            pair("total_bytes", 0, np.int64),
+            pair("n_threads", 1, np.int64),
+            pair("theta", 1, np.int64),
         )
+        gamma, gamma_codes = pair("gamma_us_per_mb", 0.0, np.float64)
+        mu, mu_codes = pair("gaussian_mu_us_per_mb", 0.0, np.float64)
+        rate = (gamma * 1e-6 / 1e6)[gamma_codes]
+        gaussian = (mu > 0)[mu_codes]
+        compute_active = ~gaussian & (gamma > 0)[gamma_codes]
         times = np.empty(n_points, dtype=np.float64)
+        counts = np.bincount(codes, minlength=len(names))
         for code, name in enumerate(names):
             if name not in _VECTOR_PREDICTORS:
                 raise KeyError(f"no analytic predictor for approach {name!r}")
-            idx = np.nonzero(codes == code)[0]
-            if not idx.size:
+            if not counts[code]:
                 continue
-            times[idx] = _VECTOR_PREDICTORS[name](_BenchCols(
+            # The whole batch takes views, no gathers.
+            rows = (
+                slice(None) if counts[code] == n_points
+                else np.nonzero(codes == code)[0]
+            )
+            key = [(values, digits[rows]) for values, digits in geometry]
+            active = compute_active[rows]
+            if name in _ACTIVE_KEYED:
+                key.append(((False, True), active.astype(np.int64)))
+            first, key_of = _factorize(*key)
+            total_bytes, n_threads, theta = (
+                values[digits[first]] for values, digits in key[:3]
+            )
+            keys = _BenchKeys(
                 params=params,
                 vci_method=vci_method,
-                n_threads=n_threads[idx],
-                theta=theta[idx],
-                total_bytes=total_bytes[idx],
-                num_vcis=np.full(idx.size, num_vcis, dtype=np.int64),
-                part_aggr_size=np.full(
-                    idx.size, part_aggr_size, dtype=np.int64
+                n_threads=n_threads,
+                theta=theta,
+                total_bytes=total_bytes,
+                num_vcis=num_vcis,
+                part_aggr_size=part_aggr_size,
+                compute_active=(
+                    active[first] if name in _ACTIVE_KEYED else None
                 ),
-                delay=delay[idx],
-                compute_active=compute_active[idx],
-            ))
+            )
+            delay = _delay_columns(
+                keys.part_bytes[key_of], rate[rows], gaussian[rows]
+            )
+            times[rows] = _VECTOR_PREDICTORS[name](
+                keys, _Points(key_of, delay)
+            )
         return times
 
 
@@ -824,8 +889,8 @@ class _PatternLinks:
     depth: np.ndarray
     n_links: np.ndarray
     n_threads: np.ndarray
-    num_vcis: np.ndarray
-    aggr: np.ndarray
+    num_vcis: int
+    aggr: int
 
 
 def _pattern_times_cols(
@@ -1030,8 +1095,8 @@ def pattern_times_from_columns(
             links = _PatternLinks(
                 **{field: values[used] for field, values in topo.items()},
                 n_threads=n_threads[used],
-                num_vcis=np.full(used.size, num_vcis, dtype=np.int64),
-                aggr=np.full(used.size, part_aggr_size, dtype=np.int64),
+                num_vcis=num_vcis,
+                aggr=part_aggr_size,
             )
             times[idx] = _pattern_times_cols(
                 params, name, links, local, compute_rate[idx], noise_q[idx]

@@ -21,10 +21,11 @@ row-major index)`` — no file and no content hash per point:
   point (the ``result`` encoding);
 * ``index.json`` — a cache of the segment headers: covered index
   ranges per segment.  A store object loads it once and keeps it in
-  memory; a writing run (:func:`run_campaign`, and so each shard)
-  records its appends there and writes ``index.json`` once, when it
-  ends — also when it ends in an exception, and not at all when it
-  appended nothing.  If the file is missing, or stale because it does
+  memory; a writing run (:func:`run_campaign`) records its appends
+  there and writes ``index.json`` once, when it ends — also when it
+  ends in an exception, and not at all when it appended nothing.  A
+  shard writes none: its driver rebuilds the index once after the
+  joins.  If the file is missing, or stale because it does
   not list every segment file (a run killed before its write), it is
   rebuilt from the segment headers, so resume works from the segments
   alone.  A ``segments/*.jsonl``/``*.bin`` file that fails validation
@@ -567,6 +568,22 @@ class CampaignStore:
             if not self._index_deferred and self._index_dirty:
                 index = self._index_cache
                 self._write_index(index["segments"], index["ignored"])
+
+    @contextmanager
+    def unindexed(self) -> Iterator["CampaignStore"]:
+        """Append segments without writing ``index.json``: for a writer
+        whose index another process rebuilds from the segment headers
+        after it ends (a :func:`~repro.runner.shard.run_sharded`
+        shard).  Appends inside the block update the in-memory index as
+        under :meth:`deferred_index`; on exit nothing is written.  Use
+        it as the outermost block of this store object.
+        """
+        self._index_deferred += 1
+        try:
+            yield self
+        finally:
+            self._index_deferred -= 1
+            self._index_dirty = False
 
     def rebuild_index(self) -> dict:
         """Reconstruct ``index.json`` from the segment headers — the

@@ -15,10 +15,10 @@ concurrent writers in one directory safe:
   the same file name;
 * **atomic segment writes** — a killed shard leaves whole segments or
   none, and every finished segment counts as coverage;
-* **self-describing segments** — the shards race each other's
-  ``index.json`` writes, so the driver rebuilds the index once from the
-  segment headers after the joins, validating each header as the read
-  path does.
+* **self-describing segments** — the shards never write
+  ``index.json`` (:meth:`~repro.runner.campaign.CampaignStore.unindexed`);
+  the driver rebuilds it once from the segment headers after the joins,
+  validating each header as the read path does.
 """
 
 from __future__ import annotations
@@ -61,7 +61,10 @@ def _shard_worker(
     telemetry.set_trace_sink(None)
 
     def run() -> dict:
-        return run_campaign(store, jobs=jobs, ranges=ranges)
+        # The driver rebuilds index.json once after the joins; a write
+        # here would only race the other shards' and be overwritten.
+        with store.unindexed():
+            return run_campaign(store, jobs=jobs, ranges=ranges)
 
     if metrics is not None:
         run_metered(
@@ -148,9 +151,9 @@ def run_sharded(
                         failures.append(f"{label} exited {proc.exitcode}")
                     elif progress is not None:
                         progress(f"[{label}] {info['points']} point(s) done")
-            # The shards raced each other's index writes: one rebuild
-            # from the segment headers (its write carries the usual
-            # store.index span) lists every segment they finished.
+            # The shards wrote no index: one rebuild from the segment
+            # headers (its write carries the usual store.index span)
+            # lists every segment they finished.
             rebuild_t0 = time.perf_counter()
             store.rebuild_index()
             merge_summary = {"wall_s": time.perf_counter() - rebuild_t0}

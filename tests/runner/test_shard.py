@@ -365,11 +365,13 @@ class TestRunSharded:
         assert read_back(target) == read_back(ref)
 
     def test_index_rebuilt_once_by_the_driver(self, tmp_path, monkeypatch):
-        """Forked shards inherit a patched ``rebuild_index`` that logs
-        the calling process: the shards never rebuild the index they
-        were handed, and the driver rebuilds it exactly once."""
+        """Forked shards inherit a patched ``rebuild_index`` and
+        ``_write_index`` that log the calling process: the shards never
+        rebuild the index they were handed nor write ``index.json``, and
+        the driver rebuilds it exactly once, its one index write."""
         log = tmp_path / "calls.log"
         rebuild = CampaignStore.rebuild_index
+        write = CampaignStore._write_index
         run = shard_module.run_campaign
 
         def note(event):
@@ -380,6 +382,10 @@ class TestRunSharded:
             note("rebuild")
             return rebuild(self)
 
+        def logged_write(self, *args, **kwargs):
+            note("write")
+            return write(self, *args, **kwargs)
+
         def logged_run(*args, **kwargs):
             note("run")
             return run(*args, **kwargs)
@@ -387,6 +393,7 @@ class TestRunSharded:
         monkeypatch.setattr(CampaignStore, "rebuild_index", logged_rebuild)
         monkeypatch.setattr(shard_module, "run_campaign", logged_run)
         target = CampaignStore.create(tmp_path / "target", make_grid())
+        monkeypatch.setattr(CampaignStore, "_write_index", logged_write)
         run_sharded(target, n_shards=3)
         calls = [line.split() for line in log.read_text().splitlines()]
         driver = str(os.getpid())
@@ -394,6 +401,14 @@ class TestRunSharded:
         assert len(shards) == 3 and driver not in shards
         rebuilds = [pid for pid, event in calls if event == "rebuild"]
         assert rebuilds == [driver]
+        writes = [pid for pid, event in calls if event == "write"]
+        assert writes == [driver]
+        # ...and that one write lists every segment the shards finished.
+        index = CampaignStore(target.root)._read_index()
+        assert index is not None
+        assert len(index["segments"]) == len(
+            list(target.root.glob("segments/*"))
+        )
 
     def test_every_writer_opens_before_the_first_fork(
         self, tmp_path, monkeypatch
