@@ -36,7 +36,7 @@ cross-validation report); the enforced tolerances live in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict
 
 from ..net import Protocol, SystemParams
@@ -46,6 +46,41 @@ __all__ = [
     "predict_bench_time",
     "APPROACH_PREDICTORS",
 ]
+
+# ---------------------------------------------------------------------------
+# hand-set corrections
+# ---------------------------------------------------------------------------
+#
+# The closed form's calibrated shape factors, named once: the scalar
+# predictors here and in :mod:`.patterns` and the vector twins in
+# :mod:`.vector` all read them from this module (the vector code as
+# ``approaches.NAME``, at call time), so one edit moves every evaluator.
+
+#: Share of the RTS/CTS round trip that the saturated double post must
+#: fill before the single-VCI rendezvous lock queue stops growing
+#: (:func:`_zcopy_queue_contenders`); calibrates the partially
+#: overlapped ramp-up.
+ZCOPY_QUEUE_RTT_SHARE = 0.8
+#: Messages per extra lock contender while a rendezvous pipeline ramps
+#: its queue toward saturation (:func:`_saturated_contenders`): a short
+#: pipeline reaches at most ``contenders + n_msgs / ZCOPY_RAMP_DIVISOR``.
+ZCOPY_RAMP_DIVISOR = 2.0
+#: Wire slot, in handshake RTTs, above which the escalated episode-peak
+#: hump ignites (below it the base queue feedback keeps pace).
+ZCOPY_HUMP_MIN_RTT = 1.15
+#: Wire slot, in handshake RTTs, beyond which the CTS stream starves
+#: and the hump resets (the plain wire bound is then exact).
+ZCOPY_HUMP_MAX_RTT = 2.5
+#: Messages per thread a pipeline must exceed before the hump builds.
+ZCOPY_HUMP_ONSET = 2
+#: Effective share of the ``N - 1`` other threads contending on a
+#: ``comm``-method VCI for eager partitioned messages: the serialized
+#: Pready chain staggers the threads' arrivals at the lock.
+COMM_VCI_STAGGER = 0.8
+#: Delivering lanes per contender on the receiver's shared completion
+#: counter: its episode peak ramps with the lanes, averaging about half
+#: their count over a figure-sized burst.
+COMPLETION_PEAK_DIVISOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -168,18 +203,30 @@ def _zcopy_queue_contenders(p: SystemParams) -> float:
     queues on the same lock as the threads' RTS posts; the queue (and
     with it the episode-peak contender count) grows until the two posts
     per message cost as much as the RTS/CTS round trip that feeds them.
-    Solving ``2·post·M(c) = 0.8·rtt`` for the quadratic multiplier
-    ``M(c) = 1 + a·c + b·c²`` gives the saturation point (the 0.8
-    calibrates the partially-overlapped ramp-up)."""
+    Solving ``2·post·M(c) = s·rtt`` for the quadratic multiplier
+    ``M(c) = 1 + a·c + b·c²`` gives the saturation point, where ``s``
+    is :data:`ZCOPY_QUEUE_RTT_SHARE` (it calibrates the partially
+    overlapped ramp-up)."""
     if p.post_overhead <= 0:
         return 0.0  # free posts never saturate the lock
-    target = 0.8 * _rendezvous_rtt(p) / (2.0 * p.post_overhead)
+    rtt_share = ZCOPY_QUEUE_RTT_SHARE * _rendezvous_rtt(p)
+    target = rtt_share / (2.0 * p.post_overhead)
     if target <= 1.0:
         return 0.0
     a, b = p.vci_contention_coeff, p.vci_contention_quad
     if b <= 0:
         return (target - 1.0) / a if a > 0 else 0.0
     return (-a + math.sqrt(a * a + 4.0 * b * (target - 1.0))) / (2.0 * b)
+
+
+def _saturated_contenders(p: SystemParams, contenders, n_msgs):
+    """Contender count of a single-VCI rendezvous pipeline of ``n_msgs``
+    messages once its lock queue has built: the saturation point of
+    :func:`_zcopy_queue_contenders`, but the queue can only build as far
+    as the messages feeding it (:data:`ZCOPY_RAMP_DIVISOR` per extra
+    contender), so short pipelines never reach it."""
+    ramp = contenders + n_msgs / ZCOPY_RAMP_DIVISOR
+    return max(contenders, min(_zcopy_queue_contenders(p), ramp))
 
 
 def _tag_transfer(
@@ -217,12 +264,7 @@ def _tag_transfer(
         # double post still outpaces the wire and no compute delay
         # staggers the producers; otherwise the lock queue drains and
         # only the initial thread burst serializes ahead of the data.
-        # The queue can only build as far as the messages feeding it:
-        # short pipelines never reach the steady-state contender count.
-        c_sat = max(
-            contenders,
-            min(_zcopy_queue_contenders(p), contenders + n_msgs / 2.0),
-        )
+        c_sat = _saturated_contenders(p, contenders, n_msgs)
         pair = 2.0 * p.post_overhead * p.contention_multiplier(c_sat)
         wire = p.wire_time(nbytes)
         rtt = _rendezvous_rtt(p)
@@ -232,36 +274,32 @@ def _tag_transfer(
             prefix_msgs = min(n_msgs, geo.n_threads)
             if (
                 not geo.compute_active
-                and n_msgs > 2 * geo.n_threads
-                and 1.15 * rtt < wire < 2.5 * rtt
+                and n_msgs > ZCOPY_HUMP_ONSET * geo.n_threads
+                and ZCOPY_HUMP_MIN_RTT * rtt < wire < ZCOPY_HUMP_MAX_RTT * rtt
             ):
                 # Escalated episode-peak regime: while one data packet
                 # crosses the wire, ~wire/ctrl_overhead CTS-spawned
                 # injections pile onto the never-idle lock, so its
                 # sticky peak climbs to that count and later posts pay
                 # the inflated multiplier — the run splits between the
-                # base and the escalated plateau.  The hump only ignites
-                # once a wire slot clearly exceeds the handshake RTT
-                # (below that the base feedback already keeps pace), and
-                # beyond ~2.5 RTT per slot the CTS stream starves, the
-                # lock idles, and the peak resets (the plain wire bound
-                # is then exact).
+                # base and the escalated plateau, inside the window of
+                # wire slots the ZCOPY_HUMP_* constants bound.
                 c2 = wire / p.ctrl_overhead
                 pair2 = 2.0 * p.post_overhead * p.contention_multiplier(c2)
                 if pair2 > wire:
                     hump_bn = (pair + pair2) / 2.0
     mult = p.contention_multiplier(contenders)
     msg = _tag_msg_cost(p, nbytes, mult)
-    rx = msg.rx + rx_extra
-    path = msg.path + path_extra
-    if zcopy_single_vci:
-        post_half = p.post_overhead * mult
-        prefix = prefix_msgs * post_half
-        bn = max(post_half, msg.wire, rx / rx_lanes, extra_serial, hump_bn)
-        transfer = max(prefix + (n_msgs - 1) * bn - geo.delay, 0.0) + path
+    cost = replace(msg, rx=msg.rx + rx_extra, path=msg.path + path_extra)
+    if not zcopy_single_vci:
+        transfer = _pipeline(
+            n_msgs, cost, lanes, rx_lanes, geo.delay, extra_serial
+        )
         return transfer, msg
-    bn = max(msg.post / lanes, msg.wire, rx / rx_lanes, extra_serial)
-    transfer = max((n_msgs - 1) * bn - geo.delay, 0.0) + path
+    post_half = p.post_overhead * mult
+    prefix = prefix_msgs * post_half
+    bn = max(post_half, cost.wire, cost.rx / rx_lanes, extra_serial, hump_bn)
+    transfer = max(prefix + (n_msgs - 1) * bn - geo.delay, 0.0) + cost.path
     return transfer, msg
 
 
@@ -339,11 +377,11 @@ def _part_post_geometry(geo: _Geometry, n_msgs: int, msg_bytes: int):
         # Partitioned traffic follows its communicator's single VCI.
         # The serialized pready chain staggers the threads' arrivals at
         # the lock, so the episode peak ramps up instead of starting at
-        # N - 1 (measured ≈ 0.8·(N-1) effective contenders) — except on
-        # the rendezvous path, where the progress engine's data posts
-        # keep the queue saturated at the full thread count.
+        # N - 1 (COMM_VCI_STAGGER) — except on the rendezvous path,
+        # where the progress engine's data posts keep the queue
+        # saturated at the full thread count.
         proto = geo.params.protocol_for(msg_bytes)
-        stagger = 1.0 if proto is Protocol.ZCOPY else 0.8
+        stagger = 1.0 if proto is Protocol.ZCOPY else COMM_VCI_STAGGER
         return 1, stagger * (geo.n_threads - 1), 1
     # tag_rr / thread: messages spread round-robin over the VCIs.
     lanes = max(1, min(geo.n_threads, geo.num_vcis, n_msgs))
@@ -361,12 +399,11 @@ def _predict_pt2pt_part(geo: _Geometry) -> BenchPrediction:
     # Every Pready serializes on the request's shared counters; every
     # internal-message completion serializes on the receiver's shared
     # counter, whose episode peak ramps with the delivering contexts
-    # (average ≈ half the lane count over a figure-sized burst).
+    # (COMPLETION_PEAK_DIVISOR).
     pready = p.pready_atomic_time(geo.n_threads) + p.pready_overhead
     preadys_per_msg = geo.n_parts / n_msgs
-    completion_atomic = (
-        p.atomic_overhead + p.atomic_bounce_coeff * (rx_lanes - 1) / 2.0
-    )
+    bounce = p.atomic_bounce_coeff * (rx_lanes - 1)
+    completion_atomic = p.atomic_overhead + bounce / COMPLETION_PEAK_DIVISOR
     # A message leaves only after *all* its partitions' Pready calls
     # cleared the globally-serialized shared counter, so the closing
     # path carries its whole pready share.

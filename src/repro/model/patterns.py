@@ -53,9 +53,9 @@ from .approaches import (
     _MsgCost,
     _ctrl_path,
     _put_msg_cost,
+    _saturated_contenders,
     _tag_msg_cost,
     _token_path,
-    _zcopy_queue_contenders,
 )
 
 __all__ = [
@@ -247,10 +247,7 @@ def predict_pattern_time(config, pattern=None) -> PatternPrediction:
         and p.protocol_for(msg_bytes) is Protocol.ZCOPY
     )
     if zcopy and lanes == 1 and rank_msgs > 1:
-        contenders = max(
-            contenders,
-            min(_zcopy_queue_contenders(p), contenders + rank_msgs / 2.0),
-        )
+        contenders = _saturated_contenders(p, contenders, rank_msgs)
     mult = p.contention_multiplier(contenders)
     msg, per_link_sync = _per_message_costs(config, msg_bytes, mult)
     sync_tail = max_out * per_link_sync

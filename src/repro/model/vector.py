@@ -21,7 +21,12 @@ scalar inside a group), and the cvar knobs (``num_vcis``,
 (sizes, thread counts, partition counts, compute rates, noise) varies
 per point as an int64/float64 column.  Data-dependent branches of the
 scalar code (protocol ladder, zcopy queue-feedback regimes, pipeline
-bounds) become boolean masks combined with ``np.where``.
+bounds) become boolean masks combined with ``np.where``.  The model's
+hand-set corrections (the queue ramp divisor, the hump window, the
+comm-VCI stagger, …) are never repeated here: the kernels read the named
+constants of :mod:`repro.model.approaches` as ``approaches.NAME`` at
+call time, so a recalibration edits one number and both evaluators
+follow it.
 
 One kernel entry per scenario kind: :func:`bench_times_from_columns`
 and :func:`pattern_times_from_columns` take columns — ``(values,
@@ -46,13 +51,14 @@ conversion); every grid in the repo is far below that.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..net import SystemParams
 from ..telemetry import span
+from . import approaches
 from .approaches import (
     _ctrl_path,
     _rendezvous_rtt,
@@ -366,6 +372,12 @@ def _negotiated_vec(n, total_bytes, aggr) -> np.ndarray:
     return n // _scalar_per_key(largest_divisor_at_most, np.int64, n, k_max)
 
 
+def _saturated_contenders_vec(p: SystemParams, contenders, n_msgs):
+    """Vector twin of ``approaches._saturated_contenders``."""
+    ramp = contenders + n_msgs / approaches.ZCOPY_RAMP_DIVISOR
+    return np.maximum(contenders, np.minimum(_zcopy_queue_contenders(p), ramp))
+
+
 def _tag_transfer_vec(
     keys: _BenchKeys,
     n_msgs,
@@ -390,10 +402,7 @@ def _tag_transfer_vec(
     )
     wire_nb = _wire_vec(p, nbytes)
     rtt = _rendezvous_rtt(p)
-    c_sat = np.maximum(
-        contenders,
-        np.minimum(_zcopy_queue_contenders(p), contenders + n_msgs / 2.0),
-    )
+    c_sat = _saturated_contenders_vec(p, contenders, n_msgs)
     pair = 2.0 * p.post_overhead * _mult_vec(p, c_sat)
     saturated = zsv & ~keys.compute_active & (pair >= wire_nb)
     contenders = np.where(saturated, c_sat, contenders)
@@ -404,9 +413,9 @@ def _tag_transfer_vec(
     hump_window = (
         burst
         & ~keys.compute_active
-        & (n_msgs > 2 * keys.n_threads)
-        & (1.15 * rtt < wire_nb)
-        & (wire_nb < 2.5 * rtt)
+        & (n_msgs > approaches.ZCOPY_HUMP_ONSET * keys.n_threads)
+        & (approaches.ZCOPY_HUMP_MIN_RTT * rtt < wire_nb)
+        & (wire_nb < approaches.ZCOPY_HUMP_MAX_RTT * rtt)
     )
     c2 = wire_nb / p.ctrl_overhead
     pair2 = 2.0 * p.post_overhead * _mult_vec(p, c2)
@@ -415,25 +424,25 @@ def _tag_transfer_vec(
     )
     mult = _mult_vec(p, contenders)
     msg = _tag_msg_cost_vec(p, nbytes, mult)
-    rx = msg.rx + rx_extra
-    path = msg.path + path_extra
+    cost = replace(msg, rx=msg.rx + rx_extra, path=msg.path + path_extra)
     # zcopy-single-VCI regime: RTS prefix serializes ahead of the drain.
     post_half = p.post_overhead * mult
     z_bn = _chain_max(
-        post_half, msg.wire, rx / rx_lanes, extra_serial, hump_bn
+        post_half, cost.wire, cost.rx / rx_lanes, extra_serial, hump_bn
     )
     z_work = prefix_msgs * post_half + (n_msgs - 1) * z_bn
-    # generic stage-bottleneck pipeline
-    e_bn = _chain_max(msg.post / lanes, msg.wire, rx / rx_lanes, extra_serial)
-    return np.where(zsv, z_work, (n_msgs - 1) * e_bn), path, msg
+    e_work = _pipeline_work_vec(n_msgs, cost, lanes, rx_lanes, extra_serial)
+    return np.where(zsv, z_work, e_work), cost.path, msg
 
 
-def _pipeline_work_vec(n_msgs, cost: _MsgCostV, post_lanes, rx_lanes):
+def _pipeline_work_vec(
+    n_msgs, cost: _MsgCostV, post_lanes, rx_lanes, extra_serial=0.0
+):
     """``approaches._pipeline``'s ``(n_msgs - 1) * bottleneck``: the
     pipeline is ``max(work - delay, 0) + cost.path``
     (:meth:`_Points.overlap`)."""
     bottleneck = _chain_max(
-        cost.post / post_lanes, cost.wire, cost.rx / rx_lanes
+        cost.post / post_lanes, cost.wire, cost.rx / rx_lanes, extra_serial
     )
     return (n_msgs - 1) * bottleneck
 
@@ -490,7 +499,9 @@ def _part_post_geometry_vec(keys: _BenchKeys, n_msgs, msg_bytes):
     p = keys.params
     if keys.vci_method == "comm":
         ones = np.ones_like(keys.n_threads)
-        stagger = np.where(msg_bytes > p.eager_max, 1.0, 0.8)
+        stagger = np.where(
+            msg_bytes > p.eager_max, 1.0, approaches.COMM_VCI_STAGGER
+        )
         return ones, stagger * (keys.n_threads - 1), ones
     lanes = np.maximum(
         1, np.minimum(np.minimum(keys.n_threads, keys.num_vcis), n_msgs)
@@ -523,8 +534,9 @@ def _vec_pt2pt_part(keys: _BenchKeys, points: _Points) -> np.ndarray:
     )
     pready = _pready_vec(p, keys.n_threads)
     preadys_per_msg = keys.n_parts / n_msgs
+    bounce = p.atomic_bounce_coeff * (rx_lanes - 1)
     completion_atomic = (
-        p.atomic_overhead + p.atomic_bounce_coeff * (rx_lanes - 1) / 2.0
+        p.atomic_overhead + bounce / approaches.COMPLETION_PEAK_DIVISOR
     )
     work, path, msg = _tag_transfer_vec(
         keys, n_msgs, msg_bytes, contenders, lanes, rx_lanes,
@@ -932,14 +944,7 @@ def _pattern_times_cols(
     )
     queue = zcopy & (lanes == 1) & (rank_msgs > 1)
     contenders = np.where(
-        queue,
-        np.maximum(
-            contenders,
-            np.minimum(
-                _zcopy_queue_contenders(p), contenders + rank_msgs / 2.0
-            ),
-        ),
-        contenders,
+        queue, _saturated_contenders_vec(p, contenders, rank_msgs), contenders
     )
     mult = _mult_vec(p, contenders)
     msg, per_link_sync = _pattern_per_message_vec(p, approach, msg_bytes, mult)
